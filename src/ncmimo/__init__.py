@@ -25,7 +25,7 @@ from .capacity import (
 from .randmat import (
     RNG_ALGORITHM,
     RngHandle,
-    beta_eig_pdf,
+    beta_eig_pdf_log,
     sample_gaussian,
     sample_isotropic_unitary,
     sample_matrix_beta,
@@ -66,7 +66,7 @@ __all__ = [
     "RngHandle",
     "TestReport",
     "asymptotic_gain_constant",
-    "beta_eig_pdf",
+    "beta_eig_pdf_log",
     "bstm_constant",
     "capacity_approx",
     "cond_pdf_y_given_d_log",

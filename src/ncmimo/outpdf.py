@@ -8,12 +8,19 @@ exponentially large or small entries are computed by factoring the
 largest exponent out of every row before a pivoted factorization, which
 keeps every intermediate bounded at any SNR.
 
+The conditional output density f(Y | D) has one determinant core,
+_cond_log; the finite-SNR spectrum density is derived from it through the
+SVD Jacobian.  The Stiefel integral and the high-SNR limit keep their own
+determinants (see their comments).
+
 Raw singular values are called sv; svn denotes the normalized vector
 whose first M entries are scaled by sqrt(M/rho).  The scaling is always
 applied by the caller.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,39 +30,46 @@ from .params import (
     DerivedParams,
     DomainError,
     RegimeError,
+    check_decreasing,
     rho_from_db,
 )
-from .specfun import LOG_2, LOG_PI, log_gamma, log_multivariate_gamma, log_stiefel_volume
+from .specfun import (
+    LOG_2,
+    LOG_PI,
+    log_gamma_range,
+    log_multivariate_gamma,
+    log_stiefel_volume,
+)
 from .bstm import GainDiagonal
 
 
-def _as_decreasing_positive(x, label: str) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1:
-        raise DomainError(f"{label}: expected a vector, got shape {x.shape}")
-    if x.size and np.any(x <= 0):
-        raise DomainError(f"{label}: entries must be strictly positive")
-    if np.any(np.diff(x) >= 0):
-        raise DomainError(f"{label}: entries must be strictly decreasing")
-    return x
+# The cached index and power arrays are shared by every caller: read-only.
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
-def _check_gaps(x2: np.ndarray, label: str) -> None:
-    # x2 sorted decreasing; adjacent pairs are the tightest
-    if x2.size < 2:
-        return
-    rel = (x2[:-1] - x2[1:]) / x2[:-1]
-    if np.any(rel < REL_GAP_TOL):
-        raise ConfluenceError(
-            f"{label}: relative gap below {REL_GAP_TOL:g}, "
-            "inputs are numerically confluent")
+@lru_cache(maxsize=None)
+def _row_powers(T: int, M: int) -> np.ndarray:
+    # exponents T - i of the polynomial rows i = M+1..T
+    p = T - np.arange(M + 1, T + 1, dtype=float)
+    p.flags.writeable = False
+    return p
+
+
+@lru_cache(maxsize=None)
+def _spectrum_volumes(T: int, N: int) -> float:
+    # ln of the U(T)/phase and S(N, T) volumes the SVD integrates out
+    return log_stiefel_volume(T, T, reduced=True) + log_stiefel_volume(N, T)
 
 
 def _log_vandermonde(x2: np.ndarray) -> float:
     """sum_{i<j} ln(x2_i - x2_j) for a strictly decreasing vector."""
     if x2.size < 2:
         return 0.0
-    i, j = np.triu_indices(x2.size, k=1)
+    i, j = _pairs(x2.size)
     return float(np.log(x2[i] - x2[j]).sum())
 
 
@@ -76,14 +90,50 @@ def _scaled_slogdet(logmag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ld + c_safe.sum(axis=-1), sign
 
 
-def _gain_checked(D: GainDiagonal, M: int) -> tuple[np.ndarray, np.ndarray]:
-    d = np.asarray(D.d, dtype=float)
-    if d.size != M:
-        raise DomainError(f"gain diagonal has {d.size} entries, dims need M={M}")
-    d = _as_decreasing_positive(d, "gain diagonal")
-    d2 = d * d
-    _check_gaps(d2, "gain diagonal (squared)")
-    return d, d2
+def _check_sign(sign: float, label: str) -> None:
+    if sign <= 0:
+        raise ConfluenceError(
+            f"{label} determinant lost its sign; inputs are too close to "
+            "confluent for a stable evaluation")
+
+
+def _gain2(D: GainDiagonal, M: int) -> np.ndarray:
+    d = check_decreasing(D.d, M, "gain diagonal")
+    return d * d
+
+
+def _cond_log(s2: np.ndarray, d2: np.ndarray, rt: float, N: int) -> tuple[float, float]:
+    """ln f(Y | D) from the decreasing squared singular values s2 of Y.
+
+    With mu_i = 1/(1 + rt d2_i) the closed form is
+
+        pi^{-NT} prod_{i=T-M+1}^{T} Gamma(i) prod mu_i^{N-T+M} (rt d2_i)^{M-T}
+        det(K) / [prod_{i<j}(s2_i - s2_j) prod_{i<j}(mu_j - mu_i)]
+
+    with K_{ij} = exp(-mu_i s2_j) on the first M rows and
+    s2_j^{T-i} exp(-s2_j) below.  mu is formed directly rather than as
+    1 - lambda, which would lose its digits as lambda -> 1 at high SNR.
+    Returns the log density and ln prod_{i<j}(s2_i - s2_j), which the
+    spectrum density reuses.
+    """
+    T, M = s2.size, d2.size
+    mu = 1.0 / (1.0 + rt * d2)
+    logmag = np.empty((T, T))
+    logmag[:M] = -mu[:, None] * s2
+    logmag[M:] = _row_powers(T, M)[:, None] * np.log(s2) - s2
+    ld, sign = _scaled_slogdet(logmag)
+    _check_sign(sign, "conditional pdf")
+    lv = _log_vandermonde(s2)
+    log_f = (
+        -N * T * LOG_PI
+        + log_gamma_range(T - M + 1, T)
+        + (N - T + M) * np.log(mu).sum()
+        - (T - M) * np.log(rt * d2).sum()
+        + float(ld)
+        - lv
+        - _log_vandermonde(-mu)
+    )
+    return float(log_f), lv
 
 
 def svd_jacobian_log(sv, rmax: int, rmin: int) -> float:
@@ -91,15 +141,11 @@ def svd_jacobian_log(sv, rmax: int, rmin: int) -> float:
 
     ln J = sum_i (2(rmax-rmin)+1) ln(sv_i) + 2 sum_{i<j} ln(sv_i^2 - sv_j^2).
     """
-    sv = _as_decreasing_positive(sv, "svd_jacobian_log sv")
     if rmax < rmin:
         raise DomainError(f"svd_jacobian_log requires rmax >= rmin, got {rmax} < {rmin}")
-    if sv.size != rmin:
-        raise DomainError(f"svd_jacobian_log: expected rmin={rmin} values, got {sv.size}")
-    s2 = sv * sv
-    _check_gaps(s2, "svd_jacobian_log sv^2")
+    sv = check_decreasing(sv, rmin, "svd_jacobian_log sv")
     return float((2 * (rmax - rmin) + 1) * np.log(sv).sum()
-                 + 2.0 * _log_vandermonde(s2))
+                 + 2.0 * _log_vandermonde(sv * sv))
 
 
 def izuber_stiefel_log_det(sv2, lam) -> tuple[float, float]:
@@ -113,52 +159,49 @@ def izuber_stiefel_log_det(sv2, lam) -> tuple[float, float]:
 
     with K_{ij} = exp(lam_i sv2_j) on the first M rows and sv2_j^{T-i}
     below.  Returns (log magnitude, sign); the sign is positive whenever
-    the lam's are in decreasing order.
+    the lam's are in decreasing order.  Raises ConfluenceError when the
+    determinant loses its sign.
     """
-    sv2 = _as_decreasing_positive(sv2, "izuber sv2")
+    sv2 = check_decreasing(sv2, np.size(sv2), "izuber sv2")
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     T, M = sv2.size, lam.size
     if not 1 <= M <= T:
         raise DomainError(f"izuber needs 1 <= M <= T, got M={M}, T={T}")
     if np.any(lam <= 0) or np.any(lam >= 1):
         raise DomainError("izuber lam entries must lie strictly in (0, 1)")
-    _check_gaps(sv2, "izuber sv2")
     # lam may arrive unordered; check every pair
-    dl = lam[:, None] - lam[None, :]
-    iu = np.triu_indices(M, k=1)
-    pair = dl[iu]
-    if pair.size and np.any(np.abs(pair) / np.maximum.outer(lam, lam)[iu] < REL_GAP_TOL):
+    iu = _pairs(M)
+    pair = lam[iu[0]] - lam[iu[1]]
+    if pair.size and np.any(np.abs(pair) / np.maximum(lam[iu[0]], lam[iu[1]]) < REL_GAP_TOL):
         raise ConfluenceError("izuber lam entries are numerically confluent")
 
+    # Not routed through _cond_log: absorbing exp(-s2_j) column-wise there
+    # lets a whole column underflow when lam is fixed and sv2 grows (M = 1,
+    # sv2 of a few thousand), and no two-sided rescaling holds at M >= 2
+    # with leading sv2 near 1e5.  The exp(+lam sv2) rows stay exact.
     logmag = np.empty((T, T))
-    logmag[:M] = lam[:, None] * sv2[None, :]
-    if T > M:
-        powers = T - np.arange(M + 1, T + 1, dtype=float)
-        logmag[M:] = powers[:, None] * np.log(sv2)[None, :]
+    logmag[:M] = lam[:, None] * sv2
+    logmag[M:] = _row_powers(T, M)[:, None] * np.log(sv2)
     ld, det_sign = _scaled_slogdet(logmag)
+    sign = float(det_sign) * float(np.prod(np.sign(pair)))
+    _check_sign(sign, "izuber")
 
     log_mag = (
         log_stiefel_volume(T, M)
-        + sum(log_gamma(i) for i in range(T - M + 1, T + 1))
+        + log_gamma_range(T - M + 1, T)
         + (M - T) * np.log(lam).sum()
         + float(ld)
         - _log_vandermonde(sv2)
-        - (float(np.log(np.abs(pair)).sum()) if pair.size else 0.0)
+        - float(np.log(np.abs(pair)).sum())
     )
-    sign = float(det_sign) * (float(np.prod(np.sign(pair))) if pair.size else 1.0)
     return float(log_mag), sign
-
-
-def _lambda_weights(rt: float, d2: np.ndarray) -> np.ndarray:
-    # per-antenna signal fraction, in (0,1) and decreasing along d
-    return 1.0 / (1.0 + 1.0 / (rt * d2))
 
 
 def cond_pdf_y_given_d_log(Y: np.ndarray, D: GainDiagonal, dp: DerivedParams,
                            snr_db: float) -> float:
     """ln f(Y | D) for the block-fading channel output, T <= N only.
 
-    Uses the determinant closed form with the Gaussian factor
+    Uses the determinant closed form of _cond_log with the Gaussian factor
     exp(-tr(Y^H Y)) absorbed column-wise into the determinant, so the
     evaluation stays finite at any SNR.
     """
@@ -169,36 +212,23 @@ def cond_pdf_y_given_d_log(Y: np.ndarray, D: GainDiagonal, dp: DerivedParams,
     Y = np.asarray(Y)
     if Y.shape != (T, N):
         raise DomainError(f"Y must be T x N = {T} x {N}, got {Y.shape}")
-    d, d2 = _gain_checked(D, M)
-    sv = np.linalg.svd(Y, compute_uv=False)
-    sv = _as_decreasing_positive(sv, "singular values of Y")
+    d2 = _gain2(D, M)
+    sv = check_decreasing(np.linalg.svd(Y, compute_uv=False), T, "singular values of Y")
+    return _cond_log(sv * sv, d2, rho_from_db(snr_db) / M, N)[0]
+
+
+def _gaussian_sv_log(sv: np.ndarray, n: int, var: float) -> float:
+    """ln of the joint density of the singular values sv of an m x n complex
+    Gaussian matrix with iid CN(0, var) entries, m = sv.size <= n."""
+    m = sv.size
     s2 = sv * sv
-    _check_gaps(s2, "singular values of Y (squared)")
-
-    rt = rho_from_db(snr_db) / M
-    lam = _lambda_weights(rt, d2)
-
-    # determinant rows: exp((lam_i - 1) s2_j) on top, s2_j^{T-i} e^{-s2_j} below
-    logmag = np.empty((T, T))
-    logmag[:M] = (lam[:, None] - 1.0) * s2[None, :]
-    if T > M:
-        powers = T - np.arange(M + 1, T + 1, dtype=float)
-        logmag[M:] = powers[:, None] * np.log(s2)[None, :] - s2[None, :]
-    ld, sign = _scaled_slogdet(logmag)
-    if sign <= 0:
-        raise ConfluenceError(
-            "conditional pdf determinant lost its sign; inputs are too close "
-            "to confluent for a stable evaluation")
-
-    lam_vander = _log_vandermonde(lam) if M > 1 else 0.0
     return float(
-        -N * T * LOG_PI
-        + sum(log_gamma(i) for i in range(T - M + 1, T + 1))
-        - N * np.log1p(rt * d2).sum()
-        + float(ld)
-        + (M - T) * np.log(lam).sum()
-        - _log_vandermonde(s2)
-        - lam_vander
+        m * LOG_2 + m * (m - 1) * LOG_PI
+        - log_multivariate_gamma(m, n) - log_multivariate_gamma(m, m)
+        - s2.sum() / var
+        - m * n * np.log(var)
+        + (2 * (n - m) + 1) * np.log(sv).sum()
+        + 2.0 * _log_vandermonde(s2)
     )
 
 
@@ -208,22 +238,8 @@ def first_sv_pdf_log(sv, dp: DerivedParams, snr_db: float) -> float:
     This is the singular-value law of an M x Q complex Gaussian matrix
     with per-entry variance lambda_bar = N T rho / (M Q).
     """
-    T, M, N, Q = dp.T, dp.M, dp.N, dp.Q
-    sv = _as_decreasing_positive(sv, "first_sv_pdf_log sv")
-    if sv.size != M:
-        raise DomainError(f"first_sv_pdf_log expects M={M} values, got {sv.size}")
-    s2 = sv * sv
-    _check_gaps(s2, "first_sv_pdf_log sv^2")
-    lam_bar = N * T * rho_from_db(snr_db) / (M * Q)
-    log_k1 = (M * LOG_2 + M * (M - 1) * LOG_PI
-              - log_multivariate_gamma(M, Q) - log_multivariate_gamma(M, M))
-    return float(
-        log_k1
-        - s2.sum() / lam_bar
-        - M * Q * np.log(lam_bar)
-        + (2 * (Q - M) + 1) * np.log(sv).sum()
-        + 2.0 * _log_vandermonde(s2)
-    )
+    sv = check_decreasing(sv, dp.M, "first_sv_pdf_log sv")
+    return _gaussian_sv_log(sv, dp.Q, dp.N * dp.T * rho_from_db(snr_db) / (dp.M * dp.Q))
 
 
 def tail_sv_pdf_log(sv, dp: DerivedParams) -> float:
@@ -233,36 +249,8 @@ def tail_sv_pdf_log(sv, dp: DerivedParams) -> float:
     Gaussian.  An empty vector (rmin = M) returns 0.
     """
     R = dp.rmin - dp.M
-    sv = np.atleast_1d(np.asarray(sv, dtype=float))
-    if R == 0:
-        if sv.size:
-            raise DomainError("tail_sv_pdf_log: rmin = M leaves no tail values")
-        return 0.0
-    sv = _as_decreasing_positive(sv, "tail_sv_pdf_log sv")
-    if sv.size != R:
-        raise DomainError(f"tail_sv_pdf_log expects rmin-M={R} values, got {sv.size}")
-    s2 = sv * sv
-    _check_gaps(s2, "tail_sv_pdf_log sv^2")
-    log_k2 = (R * LOG_2 + R * (R - 1) * LOG_PI
-              - log_multivariate_gamma(R, dp.rmax - dp.M)
-              - log_multivariate_gamma(R, R))
-    return float(
-        log_k2
-        - s2.sum()
-        + (2 * (dp.rmax - dp.rmin) + 1) * np.log(sv).sum()
-        + 2.0 * _log_vandermonde(s2)
-    )
-
-
-def _split_svn(svn, T: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    svn = np.atleast_1d(np.asarray(svn, dtype=float))
-    if svn.size != T:
-        raise DomainError(f"normalized spectrum must have T={T} entries, got {svn.size}")
-    head = _as_decreasing_positive(svn[:M], "svn leading block")
-    tail = _as_decreasing_positive(svn[M:], "svn trailing block")
-    _check_gaps(head * head, "svn leading block (squared)")
-    _check_gaps(tail * tail, "svn trailing block (squared)")
-    return head, tail
+    sv = check_decreasing(sv, R, "tail_sv_pdf_log sv")
+    return _gaussian_sv_log(sv, dp.rmax - dp.M, 1.0) if R else 0.0
 
 
 def cond_sv_pdf_finite_log(svn, D: GainDiagonal, dp: DerivedParams,
@@ -270,58 +258,29 @@ def cond_sv_pdf_finite_log(svn, D: GainDiagonal, dp: DerivedParams,
     """ln of the finite-SNR conditional density of the normalized spectrum.
 
     svn holds the T normalized singular values: the leading M carry the
-    sqrt(M/rho) scaling, the rest are raw.  Within each block the entries
-    must decrease strictly; across blocks the support requires the raw
-    ordering rho/M * svn_M^2 > svn_{M+1}^2, which is wider than
-    svn_M > svn_{M+1} and is what the normalization integral runs over.
+    sqrt(M/rho) scaling, the rest are raw.  The support is the set where
+    the raw values (leading block times sqrt(rho/M)) decrease strictly,
+    which is wider than svn decreasing and is what the normalization
+    integral runs over.  The density is ln f(Y | D) of _cond_log times the
+    SVD Jacobian (svd_jacobian_log), the volumes of the singular-vector
+    manifolds, and (rho/M)^{M/2} for the scaling of the leading block.
     """
     T, M, N = dp.T, dp.M, dp.N
     if T > N:
         raise RegimeError(
             f"closed-form conditional sv pdf requires T <= N, got T={T}, N={N}")
-    head, tail = _split_svn(svn, T, M)
-    d, d2 = _gain_checked(D, M)
+    d2 = _gain2(D, M)
     rt = rho_from_db(snr_db) / M
-    h2, t2 = head * head, tail * tail
-
-    # support boundary: the smallest raw leading value stays above the
-    # largest trailing value
-    cross_gap = (rt * h2[-1] - t2[0]) / max(rt * h2[-1], t2[0])
-    if rt * h2[-1] <= t2[0]:
-        raise DomainError(
-            "normalized spectrum outside the support: raw ordering requires "
-            "(rho/M) svn_M^2 > svn_{M+1}^2")
-    if cross_gap < REL_GAP_TOL:
-        raise ConfluenceError("leading and trailing blocks are numerically confluent")
-
-    lam = _lambda_weights(rt, d2)
-    logmag = np.empty((T, T))
-    logmag[:M, :M] = (-rt / (1.0 + rt * d2))[:, None] * h2[None, :]
-    logmag[:M, M:] = lam[:, None] * t2[None, :]
-    powers = T - np.arange(M + 1, T + 1, dtype=float)
-    logmag[M:, :M] = powers[:, None] * np.log(rt * h2)[None, :] - rt * h2[None, :]
-    logmag[M:, M:] = powers[:, None] * np.log(t2)[None, :]
-    ld, sign = _scaled_slogdet(logmag)
-    if sign <= 0:
-        raise ConfluenceError(
-            "conditional sv pdf determinant lost its sign; inputs too close "
-            "to confluent for a stable evaluation")
-
-    cross = np.log(h2[:, None] - t2[None, :] / rt).sum()
-    d_vander = _log_vandermonde(d2) if M > 1 else 0.0
+    raw = np.array(svn, dtype=float, ndmin=1)
+    raw[:M] *= np.sqrt(rt)
+    raw = check_decreasing(raw, T, "raw spectrum (leading block times sqrt(rho/M))")
+    log_f, lv = _cond_log(raw * raw, d2, rt, N)
     return float(
-        T * LOG_2
-        - t2.sum()
-        - sum(log_gamma(i) for i in range(N - T + 1, N + 1))
-        - sum(log_gamma(i) for i in range(1, T - M + 1))
-        + (T - M) * np.log1p(1.0 / (rt * d2)).sum()
-        - (N - M + 1) * np.log(d2 + 1.0 / rt).sum()
-        + _log_vandermonde(h2)
-        + _log_vandermonde(t2)
-        + cross
-        + float(ld)
-        + (2 * (N - T) + 1) * (np.log(head).sum() + np.log(tail).sum())
-        - d_vander
+        log_f
+        + (2 * (N - T) + 1) * np.log(raw).sum()
+        + 2.0 * lv
+        + _spectrum_volumes(T, N)
+        + 0.5 * M * np.log(rt)
     )
 
 
@@ -337,26 +296,25 @@ def cond_sv_pdf_limit_log(svn, D: GainDiagonal, dp: DerivedParams) -> float:
     if T > N:
         raise RegimeError(
             f"limit conditional sv pdf requires T <= N, got T={T}, N={N}")
-    head, tail = _split_svn(svn, T, M)
-    d, d2 = _gain_checked(D, M)
+    svn = np.atleast_1d(np.asarray(svn, dtype=float))
+    if svn.size != T:
+        raise DomainError(f"normalized spectrum must have T={T} entries, got {svn.size}")
+    head = check_decreasing(svn[:M], M, "svn leading block")
+    tail = check_decreasing(svn[M:], T - M, "svn trailing block")
+    d2 = _gain2(D, M)
     h2 = head * head
 
-    ld, sign = _scaled_slogdet(-(1.0 / d2)[:, None] * h2[None, :])
-    if sign <= 0:
-        raise ConfluenceError(
-            "limit sv pdf determinant lost its sign; inputs too close to "
-            "confluent for a stable evaluation")
-
-    pair_ratio = 0.0
-    if M > 1:
-        pair_ratio = _log_vandermonde(h2) - _log_vandermonde(d2)
+    # The M x M kernel exp(-h2_j / d2_i) of the limit law lives on the
+    # leading block alone; it is no finite-SNR f(Y | D), so it keeps its
+    # own determinant.
+    ld, sign = _scaled_slogdet(-(1.0 / d2)[:, None] * h2)
+    _check_sign(sign, "limit sv pdf")
     log_g1 = (
         M * LOG_2
         + float(ld)
         + (2 * (N - M) + 1) * np.log(head).sum()
-        - 2 * N * np.log(d).sum()
-        + 2 * (M - 1) * np.log(d).sum()
-        - sum(log_gamma(i) for i in range(N - M + 1, N + 1))
-        + pair_ratio
+        - (N - M + 1) * np.log(d2).sum()
+        - log_gamma_range(N - M + 1, N)
+        + _log_vandermonde(h2) - _log_vandermonde(d2)
     )
-    return float(log_g1 + tail_sv_pdf_log(tail, dp))
+    return float(log_g1 + _gaussian_sv_log(tail, N - M, 1.0))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class DimensionError(ValueError):
     """Channel dimensions violate the standing assumptions."""
@@ -29,8 +31,29 @@ class ConfluenceError(ValueError):
 
 
 # Relative gap below which squared singular values, squared gains or the
-# lambda weights are treated as confluent and rejected.
+# weights of izuber_stiefel_log_det are treated as confluent and rejected.
 REL_GAP_TOL = 1e-9
+
+
+def check_decreasing(x, size: int, label: str) -> np.ndarray:
+    """x as a float vector of `size` strictly decreasing positive entries.
+
+    Raises DomainError off that set, and ConfluenceError when two adjacent
+    squared entries differ by less than REL_GAP_TOL relative to the larger.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (size,):
+        raise DomainError(f"{label}: expected {size} entries, got shape {x.shape}")
+    if not np.all(x > 0):
+        raise DomainError(f"{label}: entries must be strictly positive")
+    if not np.all(x[1:] < x[:-1]):
+        raise DomainError(f"{label}: entries must be strictly decreasing")
+    x2 = x * x
+    if np.any((x2[:-1] - x2[1:]) / x2[:-1] < REL_GAP_TOL):
+        raise ConfluenceError(
+            f"{label}: relative gap below {REL_GAP_TOL:g}, "
+            "inputs are numerically confluent")
+    return x
 
 
 @dataclass(frozen=True)

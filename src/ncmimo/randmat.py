@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import DomainError
+from .params import DomainError, check_decreasing
 from .specfun import LOG_PI, log_multivariate_gamma
 
 # Generator recorded in output metadata; PCG64 has a documented,
@@ -108,19 +108,8 @@ def sample_isotropic_unitary(T: int, M: int, rng: RngHandle,
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _check_eigs(a: np.ndarray, k: int, label: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.shape != (k,):
-        raise DomainError(f"{label}: expected {k} eigenvalues, got shape {a.shape}")
-    if np.any(a <= 0) or np.any(a >= 1):
-        raise DomainError(f"{label}: eigenvalues must lie strictly in (0, 1)")
-    if np.any(np.diff(a) >= 0):
-        raise DomainError(f"{label}: eigenvalues must be strictly decreasing")
-    return a
-
-
-def beta_eig_pdf(m: int, p: int, n: int, a) -> float:
-    """Joint pdf of the ordered eigenvalues of a Beta_m(p, n) matrix.
+def beta_eig_pdf_log(m: int, p: int, n: int, a) -> float:
+    """ln of the joint pdf of the ordered eigenvalues of a Beta_m(p, n) matrix.
 
     For n >= m this is the density of all m eigenvalues,
 
@@ -134,33 +123,20 @@ def beta_eig_pdf(m: int, p: int, n: int, a) -> float:
         pi^{n(n-1)}/Gamma_n(n) * Gamma_n(p+n)/(Gamma_n(m) Gamma_n(p+n-m))
         * prod a_i^{p-m} (1-a_i)^{m-n} * prod_{i<j} (a_i - a_j)^2.
 
-    Computed in log domain and exponentiated.
+    The eigenvalues must decrease strictly inside (0, 1).
     """
     if not p >= m >= 1:
-        raise DomainError(f"beta_eig_pdf requires p >= m >= 1, got m={m}, p={p}")
+        raise DomainError(f"beta_eig_pdf_log requires p >= m >= 1, got m={m}, p={p}")
     if n < 1:
-        raise DomainError(f"beta_eig_pdf requires n >= 1, got n={n}")
-    if n >= m:
-        a = _check_eigs(a, m, "beta_eig_pdf")
-        log_c = (
-            m * (m - 1) * LOG_PI
-            - log_multivariate_gamma(m, m)
-            + log_multivariate_gamma(m, p + n)
-            - log_multivariate_gamma(m, p)
-            - log_multivariate_gamma(m, n)
-        )
-        pow_a, pow_1ma = p - m, n - m
-    else:
-        a = _check_eigs(a, n, "beta_eig_pdf (singular case)")
-        log_c = (
-            n * (n - 1) * LOG_PI
-            - log_multivariate_gamma(n, n)
-            + log_multivariate_gamma(n, p + n)
-            - log_multivariate_gamma(n, m)
-            - log_multivariate_gamma(n, p + n - m)
-        )
-        pow_a, pow_1ma = p - m, m - n
-    log_f = log_c + pow_a * np.log(a).sum() + pow_1ma * np.log1p(-a).sum()
+        raise DomainError(f"beta_eig_pdf_log requires n >= 1, got n={n}")
+    k = min(m, n)
+    a = check_decreasing(a, k, "beta_eig_pdf_log eigenvalues")
+    if a[0] >= 1:
+        raise DomainError("beta_eig_pdf_log: eigenvalues must lie strictly in (0, 1)")
+    # dimension k; Gamma_k(p) Gamma_k(n) in the full case, Gamma_k(m) Gamma_k(p+n-m) if singular
+    b, c = (p, n) if n >= m else (m, p + n - m)
+    log_c = (k * (k - 1) * LOG_PI - log_multivariate_gamma(k, k) + log_multivariate_gamma(k, p + n)
+             - log_multivariate_gamma(k, b) - log_multivariate_gamma(k, c))
     diffs = a[:, None] - a[None, :]
-    log_f += 2.0 * np.log(diffs[np.triu_indices(len(a), k=1)]).sum()
-    return float(np.exp(log_f))
+    return float(log_c + (p - m) * np.log(a).sum() + abs(n - m) * np.log1p(-a).sum()
+                 + 2.0 * np.log(diffs[np.triu_indices(k, k=1)]).sum())

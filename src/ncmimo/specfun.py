@@ -6,6 +6,8 @@ complex one: Gamma_m(a) = pi^{m(m-1)/2} prod_{k=1}^m Gamma(a-k+1).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy import special
 
@@ -21,6 +23,14 @@ def log_gamma(a: float) -> float:
     if a <= 0:
         raise DomainError(f"log_gamma requires a > 0, got a={a}")
     return float(special.gammaln(a))
+
+
+@lru_cache(maxsize=None)
+def log_gamma_range(a: int, b: int) -> float:
+    """sum_{i=a}^{b} ln Gamma(i) over integers, 0 for an empty range; a >= 1."""
+    if a < 1:
+        raise DomainError(f"log_gamma_range requires a >= 1, got a={a}")
+    return float(special.gammaln(np.arange(a, b + 1)).sum())
 
 
 def digamma(a: float) -> float:

@@ -16,7 +16,7 @@ from scipy import integrate
 
 from .params import ChannelDims, ConfluenceError, DomainError, derive, rho_from_db
 from .capacity import asymptotic_gain_constant, gain_limit_sequence
-from .randmat import RngHandle, beta_eig_pdf
+from .randmat import RngHandle, beta_eig_pdf_log
 from .bstm import GainDiagonal, sample_input
 from .outpdf import (
     cond_pdf_y_given_d_log,
@@ -121,11 +121,13 @@ def run_density_normalization(n: int | None = None, seed: int = 0) -> list[TestR
     reports = []
 
     # matrix-Beta eigenvalue density, m = 1
-    mass = _quad_mass(lambda a: beta_eig_pdf(1, 2, 3, np.array([a])), 0.0, 1.0)
+    mass = _quad_mass(lambda a: math.exp(beta_eig_pdf_log(1, 2, 3, np.array([a]))),
+                      0.0, 1.0)
     reports.append(_report("normalization beta m=1 p=2 n=3", abs(mass - 1.0), 1e-6, seed=seed))
 
     # singular matrix-Beta: m = 2, n = 1 leaves one free eigenvalue
-    mass = _quad_mass(lambda a: beta_eig_pdf(2, 3, 1, np.array([a])), 0.0, 1.0)
+    mass = _quad_mass(lambda a: math.exp(beta_eig_pdf_log(2, 3, 1, np.array([a]))),
+                      0.0, 1.0)
     reports.append(_report("normalization beta m=2 p=3 n=1 (singular)",
                            abs(mass - 1.0), 1e-6, seed=seed))
 
@@ -134,7 +136,7 @@ def run_density_normalization(n: int | None = None, seed: int = 0) -> list[TestR
         if a2 >= a1:
             return 0.0
         try:
-            return beta_eig_pdf(2, 2, 2, np.array([a1, a2]))
+            return math.exp(beta_eig_pdf_log(2, 2, 2, np.array([a1, a2])))
         except (DomainError, ConfluenceError):
             return 0.0
 

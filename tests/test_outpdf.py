@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -146,6 +147,13 @@ def test_izuber_errors():
         izuber_stiefel_log_det(np.array([2.0, 1.0]), np.array([0.5, 0.3, 0.1]))
 
 
+def test_izuber_raises_when_determinant_loses_sign():
+    # both exp(lam_i sv2_j) rows scale to (1, 0, 0, 0) and the determinant
+    # underflows to zero; a 3000-digit evaluation gives 3714.2481391651451
+    with pytest.raises(ConfluenceError):
+        izuber_stiefel_log_det(np.array([4000.0, 900.0, 2.0, 0.5]), np.array([0.8, 0.6]))
+
+
 # -------------------------------------------------- conditional output pdf
 
 def test_cond_pdf_matches_quadrature():
@@ -178,6 +186,59 @@ def test_cond_pdf_finite_at_high_snr():
     with np.errstate(over="raise", invalid="raise"):
         v = cond_pdf_y_given_d_log(y, GainDiagonal(np.array([1.4])), dp, 80.0)
     assert np.isfinite(v)
+
+
+def _mp_cond_pdf_log(s2, d, snr_db, N):
+    """ln f(Y | D) from the same determinant formula at 60 digits."""
+    with mp.workdps(60):
+        T, M = len(s2), len(d)
+        rt = mp.mpf(10) ** (mp.mpf(snr_db) / 10) / M
+        s2 = [mp.mpf(float(x)) for x in s2]
+        g = [rt * mp.mpf(float(x)) ** 2 for x in d]
+        lam = [x / (1 + x) for x in g]
+        K = mp.matrix(T, T)
+        for j in range(T):
+            for i in range(M):
+                K[i, j] = mp.exp((lam[i] - 1) * s2[j])
+            for i in range(M, T):
+                K[i, j] = s2[j] ** (T - 1 - i) * mp.exp(-s2[j])
+        v = (-N * T * mp.log(mp.pi) + sum(mp.loggamma(i) for i in range(T - M + 1, T + 1))
+             - N * sum(mp.log(1 + x) for x in g) + mp.log(mp.det(K))
+             + (M - T) * sum(mp.log(x) for x in lam))
+        v -= sum(mp.log(s2[i] - s2[j]) for i in range(T) for j in range(i + 1, T))
+        v -= sum(mp.log(lam[i] - lam[j]) for i in range(M) for j in range(i + 1, M))
+        return float(v)
+
+
+@pytest.mark.parametrize("dims,d", [((2, 1, 2), (1.3,)), ((4, 1, 4), (1.6,)),
+                                    ((4, 2, 6), (2.1, 1.3)), ((6, 3, 7), (2.2, 1.6, 0.9))])
+def test_cond_pdf_matches_mpmath_to_160db(dims, d):
+    # lambda_i - 1 taken in double precision loses its digits as lambda -> 1;
+    # the density must stay accurate, not merely finite, at high SNR
+    T, M, N = dims
+    dp = _dp(T, M, N)
+    dgain = GainDiagonal(np.array(d))
+    for snr_db in range(20, 161, 20):
+        rng = RngHandle(7)
+        phi = sample_isotropic_unitary(T, M, rng)
+        y = simulate_channel(phi * np.array(d), N, float(snr_db), rng)
+        s2 = np.linalg.svd(y, compute_uv=False) ** 2
+        got = cond_pdf_y_given_d_log(y, dgain, dp, float(snr_db))
+        assert got == pytest.approx(_mp_cond_pdf_log(s2, d, snr_db, N), abs=1e-10), snr_db
+
+
+def test_equal_gains_rejected_for_m_above_one():
+    # the equal-gain USTM diagonal is a confluent limit the closed forms exclude
+    dp = _dp(4, 2, 4)
+    dgain = GainDiagonal(np.full(2, 2.0))
+    y = RngHandle(3).generator.standard_normal((4, 4)) + 0j
+    svn = np.array([2.0, 1.5, 0.8, 0.3])
+    with pytest.raises(DomainError):
+        cond_pdf_y_given_d_log(y, dgain, dp, 20.0)
+    with pytest.raises(DomainError):
+        cond_sv_pdf_finite_log(svn, dgain, dp, 20.0)
+    with pytest.raises(DomainError):
+        cond_sv_pdf_limit_log(svn, dgain, dp)
 
 
 def test_cond_pdf_errors():
@@ -325,6 +386,18 @@ def test_cond_sv_finite_approaches_limit():
             for s in (40.0, 50.0, 60.0)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-2
+
+
+def test_cond_sv_finite_approaches_limit_two_antennas():
+    # M = 2: the gap to the high-SNR law is O(1/rho), 100x smaller per 20 dB
+    dp = _dp(4, 2, 6)
+    dgain = GainDiagonal(np.array([2.1, 1.3]))
+    svn = np.array([2.4, 1.2, 0.9, 0.4])
+    lim = cond_sv_pdf_limit_log(svn, dgain, dp)
+    gaps = [abs(cond_sv_pdf_finite_log(svn, dgain, dp, s) - lim)
+            for s in (40.0, 60.0, 80.0, 100.0)]
+    for g1, g2 in zip(gaps, gaps[1:]):
+        assert g1 / g2 == pytest.approx(100.0, rel=0.1)
 
 
 def test_cond_sv_finite_matches_simulated_spectrum():

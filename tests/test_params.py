@@ -1,10 +1,14 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from ncmimo.params import (
     ChannelDims,
+    ConfluenceError,
     DimensionError,
+    DomainError,
+    check_decreasing,
     derive,
     rho_from_db,
 )
@@ -73,3 +77,18 @@ def test_rho_from_db():
     assert rho_from_db(10.0) == pytest.approx(10.0, rel=1e-15)
     assert rho_from_db(-10.0) == pytest.approx(0.1, rel=1e-15)
     assert rho_from_db(30.0) == pytest.approx(1000.0, rel=1e-15)
+
+
+def test_check_decreasing():
+    x = check_decreasing([3.0, 2.0, 0.5], 3, "x")
+    assert x.dtype == float and x.tolist() == [3.0, 2.0, 0.5]
+    assert check_decreasing([], 0, "empty").shape == (0,)
+    for bad in ([3.0, 2.0], [3.0, 3.0, 1.0], [3.0, 2.0, -1.0], [3.0, np.nan, 1.0]):
+        with pytest.raises(DomainError):
+            check_decreasing(bad, 3, "x")
+    with pytest.raises(DomainError):
+        check_decreasing([[2.0, 1.0]], 2, "x")  # not a vector
+    # the relative gap is taken on the squares: 1 - (1 - 1e-10)^2 is about 2e-10
+    with pytest.raises(ConfluenceError):
+        check_decreasing([1.0, 1.0 - 1e-10], 2, "x")
+    check_decreasing([1.0, 1.0 - 1e-9], 2, "x")

@@ -7,7 +7,7 @@ from ncmimo.randmat import (
     RNG_ALGORITHM,
     RngHandle,
     UNIT_EIG_TOL,
-    beta_eig_pdf,
+    beta_eig_pdf_log,
     sample_gaussian,
     sample_isotropic_unitary,
     sample_matrix_beta,
@@ -139,24 +139,24 @@ def test_matrix_beta_domain():
 
 def test_beta_eig_pdf_values():
     # m = 1 reduces to a scalar Beta(p, n) density
-    assert beta_eig_pdf(1, 2, 3, np.array([0.5])) == pytest.approx(1.5, abs=1e-13)
+    assert np.exp(beta_eig_pdf_log(1, 2, 3, np.array([0.5]))) == pytest.approx(1.5, abs=1e-13)
     # singular case m=2, n=1: one free eigenvalue
-    assert beta_eig_pdf(2, 2, 1, np.array([0.3])) == pytest.approx(1.4, abs=1e-13)
+    assert np.exp(beta_eig_pdf_log(2, 2, 1, np.array([0.3]))) == pytest.approx(1.4, abs=1e-13)
 
 
 def test_beta_eig_pdf_matches_scalar_beta():
     xs = (0.1, 0.35, 0.8)
     for x in xs:
         want = stats.beta.pdf(x, 2, 3)
-        assert beta_eig_pdf(1, 2, 3, np.array([x])) == pytest.approx(want, rel=1e-12)
+        assert np.exp(beta_eig_pdf_log(1, 2, 3, np.array([x]))) == pytest.approx(want, rel=1e-12)
 
 
 def test_beta_eig_pdf_domain():
     with pytest.raises(DomainError):
-        beta_eig_pdf(1, 2, 3, np.array([1.2]))
+        beta_eig_pdf_log(1, 2, 3, np.array([1.2]))
     with pytest.raises(DomainError):
-        beta_eig_pdf(2, 3, 2, np.array([0.2, 0.5]))  # not decreasing
+        beta_eig_pdf_log(2, 3, 2, np.array([0.2, 0.5]))  # not decreasing
     with pytest.raises(DomainError):
-        beta_eig_pdf(2, 3, 2, np.array([0.5]))  # wrong length
+        beta_eig_pdf_log(2, 3, 2, np.array([0.5]))  # wrong length
     with pytest.raises(DomainError):
-        beta_eig_pdf(2, 2, 1, np.array([0.3, 0.2]))  # singular case takes n values
+        beta_eig_pdf_log(2, 2, 1, np.array([0.3, 0.2]))  # singular case takes n values

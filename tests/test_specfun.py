@@ -9,6 +9,7 @@ from ncmimo.specfun import (
     digamma,
     expected_logdet_wishart,
     log_gamma,
+    log_gamma_range,
     log_multivariate_gamma,
     log_stiefel_volume,
 )
@@ -117,3 +118,14 @@ def test_log_gamma_recurrence_grid():
     xs = np.arange(1, 81) * 0.25
     for x in xs:
         assert log_gamma(x + 1.0) == pytest.approx(log_gamma(x) + math.log(x), abs=1e-12)
+
+
+def test_log_gamma_range():
+    assert log_gamma_range(1, 0) == 0.0
+    assert log_gamma_range(3, 5) == pytest.approx(math.log(2 * 6 * 24), abs=1e-14)
+    # sum_{i=a-m+1}^{a} ln Gamma(i) is the multivariate gamma without its pi factor
+    for m, a in ((1, 4), (2, 6), (3, 7)):
+        want = log_multivariate_gamma(m, a) - m * (m - 1) / 2 * math.log(math.pi)
+        assert log_gamma_range(a - m + 1, a) == pytest.approx(want, abs=1e-13)
+    with pytest.raises(DomainError):
+        log_gamma_range(0, 3)
