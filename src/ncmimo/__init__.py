@@ -47,7 +47,8 @@ from .outpdf import (
     svd_jacobian_log,
     tail_sv_pdf_log,
 )
-from .statcheck import TestReport, ks_two_sample, lemma4_suite, lemma5_suite
+from .statcheck import TestReport, ks_two_sample
+from .suites import SUITES
 
 __version__ = "0.1.0"
 
@@ -64,6 +65,7 @@ __all__ = [
     "RNG_ALGORITHM",
     "RegimeError",
     "RngHandle",
+    "SUITES",
     "TestReport",
     "asymptotic_gain_constant",
     "beta_eig_pdf_log",
@@ -78,8 +80,6 @@ __all__ = [
     "gain_ratio",
     "izuber_stiefel_log_det",
     "ks_two_sample",
-    "lemma4_suite",
-    "lemma5_suite",
     "noiseless_sv_sample",
     "rho_from_db",
     "sample_gain",

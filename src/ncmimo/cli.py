@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 domain/dimension error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -37,6 +38,7 @@ from .randmat import (
     sample_wishart,
 )
 from .bstm import noiseless_sv_sample, sample_gain, sample_input
+from .statcheck import TestReport
 from .suites import SUITES
 
 EXIT_OK = 0
@@ -159,16 +161,13 @@ def _matrix_columns(r: int, c: int) -> list[str]:
     return cols
 
 
-def _matrix_rows(z: np.ndarray) -> list[list]:
-    k, r, c = z.shape
-    out = []
-    for idx in range(k):
-        row: list = [idx]
-        flat = z[idx].reshape(-1)
-        for v in flat:
-            row.extend((float(v.real), float(v.imag)))
-        out.append(row)
-    return out
+def _rows(a: np.ndarray) -> list[list]:
+    """One row per draw: its index, then its entries in row-major order
+    (re, im for complex entries)."""
+    flat = np.ascontiguousarray(a.reshape(len(a), -1))
+    if np.iscomplexobj(flat):
+        flat = flat.view(flat.real.dtype)
+    return [[i] + row for i, row in enumerate(flat.tolist())]
 
 
 def cmd_sample(args) -> int:
@@ -181,44 +180,36 @@ def cmd_sample(args) -> int:
         _require(args, ["T", "M", "N"])
         dp = derive(ChannelDims(T=args.T, M=args.M, N=args.N))
         if kind == "gain":
-            d = sample_gain(dp, rng, count=count, ustm=args.ustm)
-            columns = ["draw"] + [f"d{i + 1}" for i in range(dp.M)]
-            rows = [[i] + [float(v) for v in d[i]] for i in range(count)]
+            draws = sample_gain(dp, rng, count=count, ustm=args.ustm)
+            columns = [f"d{i + 1}" for i in range(dp.M)]
         elif kind == "noiseless-sv":
-            sv = noiseless_sv_sample(dp, rng, count=count)
-            columns = ["draw"] + [f"sv{i + 1}" for i in range(dp.M)]
-            rows = [[i] + [float(v) for v in sv[i]] for i in range(count)]
+            draws = noiseless_sv_sample(dp, rng, count=count)
+            columns = [f"sv{i + 1}" for i in range(dp.M)]
         else:
-            x = sample_input(dp, rng, count=count, ustm=args.ustm)
-            columns = ["draw"] + _matrix_columns(dp.T, dp.M)
-            rows = _matrix_rows(x)
+            draws = sample_input(dp, rng, count=count, ustm=args.ustm)
+            columns = _matrix_columns(dp.T, dp.M)
     elif kind == "unitary":
         _require(args, ["T", "M"])
         if not args.T >= args.M >= 1:
             raise DomainError(f"unitary sampling needs T >= M >= 1, got T={args.T}, M={args.M}")
-        q = sample_isotropic_unitary(args.T, args.M, rng, count=count)
-        columns = ["draw"] + _matrix_columns(args.T, args.M)
-        rows = _matrix_rows(q)
+        draws = sample_isotropic_unitary(args.T, args.M, rng, count=count)
+        columns = _matrix_columns(args.T, args.M)
     elif kind == "wishart":
         _require(args, ["m", "n"])
-        w = sample_wishart(args.m, args.n, args.scale, rng, count=count)
-        columns = ["draw"] + _matrix_columns(args.m, args.m)
-        rows = _matrix_rows(w)
+        draws = sample_wishart(args.m, args.n, args.scale, rng, count=count)
+        columns = _matrix_columns(args.m, args.m)
     else:  # beta
         _require(args, ["m", "p", "n"])
-        c = sample_matrix_beta(args.m, args.p, args.n, rng, count=count)
-        columns = ["draw"] + _matrix_columns(args.m, args.m)
-        rows = _matrix_rows(c)
-    _emit(args, columns, rows)
+        draws = sample_matrix_beta(args.m, args.p, args.n, rng, count=count)
+        columns = _matrix_columns(args.m, args.m)
+    _emit(args, ["draw"] + columns, _rows(draws))
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
     reports = SUITES[args.suite](n=args.n, seed=args.seed)
-    columns = ["suite", "name", "statistic", "threshold", "p_value", "passed",
-               "n_samples", "seed"]
-    rows = [[args.suite, r.name, r.statistic, r.threshold, r.p_value, r.passed,
-             r.n_samples, r.seed] for r in reports]
+    columns = ["suite"] + [f.name for f in dataclasses.fields(TestReport)]
+    rows = [[args.suite, *dataclasses.astuple(r)] for r in reports]
     _emit(args, columns, rows)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VALIDATION
 
@@ -276,7 +267,8 @@ def build_parser() -> _Parser:
     p = subs.add_parser("validate", help="run a statistical or numerical check suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--n", type=int, default=None,
-                   help="sample count / case count override (suite-specific default)")
+                   help="sample or case count, >= 1 (suite-specific default; "
+                        "fixed-size suites take none)")
     _add_common(p)
     p.set_defaults(func=cmd_validate)
 

@@ -1,7 +1,8 @@
-"""Two-sample distributional checks for the sampling layer.
+"""Validation reports, the two-sample KS check and the KS suites.
 
-Each check draws from two constructions that should share a law and
-compares them coordinate-wise with a Kolmogorov-Smirnov test.  Reports
+Every check, statistical or numerical, reports through `report`.  The
+KS suites draw from two constructions that should share a law and
+compare them index by index with a Kolmogorov-Smirnov test.  Reports
 carry the statistic, the asymptotic p-value, and the seed so a failure
 can be replayed exactly.
 """
@@ -18,6 +19,7 @@ from .randmat import RngHandle, sample_gaussian, sample_matrix_beta, sample_wish
 from .bstm import noiseless_sv_sample
 
 P_THRESHOLD = 0.01
+KS_DEFAULT_N = 10_000
 
 LEMMA5_DEFAULT_DIMS = ((8, 2, 4), (10, 5, 100), (4, 2, 3))
 LEMMA4_DEFAULT_CASES = ((2, 3, 2), (2, 2, 1), (3, 4, 2))
@@ -42,6 +44,29 @@ class TestReport:
                 f"threshold={self.threshold:g} p={p} n={self.n_samples} seed={self.seed}")
 
 
+def report(name: str, statistic: float, threshold: float, n: int, seed: int,
+           p_value: float | None = None, passed: bool | None = None) -> TestReport:
+    """Build a TestReport; the verdict defaults to p_value > threshold when a
+    p-value is given and to statistic < threshold otherwise."""
+    statistic = float(statistic)
+    if passed is None:
+        passed = p_value > threshold if p_value is not None else statistic < threshold
+    return TestReport(name=name, statistic=statistic, threshold=threshold,
+                      p_value=p_value, passed=passed, n_samples=n, seed=seed)
+
+
+def suite_size(n: int | None, default: int | None) -> int | None:
+    """A suite's sample or case count: n, or `default` when n is None.
+    DomainError for n < 1 and for any n given to a fixed-size suite."""
+    if n is None:
+        return default
+    if default is None:
+        raise DomainError(f"this suite has a fixed size and takes no n, got n={n}")
+    if n < 1:
+        raise DomainError(f"n must be a positive integer, got n={n}")
+    return n
+
+
 def ks_two_sample(a, b, name: str = "ks_two_sample", seed: int = 0) -> TestReport:
     """Asymptotic two-sample KS test; passes when p > 0.01."""
     a = np.asarray(a, dtype=float).ravel()
@@ -49,64 +74,54 @@ def ks_two_sample(a, b, name: str = "ks_two_sample", seed: int = 0) -> TestRepor
     if a.size < 2 or b.size < 2:
         raise DomainError("ks_two_sample needs at least two observations per sample")
     res = stats.ks_2samp(a, b, method="asymp")
-    p = float(res.pvalue)
-    return TestReport(name=name, statistic=float(res.statistic),
-                      threshold=P_THRESHOLD, p_value=p, passed=p > P_THRESHOLD,
-                      n_samples=int(a.size), seed=seed)
+    return report(name, res.statistic, P_THRESHOLD, int(a.size), seed,
+                  p_value=float(res.pvalue))
 
 
-def lemma5_suite(dims_list=None, n: int = 10_000,
-                 rng: RngHandle | None = None) -> list[TestReport]:
+def _ks_per_index(a: np.ndarray, b: np.ndarray, label: str, seed: int) -> list[TestReport]:
+    """One KS report per column of the (draws, index) samples a and b."""
+    return [ks_two_sample(a[:, i], b[:, i], name=f"{label}{i + 1}", seed=seed)
+            for i in range(a.shape[1])]
+
+
+def lemma5_suite(n: int | None = None, seed: int = 0) -> list[TestReport]:
     """Noiseless output spectrum vs the M x Q Gaussian spectrum, per index.
 
     For each (T, M, N) the singular values of D Phi^H H (sampled through
     the input pipeline) are compared against the singular values of an
     M x Q Gaussian matrix with per-entry variance T N / Q.
     """
-    if dims_list is None:
-        dims_list = LEMMA5_DEFAULT_DIMS
-    if rng is None:
-        rng = RngHandle(0)
+    n = suite_size(n, KS_DEFAULT_N)
+    rng = RngHandle(seed)
     reports: list[TestReport] = []
-    for (T, M, N) in dims_list:
+    for (T, M, N) in LEMMA5_DEFAULT_DIMS:
         dp = derive(ChannelDims(T=T, M=M, N=N))
         rng_a, rng_b = rng.spawn(2)
         sv_a = noiseless_sv_sample(dp, rng_a, count=n)
         g = sample_gaussian(M, dp.Q, T * N / dp.Q, rng_b, count=n)
         sv_b = np.linalg.svd(g, compute_uv=False)
-        for i in range(M):
-            reports.append(ks_two_sample(
-                sv_a[:, i], sv_b[:, i],
-                name=f"noiseless-sv T={T} M={M} N={N} sv{i + 1}",
-                seed=rng.seed))
+        reports += _ks_per_index(sv_a, sv_b, f"noiseless-sv T={T} M={M} N={N} sv", seed)
     return reports
 
 
-def lemma4_suite(cases=None, n_draws: int = 10_000,
-                 rng: RngHandle | None = None) -> list[TestReport]:
+def lemma4_suite(n: int | None = None, seed: int = 0) -> list[TestReport]:
     """Whitened matrix-Beta eigenvalues vs direct Wishart eigenvalues.
 
     For each (m, p, n): draw an independent scale S ~ W_m(p+n), factor
     S = U^H U, and compare the eigenvalues of U^H C U (C a matrix-Beta
     variate) with those of a W_m(p) draw, index by index.
     """
-    if cases is None:
-        cases = LEMMA4_DEFAULT_CASES
-    if rng is None:
-        rng = RngHandle(0)
+    draws = suite_size(n, KS_DEFAULT_N)
+    rng = RngHandle(seed)
     reports: list[TestReport] = []
-    for (m, p, n) in cases:
+    for (m, p, n) in LEMMA4_DEFAULT_CASES:
         rng_s, rng_c, rng_w = rng.spawn(3)
-        s = sample_wishart(m, p + n, 1.0, rng_s, count=n_draws)
-        c = sample_matrix_beta(m, p, n, rng_c, count=n_draws)
+        s = sample_wishart(m, p + n, 1.0, rng_s, count=draws)
+        c = sample_matrix_beta(m, p, n, rng_c, count=draws)
         ell = np.linalg.cholesky(s)  # S = L L^H, U = L^H upper
         recon = ell @ c @ np.conj(np.swapaxes(ell, -1, -2))
         eig_a = np.linalg.eigvalsh(recon)[..., ::-1]
-        w = sample_wishart(m, p, 1.0, rng_w, count=n_draws)
+        w = sample_wishart(m, p, 1.0, rng_w, count=draws)
         eig_b = np.linalg.eigvalsh(w)[..., ::-1]
-        for i in range(m):
-            reports.append(ks_two_sample(
-                eig_a[:, i], eig_b[:, i],
-                name=f"beta-whitening m={m} p={p} n={n} eig{i + 1}",
-                seed=rng.seed))
+        reports += _ks_per_index(eig_a, eig_b, f"beta-whitening m={m} p={p} n={n} eig", seed)
     return reports

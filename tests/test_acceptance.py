@@ -99,7 +99,7 @@ def test_criterion_3_gain_limit_convergence(capsys):
 
 def test_criterion_4_noiseless_spectrum_identity(capsys):
     t0 = time.perf_counter()
-    reports = suites.run_lemma5(n=10_000, seed=KS_SEED)
+    reports = suites.SUITES["lemma5"](n=10_000, seed=KS_SEED)
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in reports) and elapsed < 60.0
     worst = min(r.p_value for r in reports)
@@ -109,7 +109,7 @@ def test_criterion_4_noiseless_spectrum_identity(capsys):
 
 def test_criterion_5_beta_whitening_identity(capsys):
     t0 = time.perf_counter()
-    reports = suites.run_lemma4(n=10_000, seed=KS_SEED)
+    reports = suites.SUITES["lemma4"](n=10_000, seed=KS_SEED)
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in reports) and elapsed < 60.0
     worst = min(r.p_value for r in reports)
@@ -119,7 +119,7 @@ def test_criterion_5_beta_whitening_identity(capsys):
 
 def test_criterion_6_power_constraint(capsys):
     t0 = time.perf_counter()
-    reports = suites.run_power(n=100_000, seed=0)
+    reports = suites.SUITES["power"](n=100_000, seed=0)
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in reports) and elapsed < 30.0
     worst = max(r.statistic for r in reports)
@@ -130,7 +130,7 @@ def test_criterion_6_power_constraint(capsys):
 
 def test_criterion_7_conditional_pdf_oracle(capsys):
     t0 = time.perf_counter()
-    reports = suites.run_pdf_oracle(n=20, seed=0)
+    reports = suites.SUITES["pdf-oracle"](n=20, seed=0)
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in reports) and elapsed < 60.0
     _verdict(capsys, 7, "closed-form conditional pdf vs quadrature", ok,
@@ -140,7 +140,7 @@ def test_criterion_7_conditional_pdf_oracle(capsys):
 
 def test_criterion_8_density_normalizations(capsys):
     t0 = time.perf_counter()
-    reports = suites.run_density_normalization()
+    reports = suites.SUITES["density-normalization"]()
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in reports) and elapsed < 120.0
     worst = max(r.statistic / r.threshold for r in reports)
@@ -151,7 +151,7 @@ def test_criterion_8_density_normalizations(capsys):
 
 def test_criterion_9_conditional_density_limit(capsys):
     t0 = time.perf_counter()
-    reports = [r for r in suites.run_convergence()
+    reports = [r for r in suites.SUITES["convergence"]()
                if r.name.startswith("finite-vs-limit")]
     elapsed = time.perf_counter() - t0
     ok = len(reports) == 1 and reports[0].passed and elapsed < 5.0

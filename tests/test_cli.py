@@ -6,7 +6,9 @@ import pytest
 
 from ncmimo import cli
 from ncmimo.capacity import bstm_constant, gain_ratio, ustm_constant
+from ncmimo.bstm import sample_input
 from ncmimo.params import ChannelDims, derive
+from ncmimo.randmat import RngHandle
 
 
 def run_cli(capsys, argv):
@@ -141,6 +143,24 @@ def test_sample_beta_columns(capsys):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_input_round_trips_bit_for_bit(capsys, fmt):
+    code, out, _ = run_cli(capsys, [
+        "sample", "--kind", "input", "--T", "10", "--M", "5", "--N", "100",
+        "--count", "7", "--seed", "4", "--format", fmt])
+    assert code == 0
+    if fmt == "csv":
+        rows = [[float(v) for v in row] for row in parse_csv(out)[1]]
+    else:
+        rows = json.loads(out)["rows"]
+    got = np.array(rows)
+    x = sample_input(derive(ChannelDims(T=10, M=5, N=100)), RngHandle(4), count=7)
+    assert np.array_equal(got[:, 0], np.arange(7))
+    re_im = got[:, 1:].reshape(7, 10, 5, 2)
+    assert np.array_equal(re_im[..., 0], x.real)
+    assert np.array_equal(re_im[..., 1], x.imag)
+
+
 def test_sample_missing_args_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sample", "--kind", "gain", "--T", "8", "--M", "2"])
@@ -199,6 +219,20 @@ def test_validate_suite_passes(capsys):
     header, rows = parse_csv(out)
     assert header[0] == "suite"
     assert all(r[5] == "true" for r in rows)
+
+
+@pytest.mark.parametrize("suite, n", [
+    ("pdf-oracle", "0"),             # zero cases
+    ("power", "0"),
+    ("power", "-3"),
+    ("convergence", "5"),            # fixed-size suites take no n
+    ("density-normalization", "5"),
+])
+def test_validate_rejects_bad_n(capsys, suite, n):
+    code, out, err = run_cli(capsys, ["validate", "--suite", suite, "--n", n])
+    assert code == 2
+    assert out == ""
+    assert "ncmimo: error:" in err and f"n={n}" in err
 
 
 def test_validate_failure_exit_code(monkeypatch, capsys):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ncmimo.params import DomainError
-from ncmimo.randmat import RngHandle
 from ncmimo.statcheck import (
     P_THRESHOLD,
     TestReport as Report,
@@ -10,6 +9,10 @@ from ncmimo.statcheck import (
     lemma4_suite,
     lemma5_suite,
 )
+
+
+def _named(reports, case):
+    return [r for r in reports if case in r.name]
 
 
 def test_ks_same_distribution_passes():
@@ -61,33 +64,35 @@ def test_report_is_frozen_dataclass():
 
 
 def test_lemma5_suite_reproducible_and_passing():
-    reps1 = lemma5_suite(dims_list=[(8, 2, 4)], n=4_000, rng=RngHandle(1))
-    reps2 = lemma5_suite(dims_list=[(8, 2, 4)], n=4_000, rng=RngHandle(1))
-    assert len(reps1) == 2
+    reps1 = lemma5_suite(n=4_000, seed=1)
+    reps2 = lemma5_suite(n=4_000, seed=1)
     for r1, r2 in zip(reps1, reps2):
         assert r1.statistic == r2.statistic  # bit-for-bit
         assert r1.p_value == r2.p_value
-        assert r1.passed
         assert r1.seed == 1
+    reps = _named(reps1, "T=8 M=2 N=4")
+    assert len(reps) == 2
+    assert all(r.passed for r in reps)
 
 
 def test_lemma5_suite_covers_all_indices():
-    reps = lemma5_suite(dims_list=[(10, 5, 100)], n=2_000, rng=RngHandle(1))
+    reps = _named(lemma5_suite(n=2_000, seed=1), "T=10 M=5 N=100")
     assert len(reps) == 5
     assert all(f"sv{i+1}" in r.name for i, r in enumerate(reps))
 
 
 def test_lemma4_suite_reproducible_and_passing():
-    reps1 = lemma4_suite(cases=[(2, 3, 2)], n_draws=4_000, rng=RngHandle(1))
-    reps2 = lemma4_suite(cases=[(2, 3, 2)], n_draws=4_000, rng=RngHandle(1))
-    assert len(reps1) == 2
+    reps1 = lemma4_suite(n=4_000, seed=1)
+    reps2 = lemma4_suite(n=4_000, seed=1)
     for r1, r2 in zip(reps1, reps2):
         assert r1.statistic == r2.statistic
-        assert r1.passed
+    reps = _named(reps1, "m=2 p=3 n=2")
+    assert len(reps) == 2
+    assert all(r.passed for r in reps)
 
 
 def test_lemma4_singular_case_included():
     # (m, p, n) = (2, 2, 1) exercises the singular-Beta branch
-    reps = lemma4_suite(cases=[(2, 2, 1)], n_draws=4_000, rng=RngHandle(1))
+    reps = _named(lemma4_suite(n=4_000, seed=1), "m=2 p=2 n=1")
     assert len(reps) == 2
     assert all(r.passed for r in reps)

@@ -1,0 +1,55 @@
+"""Negative controls: each suite must reject a known-wrong sampler.
+
+The wrong sampler replaces the module global the suite looks up, so the
+suite code under test is the code `validate` runs.
+"""
+
+import inspect
+
+import numpy as np
+import pytest
+
+from ncmimo import bstm, randmat, statcheck, suites
+from ncmimo.suites import SUITES
+
+
+def test_every_suite_has_the_registry_signature():
+    for fn in SUITES.values():
+        params = inspect.signature(fn).parameters.values()
+        assert [(p.name, p.default) for p in params] == [("n", None), ("seed", 0)]
+
+
+def test_lemma4_rejects_swapped_beta(monkeypatch):
+    # I - C is Beta_m(n, p) where defined: p and n swapped
+    def swapped(m, p, n, rng, count=None):
+        return np.eye(m) - randmat.sample_matrix_beta(m, p, n, rng, count=count)
+
+    monkeypatch.setattr(statcheck, "sample_matrix_beta", swapped)
+    reports = SUITES["lemma4"]()
+    assert len(reports) == 7
+    assert not any(r.passed for r in reports)
+
+
+def test_lemma5_rejects_ustm_gain(monkeypatch):
+    # the equal-gain diagonal sqrt(T)*1 in place of the BSTM gain
+    def ustm_sv(dp, rng, count=None):
+        h = randmat.sample_gaussian(dp.M, dp.N, 1.0, rng, count=count)
+        return np.linalg.svd(np.sqrt(dp.T) * h, compute_uv=False)
+
+    monkeypatch.setattr(statcheck, "noiseless_sv_sample", ustm_sv)
+    # (8, 2, 4) has T >= M + N, where the USTM gain is the right one
+    reports = [r for r in SUITES["lemma5"]() if "T=8 M=2 N=4" not in r.name]
+    assert len(reports) == 7
+    assert not any(r.passed for r in reports)
+
+
+def test_power_rejects_two_percent_gain(monkeypatch):
+    def loud(dp, rng, count=None, ustm=False):
+        return 1.02 * bstm.sample_input(dp, rng, count=count, ustm=ustm)
+
+    monkeypatch.setattr(suites, "sample_input", loud)
+    reports = SUITES["power"](n=10_000)
+    assert len(reports) == 3
+    assert not any(r.passed for r in reports)
+    for r in reports:
+        assert r.statistic == pytest.approx(1.02 ** 2 - 1.0, abs=2e-3)
