@@ -43,7 +43,6 @@ from .outpdf import (
     cond_sv_pdf_finite_log,
     cond_sv_pdf_limit_log,
     first_sv_pdf_log,
-    izuber_stiefel_log_det,
     svd_jacobian_log,
     tail_sv_pdf_log,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "first_sv_pdf_log",
     "gain_limit_sequence",
     "gain_ratio",
-    "izuber_stiefel_log_det",
     "ks_two_sample",
     "noiseless_sv_sample",
     "rho_from_db",

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .params import DerivedParams, DomainError, rho_from_db
+from .params import ChannelDims, DerivedParams, DomainError, derive, rho_from_db
 from .specfun import expected_logdet_wishart, log_multivariate_gamma
 
 BSTM = "bstm"
@@ -159,8 +159,6 @@ def gain_limit_sequence(T: int, M: int, N_list: list[int]) -> list[float]:
 
     The sequence approaches asymptotic_gain_constant(T, M) as N grows.
     """
-    from .params import ChannelDims, derive
-
     out = []
     for N in N_list:
         dp = derive(ChannelDims(T=T, M=M, N=N))

@@ -190,8 +190,6 @@ def cmd_sample(args) -> int:
             columns = _matrix_columns(dp.T, dp.M)
     elif kind == "unitary":
         _require(args, ["T", "M"])
-        if not args.T >= args.M >= 1:
-            raise DomainError(f"unitary sampling needs T >= M >= 1, got T={args.T}, M={args.M}")
         draws = sample_isotropic_unitary(args.T, args.M, rng, count=count)
         columns = _matrix_columns(args.T, args.M)
     elif kind == "wishart":

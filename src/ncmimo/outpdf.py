@@ -9,9 +9,8 @@ largest exponent out of every row before a pivoted factorization, which
 keeps every intermediate bounded at any SNR.
 
 The conditional output density f(Y | D) has one determinant core,
-_cond_log; the finite-SNR spectrum density is derived from it through the
-SVD Jacobian.  The Stiefel integral and the high-SNR limit keep their own
-determinants (see their comments).
+_cond_log, from which the finite-SNR spectrum density follows through
+the SVD Jacobian; the high-SNR limit keeps its own determinant.
 
 Raw singular values are called sv; svn denotes the normalized vector
 whose first M entries are scaled by sqrt(M/rho).  The scaling is always
@@ -23,9 +22,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import xlogy
 
 from .params import (
-    REL_GAP_TOL,
     ConfluenceError,
     DerivedParams,
     DomainError,
@@ -120,7 +119,8 @@ def _cond_log(s2: np.ndarray, d2: np.ndarray, rt: float, N: int) -> tuple[float,
     mu = 1.0 / (1.0 + rt * d2)
     logmag = np.empty((T, T))
     logmag[:M] = -mu[:, None] * s2
-    logmag[M:] = _row_powers(T, M)[:, None] * np.log(s2) - s2
+    # xlogy keeps the power-0 row at 0 * ln 0 = 0 where a tiny s2 underflows
+    logmag[M:] = xlogy(_row_powers(T, M)[:, None], s2) - s2
     ld, sign = _scaled_slogdet(logmag)
     _check_sign(sign, "conditional pdf")
     lv = _log_vandermonde(s2)
@@ -146,55 +146,6 @@ def svd_jacobian_log(sv, rmax: int, rmin: int) -> float:
     sv = check_decreasing(sv, rmin, "svd_jacobian_log sv")
     return float((2 * (rmax - rmin) + 1) * np.log(sv).sum()
                  + 2.0 * _log_vandermonde(sv * sv))
-
-
-def izuber_stiefel_log_det(sv2, lam) -> tuple[float, float]:
-    """Signed log of the Stiefel integral of exp(tr(Dhat Phi Lam Phi^H)).
-
-    Dhat carries the T squared singular values sv2 (decreasing) and Lam
-    the M weights lam in (0,1).  The Itzykson-Zuber-type closed form is
-
-        |S(T,M)| det(K) prod(lam_i^{M-T}) prod_{i=T-M+1}^{T} Gamma(i)
-        / [prod_{i<j}(sv2_i - sv2_j) prod_{i<j}(lam_i - lam_j)]
-
-    with K_{ij} = exp(lam_i sv2_j) on the first M rows and sv2_j^{T-i}
-    below.  Returns (log magnitude, sign); the sign is positive whenever
-    the lam's are in decreasing order.  Raises ConfluenceError when the
-    determinant loses its sign.
-    """
-    sv2 = check_decreasing(sv2, np.size(sv2), "izuber sv2")
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    T, M = sv2.size, lam.size
-    if not 1 <= M <= T:
-        raise DomainError(f"izuber needs 1 <= M <= T, got M={M}, T={T}")
-    if np.any(lam <= 0) or np.any(lam >= 1):
-        raise DomainError("izuber lam entries must lie strictly in (0, 1)")
-    # lam may arrive unordered; check every pair
-    iu = _pairs(M)
-    pair = lam[iu[0]] - lam[iu[1]]
-    if pair.size and np.any(np.abs(pair) / np.maximum(lam[iu[0]], lam[iu[1]]) < REL_GAP_TOL):
-        raise ConfluenceError("izuber lam entries are numerically confluent")
-
-    # Not routed through _cond_log: absorbing exp(-s2_j) column-wise there
-    # lets a whole column underflow when lam is fixed and sv2 grows (M = 1,
-    # sv2 of a few thousand), and no two-sided rescaling holds at M >= 2
-    # with leading sv2 near 1e5.  The exp(+lam sv2) rows stay exact.
-    logmag = np.empty((T, T))
-    logmag[:M] = lam[:, None] * sv2
-    logmag[M:] = _row_powers(T, M)[:, None] * np.log(sv2)
-    ld, det_sign = _scaled_slogdet(logmag)
-    sign = float(det_sign) * float(np.prod(np.sign(pair)))
-    _check_sign(sign, "izuber")
-
-    log_mag = (
-        log_stiefel_volume(T, M)
-        + log_gamma_range(T - M + 1, T)
-        + (M - T) * np.log(lam).sum()
-        + float(ld)
-        - _log_vandermonde(sv2)
-        - float(np.log(np.abs(pair)).sum())
-    )
-    return float(log_mag), sign
 
 
 def cond_pdf_y_given_d_log(Y: np.ndarray, D: GainDiagonal, dp: DerivedParams,

@@ -30,16 +30,20 @@ class ConfluenceError(ValueError):
     """Inputs too close to a removable singularity to evaluate stably."""
 
 
-# Relative gap below which squared singular values, squared gains or the
-# weights of izuber_stiefel_log_det are treated as confluent and rejected.
+# Relative gap below which adjacent squared entries (singular values,
+# gains, eigenvalues) are treated as confluent and rejected.
 REL_GAP_TOL = 1e-9
+
+# largest float whose square is finite
+_MAX_ROOT = float(np.sqrt(np.finfo(float).max))
 
 
 def check_decreasing(x, size: int, label: str) -> np.ndarray:
     """x as a float vector of `size` strictly decreasing positive entries.
 
-    Raises DomainError off that set, and ConfluenceError when two adjacent
-    squared entries differ by less than REL_GAP_TOL relative to the larger.
+    Raises DomainError off that set or when a squared entry overflows, and
+    ConfluenceError when two adjacent squared entries differ by less than
+    REL_GAP_TOL relative to the larger.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (size,):
@@ -48,6 +52,8 @@ def check_decreasing(x, size: int, label: str) -> np.ndarray:
         raise DomainError(f"{label}: entries must be strictly positive")
     if not np.all(x[1:] < x[:-1]):
         raise DomainError(f"{label}: entries must be strictly decreasing")
+    if x.size and x[0] > _MAX_ROOT:
+        raise DomainError(f"{label}: squared entries must be finite")
     x2 = x * x
     if np.any((x2[:-1] - x2[1:]) / x2[:-1] < REL_GAP_TOL):
         raise ConfluenceError(

@@ -2,9 +2,10 @@
 
 Every check, statistical or numerical, reports through `report`.  The
 KS suites draw from two constructions that should share a law and
-compare them index by index with a Kolmogorov-Smirnov test.  Reports
-carry the statistic, the asymptotic p-value, and the seed so a failure
-can be replayed exactly.
+compare them index by index with a Kolmogorov-Smirnov test; a suite's
+indices form one family, gated by `holm` at family-wise level
+P_THRESHOLD.  Reports carry the statistic, the asymptotic p-value, and
+the seed so a failure can be replayed exactly.
 """
 
 from __future__ import annotations
@@ -78,6 +79,22 @@ def ks_two_sample(a, b, name: str = "ks_two_sample", seed: int = 0) -> TestRepor
                   p_value=float(res.pvalue))
 
 
+def holm(reports: list[TestReport]) -> list[TestReport]:
+    """The reports gated as one family at level P_THRESHOLD by Holm's
+    step-down rule (Holm 1979): the k-th smallest of m p-values fails while
+    it and every smaller one are <= P_THRESHOLD / (m - k + 1).  A row's
+    threshold is the level it was held to, its own up to the first pass and
+    that pass's level after it, so every verdict reads p > threshold."""
+    p = np.array([r.p_value for r in reports])
+    order = np.argsort(p, kind="stable")
+    levels = P_THRESHOLD / np.arange(p.size, 0, -1)
+    failed = int(np.cumprod(p[order] <= levels).sum())
+    held = np.empty(p.size)
+    held[order] = levels[np.minimum(np.arange(p.size), failed)]
+    return [report(r.name, r.statistic, float(t), r.n_samples, r.seed, p_value=r.p_value)
+            for r, t in zip(reports, held)]
+
+
 def _ks_per_index(a: np.ndarray, b: np.ndarray, label: str, seed: int) -> list[TestReport]:
     """One KS report per column of the (draws, index) samples a and b."""
     return [ks_two_sample(a[:, i], b[:, i], name=f"{label}{i + 1}", seed=seed)
@@ -101,7 +118,7 @@ def lemma5_suite(n: int | None = None, seed: int = 0) -> list[TestReport]:
         g = sample_gaussian(M, dp.Q, T * N / dp.Q, rng_b, count=n)
         sv_b = np.linalg.svd(g, compute_uv=False)
         reports += _ks_per_index(sv_a, sv_b, f"noiseless-sv T={T} M={M} N={N} sv", seed)
-    return reports
+    return holm(reports)
 
 
 def lemma4_suite(n: int | None = None, seed: int = 0) -> list[TestReport]:
@@ -124,4 +141,4 @@ def lemma4_suite(n: int | None = None, seed: int = 0) -> list[TestReport]:
         w = sample_wishart(m, p, 1.0, rng_w, count=draws)
         eig_b = np.linalg.eigvalsh(w)[..., ::-1]
         reports += _ks_per_index(eig_a, eig_b, f"beta-whitening m={m} p={p} n={n} eig", seed)
-    return reports
+    return holm(reports)

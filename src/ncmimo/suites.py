@@ -45,12 +45,9 @@ def run_power(n: int | None = None, seed: int = 0) -> list[TestReport]:
     for (T, M, N), child in zip(LEMMA5_DEFAULT_DIMS, rng.spawn(len(LEMMA5_DEFAULT_DIMS))):
         dp = derive(ChannelDims(T=T, M=M, N=N))
         total = 0.0
-        done = 0
-        while done < n:
-            k = min(_CHUNK, n - done)
-            x = sample_input(dp, child, count=k)
+        for done in range(0, n, _CHUNK):
+            x = sample_input(dp, child, count=min(_CHUNK, n - done))
             total += float(np.sum(np.abs(x) ** 2))
-            done += k
         reports.append(report(f"power T={T} M={M} N={N}",
                               abs(total / (n * T * M) - 1.0), 0.01, n, seed))
     return reports

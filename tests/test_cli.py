@@ -67,6 +67,13 @@ def test_constants_dimension_error_exit_code(capsys):
     assert "floor(T/2)" in err
 
 
+def test_sample_unitary_domain_error_exit_code(capsys):
+    code, out, err = run_cli(capsys, ["sample", "--kind", "unitary", "--T", "2", "--M", "3"])
+    assert code == 2
+    assert out == ""
+    assert "T >= M >= 1" in err
+
+
 def test_output_is_deterministic(capsys):
     argv = ["constants", "--T", "8", "--M", "2", "--N", "4", "--seed", "5"]
     _, out1, _ = run_cli(capsys, argv)

@@ -11,7 +11,6 @@ from ncmimo.outpdf import (
     cond_sv_pdf_finite_log,
     cond_sv_pdf_limit_log,
     first_sv_pdf_log,
-    izuber_stiefel_log_det,
     svd_jacobian_log,
     tail_sv_pdf_log,
 )
@@ -60,33 +59,46 @@ def test_svd_jacobian_domain():
         svd_jacobian_log(np.array([2.0]), 3, 2)        # wrong length
 
 
-# ------------------------------------------------------------------ izuber
+# ---------------------------------------------- Stiefel integral identities
 
-def test_izuber_matches_rank_one_closed_form():
+def _stiefel_integral_log(s2, lam, N):
+    """ln of the integral of exp(tr(diag(s2) Phi diag(lam) Phi^H)) over the
+    Stiefel manifold S(T, M), through the conditional-density core.
+
+    At Y = [diag(sqrt(s2)) 0] and rho~ d^2 = lam / (1 - lam) the integral is
+    ln f(Y | D) + N T ln pi + N sum ln(1 + rho~ d^2) + sum s2 + ln|S(T, M)|.
+    """
+    s2, lam = np.asarray(s2, dtype=float), np.asarray(lam, dtype=float)
+    T, M = s2.size, lam.size
+    g = lam / (1.0 - lam)   # rho~ d^2; at 0 dB rho~ = 1/M
+    y = np.zeros((T, N), dtype=complex)
+    y[:, :T] = np.diag(np.sqrt(s2))
+    lf = cond_pdf_y_given_d_log(y, GainDiagonal(np.sqrt(M * g)), _dp(T, M, N), 0.0)
+    return (lf + N * T * math.log(math.pi) + N * np.log1p(g).sum() + s2.sum()
+            + log_stiefel_volume(T, M))
+
+
+def test_cond_pdf_matches_stiefel_rank_one_closed_form():
     for (lam, s1, s2) in ((0.4, 2.0, 0.7), (0.93, 5.0, 0.1), (0.05, 1.3, 1.0)):
-        lm, sign = izuber_stiefel_log_det(np.array([s1, s2]), np.array([lam]))
         exact = (math.log((math.exp(lam * s1) - math.exp(lam * s2))
                           / (lam * (s1 - s2)))
                  + log_stiefel_volume(2, 1))
-        assert sign == 1.0
-        assert lm == pytest.approx(exact, abs=1e-12)
+        assert _stiefel_integral_log([s1, s2], [lam], 2) == pytest.approx(exact, abs=1e-12)
 
 
-def test_izuber_matches_quadrature_t2m1():
+def test_cond_pdf_matches_stiefel_quadrature_t2m1():
     # direction average over the unit sphere in C^2 reduces to a 1-D integral
     for (lam, s1, s2) in ((0.6, 3.0, 0.5), (1e-4, 2.0, 1.0)):
-        lm, sign = izuber_stiefel_log_det(np.array([s1, s2]), np.array([lam]))
         val, _ = integrate.quad(
             lambda u: math.exp(lam * (s1 * u + s2 * (1 - u))), 0.0, 1.0,
             epsabs=1e-14, epsrel=1e-12)
-        assert sign == 1.0
-        assert lm == pytest.approx(math.log(val) + log_stiefel_volume(2, 1), rel=1e-8)
+        assert _stiefel_integral_log([s1, s2], [lam], 2) == pytest.approx(
+            math.log(val) + log_stiefel_volume(2, 1), rel=1e-8)
 
 
-def test_izuber_matches_quadrature_t3m1():
+def test_cond_pdf_matches_stiefel_quadrature_t3m1():
     # C^3 sphere: squared projections are Dirichlet(1,1,1), a 2-D integral
     lam, s2 = 0.8, np.array([3.0, 1.7, 0.4])
-    lm, sign = izuber_stiefel_log_det(s2, np.array([lam]))
 
     def f(u2, u1):
         u3 = 1.0 - u1 - u2
@@ -95,63 +107,22 @@ def test_izuber_matches_quadrature_t3m1():
     val, _ = integrate.dblquad(f, 0.0, 1.0, 0.0, lambda u1: 1.0 - u1,
                                epsabs=1e-12, epsrel=1e-10)
     want = math.log(2.0 * val) + log_stiefel_volume(3, 1)
-    assert sign == 1.0
-    assert lm == pytest.approx(want, rel=1e-8)
+    assert _stiefel_integral_log(s2, [lam], 3) == pytest.approx(want, rel=1e-8)
 
 
-def test_izuber_matches_quadrature_square_case():
-    # T = M = 2: the integral over U(2) is again 1-D in the projection
-    lam = np.array([0.9, 0.3])
-    s2 = np.array([2.5, 0.8])
-    lm, sign = izuber_stiefel_log_det(s2, lam)
-
-    def f(u):
-        e1 = lam[0] * (s2[0] * u + s2[1] * (1 - u))
-        e2 = lam[1] * (s2[0] * (1 - u) + s2[1] * u)
-        return math.exp(e1 + e2)
-
-    val, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12)
-    assert sign == 1.0
-    assert lm == pytest.approx(math.log(val) + log_stiefel_volume(2, 2), rel=1e-10)
-
-
-def test_izuber_permutation_invariant_in_lam():
-    s2 = np.array([4.0, 2.0, 1.0])
-    a = izuber_stiefel_log_det(s2, np.array([0.7, 0.2]))
-    b = izuber_stiefel_log_det(s2, np.array([0.2, 0.7]))
-    assert a[0] == pytest.approx(b[0], abs=1e-12)
-    assert a[1] == b[1] == 1.0
-
-
-def test_izuber_sign_positive_over_random_inputs():
+def test_cond_pdf_finite_over_random_inputs():
     gen = RngHandle(23).generator
     for _ in range(200):
         T = int(gen.integers(2, 6))
-        M = int(gen.integers(1, T + 1))
+        M = int(gen.integers(1, T // 2 + 1))
+        N = int(gen.integers(T, T + 3))
         s2 = np.sort(gen.uniform(0.1, 9.0, size=T))[::-1]
-        lam = np.sort(gen.uniform(0.02, 0.98, size=M))[::-1]
-        if np.min(-np.diff(s2)) < 1e-6 or (M > 1 and np.min(-np.diff(lam)) < 1e-6):
-            continue
-        _, sign = izuber_stiefel_log_det(s2, lam)
-        assert sign == 1.0
-
-
-def test_izuber_errors():
-    with pytest.raises(ConfluenceError):
-        izuber_stiefel_log_det(np.array([2.0, 2.0 * (1 - 1e-12)]), np.array([0.5]))
-    with pytest.raises(ConfluenceError):
-        izuber_stiefel_log_det(np.array([2.0, 1.0]), np.array([0.5, 0.5 * (1 + 1e-12)]))
-    with pytest.raises(DomainError):
-        izuber_stiefel_log_det(np.array([2.0, 1.0]), np.array([1.2]))
-    with pytest.raises(DomainError):
-        izuber_stiefel_log_det(np.array([2.0, 1.0]), np.array([0.5, 0.3, 0.1]))
-
-
-def test_izuber_raises_when_determinant_loses_sign():
-    # both exp(lam_i sv2_j) rows scale to (1, 0, 0, 0) and the determinant
-    # underflows to zero; a 3000-digit evaluation gives 3714.2481391651451
-    with pytest.raises(ConfluenceError):
-        izuber_stiefel_log_det(np.array([4000.0, 900.0, 2.0, 0.5]), np.array([0.8, 0.6]))
+        d = np.sort(gen.uniform(0.2, 3.0, size=M))[::-1]
+        y = np.zeros((T, N), dtype=complex)
+        y[:, :T] = np.diag(np.sqrt(s2))
+        v = cond_pdf_y_given_d_log(y, GainDiagonal(d), _dp(T, M, N),
+                                   float(gen.uniform(0.0, 30.0)))
+        assert np.isfinite(v)
 
 
 # -------------------------------------------------- conditional output pdf
@@ -253,6 +224,34 @@ def test_cond_pdf_errors():
     with pytest.raises(DomainError):
         cond_pdf_y_given_d_log(np.eye(2, 2), GainDiagonal(np.array([1.0, 0.5])),
                                dp, 10.0)
+
+
+def test_densities_reject_overflowing_squares():
+    dp = _dp(2, 1, 2)
+    dgain = GainDiagonal(np.array([1.3]))
+    calls = (
+        lambda: tail_sv_pdf_log(np.array([np.inf]), dp),
+        lambda: first_sv_pdf_log(np.array([np.inf]), dp, 10.0),
+        lambda: svd_jacobian_log(np.array([1e200, 1.0]), 2, 2),
+        lambda: cond_sv_pdf_limit_log(np.array([1.1, 0.6]), GainDiagonal(np.array([np.inf])), dp),
+        lambda: cond_sv_pdf_finite_log(np.array([np.inf, 0.6]), dgain, dp, 10.0),
+    )
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+    # tiny values are in the domain: 2 s e^{-s^2} at s = 1e-170
+    assert tail_sv_pdf_log(np.array([1e-170]), dp) == pytest.approx(
+        math.log(2.0) - 170 * math.log(10.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("dims,head", [((2, 1, 2), [1.1]), ((4, 1, 4), [1.1, 0.8, 0.5])])
+def test_cond_sv_finite_with_underflowing_trailing_square(dims, head):
+    # 1e-170 squares to 0; near 0 the density goes like s^{2(N-T)+1} = s
+    dp = _dp(*dims)
+    dgain = GainDiagonal(np.array([1.3]))
+    tiny = cond_sv_pdf_finite_log(np.array(head + [1e-170]), dgain, dp, 10.0)
+    small = cond_sv_pdf_finite_log(np.array(head + [1e-150]), dgain, dp, 10.0)
+    assert tiny == pytest.approx(small - 20 * math.log(10.0), abs=1e-9)
 
 
 # -------------------------------------------------------- spectrum factors

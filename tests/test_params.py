@@ -83,7 +83,8 @@ def test_check_decreasing():
     x = check_decreasing([3.0, 2.0, 0.5], 3, "x")
     assert x.dtype == float and x.tolist() == [3.0, 2.0, 0.5]
     assert check_decreasing([], 0, "empty").shape == (0,)
-    for bad in ([3.0, 2.0], [3.0, 3.0, 1.0], [3.0, 2.0, -1.0], [3.0, np.nan, 1.0]):
+    for bad in ([3.0, 2.0], [3.0, 3.0, 1.0], [3.0, 2.0, -1.0], [3.0, np.nan, 1.0],
+                [1e200, 2.0, 1.0]):  # squares overflow
         with pytest.raises(DomainError):
             check_decreasing(bad, 3, "x")
     with pytest.raises(DomainError):

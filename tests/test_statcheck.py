@@ -5,6 +5,7 @@ from ncmimo.params import DomainError
 from ncmimo.statcheck import (
     P_THRESHOLD,
     TestReport as Report,
+    holm,
     ks_two_sample,
     lemma4_suite,
     lemma5_suite,
@@ -47,6 +48,39 @@ def test_ks_calibration_false_failure_rate():
         if not ks_two_sample(a, b).passed:
             fails += 1
     assert fails <= 5
+
+
+def _p_rows(p_values):
+    return [Report(name=f"r{i}", statistic=0.0, threshold=P_THRESHOLD, p_value=p,
+                   passed=p > P_THRESHOLD, n_samples=10, seed=0)
+            for i, p in enumerate(p_values)]
+
+
+def test_holm_steps_down_and_stops_at_the_first_pass():
+    # levels 0.01/4, 0.01/3, 0.01/2, 0.01 by rank; rank 2 (p = 0.004) is the
+    # first to pass, so ranks 3 and 4 pass too, below their own levels
+    reps = holm(_p_rows([0.0045, 0.001, 0.009, 0.004]))
+    assert [r.passed for r in reps] == [True, False, True, True]
+    assert [r.threshold for r in reps] == pytest.approx(
+        [P_THRESHOLD / 3, P_THRESHOLD / 4, P_THRESHOLD / 3, P_THRESHOLD / 3])
+    reps = holm(_p_rows([1e-5, 2e-3, 1e-4]))
+    assert not any(r.passed for r in reps)
+    assert [r.threshold for r in reps] == pytest.approx(
+        [P_THRESHOLD / 3, P_THRESHOLD, P_THRESHOLD / 2])
+    assert [r.p_value for r in reps] == [1e-5, 2e-3, 1e-4]
+
+
+def test_holm_family_false_alarm_rate():
+    # nine-index null families like lemma5's: the family-wise false-alarm
+    # rate is at most 0.01, so expect about 2 in 200 families and allow up
+    # to 6 (the per-index gate alone trips about 8% of such families)
+    gen = np.random.Generator(np.random.PCG64(2024))
+    alarms = 0
+    for _ in range(200):
+        family = [ks_two_sample(gen.standard_normal(500), gen.standard_normal(500))
+                  for _ in range(9)]
+        alarms += not all(r.passed for r in holm(family))
+    assert alarms <= 6
 
 
 def test_ks_rejects_tiny_samples():

@@ -19,6 +19,15 @@ def test_every_suite_has_the_registry_signature():
         assert [(p.name, p.default) for p in params] == [("n", None), ("seed", 0)]
 
 
+@pytest.mark.parametrize("name", ["lemma4", "lemma5"])
+def test_ks_suites_pass_at_default_seed(name):
+    # seed 0's smallest lemma5 p-value, 0.0031, fails a per-index 0.01 gate
+    # but passes the family's Holm level 0.01/9
+    reports = SUITES[name]()
+    assert all(r.passed for r in reports)
+    assert all(r.threshold < statcheck.P_THRESHOLD for r in reports)
+
+
 def test_lemma4_rejects_swapped_beta(monkeypatch):
     # I - C is Beta_m(n, p) where defined: p and n swapped
     def swapped(m, p, n, rng, count=None):
