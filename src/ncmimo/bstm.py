@@ -16,10 +16,14 @@ import numpy as np
 from .params import DerivedParams, DomainError, rho_from_db
 from .randmat import (
     RngHandle,
+    sample_bartlett_factor,
     sample_gaussian,
     sample_isotropic_unitary,
     sample_matrix_beta,
 )
+
+# Draws per chunk of a large stacked draw, so peak memory stays flat in count.
+DRAW_CHUNK = 10_000
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,10 @@ def _gain_entries(dp: DerivedParams, rng: RngHandle, count: int | None,
     if ustm or not dp.large_mimo:
         d = np.full((k, M), np.sqrt(float(T)))
     else:
-        c = sample_matrix_beta(M, T - M, M + N - T, rng, count=k)
-        lam = np.linalg.eigvalsh(c)[..., ::-1]  # descending
+        lam = np.concatenate([
+            np.linalg.eigvalsh(sample_matrix_beta(M, T - M, M + N - T, rng,
+                                                  count=min(DRAW_CHUNK, k - done)))
+            for done in range(0, k, DRAW_CHUNK)])[..., ::-1]  # descending
         # clip eigensolver round-off just outside [0, 1]
         lam = np.clip(lam, 0.0, 1.0)
         d = np.sqrt(T * N / dp.Q) * np.sqrt(lam)
@@ -113,12 +119,14 @@ def noiseless_sv_sample(dp: DerivedParams, rng: RngHandle,
                         count: int | None = None) -> np.ndarray:
     """Ordered singular values of D H for a fresh (D, H) pair.
 
-    Returns the M values sorted decreasing; their law is the structural
-    identity checked by the noiseless-sv validation suite.
+    H is drawn as its M x min(M, N) Bartlett factor L (H = L Q with Q
+    having orthonormal rows, so D H and D L share their singular values).
+    Returns the min(M, N) values sorted decreasing; their law is the
+    structural identity checked by the noiseless-sv validation suite.
     """
     M, N = dp.M, dp.N
     k = 1 if count is None else count
     d = _gain_entries(dp, rng, count=k, ustm=False)
-    h = sample_gaussian(M, N, 1.0, rng, count=k)
-    sv = np.linalg.svd(d[:, :, None] * h, compute_uv=False)
+    ell = sample_bartlett_factor(M, N, 1.0, rng, count=k)
+    sv = np.linalg.svd(d[:, :, None] * ell, compute_uv=False)
     return sv[0] if count is None else sv

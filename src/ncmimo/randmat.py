@@ -1,6 +1,7 @@
 """Samplers and densities for the random-matrix ensembles.
 
-Complex Gaussian matrices, complex Wishart (including the rank-deficient
+Complex Gaussian matrices, the Bartlett factor of the complex Wishart
+and the Wishart drawn through it (including the rank-deficient
 pseudo-Wishart), the complex matrix-variate Beta built from two Wisharts,
 and isotropically distributed truncated unitaries (Haar on the Stiefel
 manifold).  Every sampler takes an RngHandle and is deterministic given
@@ -55,14 +56,43 @@ def sample_gaussian(m: int, n: int, variance: float, rng: RngHandle,
     return scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
 
 
+def sample_bartlett_factor(m: int, n: int, scale: float, rng: RngHandle,
+                           count: int | None = None) -> np.ndarray:
+    """Lower-trapezoidal m x min(m, n) factor L with L L^H ~ W_m(n, scale I).
+
+    Bartlett (1933): L has a real positive diagonal with
+    |L_ii|^2 ~ scale Gamma(n - i), i = 0 .. min(m, n) - 1, and iid
+    CN(0, scale) entries strictly below it.  It is the lower factor of
+    B = L Q (Q with orthonormal rows) for B an m x n matrix of iid
+    CN(0, scale) entries, so D L and D B share their singular values for
+    any D; n < m gives the rank-n pseudo-Wishart.  One draw costs
+    min(m, n) Gamma variates and fewer than m^2 / 2 Gaussian entries,
+    however large n is.
+    """
+    if m < 1 or n < 1:
+        raise DomainError(f"sample_bartlett_factor requires m, n >= 1, got m={m}, n={n}")
+    if not scale > 0:
+        raise DomainError(f"sample_bartlett_factor requires scale > 0, got {scale}")
+    k = min(m, n)
+    stack = () if count is None else (count,)
+    ell = np.zeros(stack + (m, k), dtype=complex)
+    diag = np.arange(k)
+    ell[..., diag, diag] = np.sqrt(scale * rng.generator.standard_gamma(n - diag, stack + (k,)))
+    rows, cols = np.tril_indices(m, -1, k)
+    if rows.size:  # m = 1 has no entry below the diagonal
+        ell[..., rows, cols] = sample_gaussian(1, rows.size, scale, rng, count=count)[..., 0, :]
+    return ell
+
+
 def sample_wishart(m: int, n: int, scale: float, rng: RngHandle,
                    count: int | None = None) -> np.ndarray:
-    """A = B B^H with B an m x n matrix of iid CN(0, scale) entries.
-
-    n < m is allowed and gives the singular (pseudo-) Wishart of rank n.
+    """Complex Wishart W_m(n, scale I), the law of B B^H with B an m x n
+    matrix of iid CN(0, scale) entries, drawn as L L^H from its Bartlett
+    factor.  n < m is allowed and gives the singular (pseudo-) Wishart of
+    rank n.
     """
-    b = sample_gaussian(m, n, scale, rng, count=count)
-    a = b @ np.conj(np.swapaxes(b, -1, -2))
+    ell = sample_bartlett_factor(m, n, scale, rng, count=count)
+    a = ell @ np.conj(np.swapaxes(ell, -1, -2))
     return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 

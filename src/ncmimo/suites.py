@@ -17,7 +17,7 @@ from scipy import integrate
 from .params import ChannelDims, ConfluenceError, DomainError, derive, rho_from_db
 from .capacity import asymptotic_gain_constant, gain_limit_sequence
 from .randmat import RngHandle, beta_eig_pdf_log
-from .bstm import GainDiagonal, sample_input
+from .bstm import DRAW_CHUNK, GainDiagonal, sample_input
 from .outpdf import (
     cond_pdf_y_given_d_log,
     cond_sv_pdf_finite_log,
@@ -34,8 +34,6 @@ from .statcheck import (
     suite_size,
 )
 
-_CHUNK = 10_000
-
 
 def run_power(n: int | None = None, seed: int = 0) -> list[TestReport]:
     """Mean input power must match the budget T*M to within 1%."""
@@ -45,8 +43,8 @@ def run_power(n: int | None = None, seed: int = 0) -> list[TestReport]:
     for (T, M, N), child in zip(LEMMA5_DEFAULT_DIMS, rng.spawn(len(LEMMA5_DEFAULT_DIMS))):
         dp = derive(ChannelDims(T=T, M=M, N=N))
         total = 0.0
-        for done in range(0, n, _CHUNK):
-            x = sample_input(dp, child, count=min(_CHUNK, n - done))
+        for done in range(0, n, DRAW_CHUNK):
+            x = sample_input(dp, child, count=min(DRAW_CHUNK, n - done))
             total += float(np.sum(np.abs(x) ** 2))
         reports.append(report(f"power T={T} M={M} N={N}",
                               abs(total / (n * T * M) - 1.0), 0.01, n, seed))

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncmimo
 from ncmimo import cli
 from ncmimo.capacity import bstm_constant, gain_ratio, ustm_constant
 from ncmimo.bstm import sample_input
@@ -72,6 +77,33 @@ def test_sample_unitary_domain_error_exit_code(capsys):
     assert code == 2
     assert out == ""
     assert "T >= M >= 1" in err
+
+
+def test_sample_wishart_domain_error_exit_code(capsys):
+    code, out, err = run_cli(capsys, ["sample", "--kind", "wishart", "--m", "1", "--n", "3",
+                                      "--scale", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "scale > 0" in err
+
+
+def test_sample_gain_peak_memory_is_bounded(tmp_path):
+    # 10^5 gain draws at (10, 5, 100) in a fresh interpreter, which reports its
+    # own peak RSS (ru_maxrss is in KiB on Linux); one unchunked stack of
+    # full 5 x n Gaussians peaks at about 1,700 MB, a bare import at about 100
+    argv = ["sample", "--kind", "gain", "--T", "10", "--M", "5", "--N", "100",
+            "--count", "100000", "--out", str(tmp_path / "gain.csv")]
+    script = ("import resource; from ncmimo import cli; "
+              f"code = cli.main({argv!r}); "
+              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    src = str(Path(ncmimo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    code, max_kib = res.stdout.split()
+    assert code == "0"
+    assert int(max_kib) * 1024 / 1e6 < 400
 
 
 def test_output_is_deterministic(capsys):

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ncmimo import statcheck
 from ncmimo.params import DomainError
 from ncmimo.randmat import (
     RNG_ALGORITHM,
     RngHandle,
     UNIT_EIG_TOL,
     beta_eig_pdf_log,
+    sample_bartlett_factor,
     sample_gaussian,
     sample_isotropic_unitary,
     sample_matrix_beta,
@@ -67,6 +69,72 @@ def test_singular_wishart_rank():
     w = sample_wishart(4, 2, 1.0, RngHandle(5), count=32)
     ranks = np.linalg.matrix_rank(w, tol=1e-10)
     assert np.all(ranks == 2)
+
+
+@pytest.mark.parametrize("m, n, scale", [(1, 3, -1.0), (1, 3, 0.0), (0, 2, 1.0), (2, 0, 1.0)])
+def test_wishart_domain(m, n, scale):
+    # m = 1 has no Gaussian entry below the diagonal, so the factor checks
+    # the scale itself rather than relying on sample_gaussian's check
+    with pytest.raises(DomainError):
+        sample_wishart(m, n, scale, RngHandle(0))
+
+
+def test_bartlett_factor_shape():
+    for (m, n) in ((3, 5), (4, 2), (1, 3), (3, 1)):
+        ell = sample_bartlett_factor(m, n, 2.0, RngHandle(0), count=7)
+        k = min(m, n)
+        assert ell.shape == (7, m, k)
+        assert np.all(np.triu(ell, 1) == 0)
+        diag = np.diagonal(ell, axis1=-2, axis2=-1)
+        assert np.all(diag.imag == 0) and np.all(diag.real > 0)
+
+
+class _ExtraDof:
+    """A generator whose Gamma variates carry one extra degree of freedom."""
+
+    def __init__(self, gen):
+        self._gen = gen
+
+    def standard_gamma(self, shape, size=None):
+        return self._gen.standard_gamma(shape + 1, size)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+BARTLETT_CASES = ((3, 5), (5, 95), (4, 2), (1, 3), (3, 1))
+
+
+def _wishart_vs_direct_gram(extra_dof: bool) -> list:
+    """Nonzero eigenvalues of the factor's Wishart against those of a direct
+    B B^H, one KS row per ordered index, gated as one Holm family."""
+    draws, scale = 5_000, 2.0
+    rngs = RngHandle(0).spawn(2 * len(BARTLETT_CASES))
+    reports = []
+    for (m, n), rng_w, rng_b in zip(BARTLETT_CASES, rngs[::2], rngs[1::2]):
+        if extra_dof:
+            rng_w.generator = _ExtraDof(rng_w.generator)
+        k = min(m, n)  # the pseudo-Wishart's m - k zero eigenvalues are dropped
+        w = sample_wishart(m, n, scale, rng_w, count=draws)
+        b = sample_gaussian(m, n, scale, rng_b, count=draws)
+        eig_w = np.linalg.eigvalsh(w)[..., ::-1][..., :k]
+        eig_b = np.linalg.eigvalsh(b @ np.conj(np.swapaxes(b, -1, -2)))[..., ::-1][..., :k]
+        reports += [statcheck.ks_two_sample(eig_w[:, i], eig_b[:, i],
+                                            name=f"wishart m={m} n={n} eig{i + 1}")
+                    for i in range(k)]
+    return statcheck.holm(reports)
+
+
+def test_bartlett_wishart_matches_direct_gram():
+    reports = _wishart_vs_direct_gram(extra_dof=False)
+    assert len(reports) == 12
+    assert all(r.passed for r in reports)
+
+
+def test_bartlett_wishart_rejects_extra_degree_of_freedom():
+    reports = _wishart_vs_direct_gram(extra_dof=True)
+    assert len(reports) == 12
+    assert not any(r.passed for r in reports)
 
 
 def test_unitary_columns_orthonormal():

@@ -53,12 +53,16 @@ def test_lemma5_rejects_ustm_gain(monkeypatch):
 
 
 def test_power_rejects_two_percent_gain(monkeypatch):
+    # the patched draws are the unpatched ones times 1.02, so with s the
+    # unpatched statistic |r - 1| the patched one is |1.0404 r - 1| exactly
     def loud(dp, rng, count=None, ustm=False):
         return 1.02 * bstm.sample_input(dp, rng, count=count, ustm=ustm)
 
+    plain = SUITES["power"](n=10_000)
     monkeypatch.setattr(suites, "sample_input", loud)
     reports = SUITES["power"](n=10_000)
     assert len(reports) == 3
     assert not any(r.passed for r in reports)
-    for r in reports:
-        assert r.statistic == pytest.approx(1.02 ** 2 - 1.0, abs=2e-3)
+    for r, p in zip(reports, plain):
+        want = [abs(1.02 ** 2 * (1.0 + sign * p.statistic) - 1.0) for sign in (1, -1)]
+        assert min(abs(r.statistic - w) for w in want) < 1e-12
