@@ -8,9 +8,12 @@ exponentially large or small entries are computed by factoring the
 largest exponent out of every row before a pivoted factorization, which
 keeps every intermediate bounded at any SNR.
 
-The conditional output density f(Y | D) has one determinant core,
-_cond_log, from which the finite-SNR spectrum density follows through
-the SVD Jacobian; the high-SNR limit keeps its own determinant.
+Every matrix density here is a Gaussian or one determinant core,
+_kernel_log: the Haar-averaged complex Wishart kernel
+det[exp(-mu_i s2_j)] / (Delta(s2) Delta(-mu)) over the nodes mu.  f(Y | D)
+takes the nodes mu = 1/(1 + rho~ d^2) and T - M unit nodes; the leading
+block of the high-SNR limit takes mu = 1/d^2 at T = M.  Every spectrum
+density is a matrix density times one SVD change of variables, _sv_log.
 
 Raw singular values are called sv; svn denotes the normalized vector
 whose first M entries are scaled by sqrt(M/rho).  The scaling is always
@@ -32,24 +35,11 @@ from .params import (
     check_decreasing,
     rho_from_db,
 )
-from .specfun import (
-    LOG_2,
-    LOG_PI,
-    log_gamma_range,
-    log_multivariate_gamma,
-    log_stiefel_volume,
-)
+from .specfun import LOG_PI, log_gamma_range, log_stiefel_volume, log_vandermonde
 from .bstm import GainDiagonal
 
 
-# The cached index and power arrays are shared by every caller: read-only.
-@lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    i, j = np.triu_indices(n, k=1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
+# The cached power arrays are shared by every caller: read-only.
 @lru_cache(maxsize=None)
 def _row_powers(T: int, M: int) -> np.ndarray:
     # exponents T - i of the polynomial rows i = M+1..T
@@ -59,41 +49,27 @@ def _row_powers(T: int, M: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _spectrum_volumes(T: int, N: int) -> float:
-    # ln of the U(T)/phase and S(N, T) volumes the SVD integrates out
-    return log_stiefel_volume(T, T, reduced=True) + log_stiefel_volume(N, T)
+def _spectrum_volumes(m: int, n: int) -> float:
+    # ln of the U(m)/phase and S(n, m) volumes the SVD integrates out
+    return log_stiefel_volume(m, m, reduced=True) + log_stiefel_volume(n, m)
 
 
-def _log_vandermonde(x2: np.ndarray) -> float:
-    """sum_{i<j} ln(x2_i - x2_j) for a strictly decreasing vector."""
-    if x2.size < 2:
-        return 0.0
-    i, j = _pairs(x2.size)
-    return float(np.log(x2[i] - x2[j]).sum())
-
-
-def _scaled_slogdet(logmag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed log-determinant from entrywise log-magnitudes (all entries >= 0).
+def _scaled_logdet(logmag: np.ndarray) -> float:
+    """ln det of the matrix with entrywise log-magnitudes logmag.
 
     Row maxima are factored out first so that exp never overflows; entries
     that underflow relative to their row maximum become exact zeros, which
-    is their correct limit.  Works on stacked matrices.
+    is their correct limit.  The determinant must be positive: a sign the
+    pivoted factorization cannot keep raises ConfluenceError.
     """
-    c = logmag.max(axis=-1)
-    dead = np.isneginf(c)
-    c_safe = np.where(dead, 0.0, c)
-    scaled = np.exp(logmag - c_safe[..., None])
-    if np.any(dead):
-        scaled = np.where(dead[..., None], 0.0, scaled)
-    sign, ld = np.linalg.slogdet(scaled)
-    return ld + c_safe.sum(axis=-1), sign
-
-
-def _check_sign(sign: float, label: str) -> None:
+    c = logmag.max(axis=1)
+    c[np.isneginf(c)] = 0.0  # a row of zeros stays zero
+    sign, ld = np.linalg.slogdet(np.exp(logmag - c[:, None]))
     if sign <= 0:
         raise ConfluenceError(
-            f"{label} determinant lost its sign; inputs are too close to "
-            "confluent for a stable evaluation")
+            "determinant lost its sign; inputs are too close to confluent "
+            "for a stable evaluation")
+    return float(ld + c.sum())
 
 
 def _gain2(D: GainDiagonal, M: int) -> np.ndarray:
@@ -101,39 +77,58 @@ def _gain2(D: GainDiagonal, M: int) -> np.ndarray:
     return d * d
 
 
-def _cond_log(s2: np.ndarray, d2: np.ndarray, rt: float, N: int) -> tuple[float, float]:
-    """ln f(Y | D) from the decreasing squared singular values s2 of Y.
+def _kernel_log(s2: np.ndarray, mu: np.ndarray, N: int) -> float:
+    """ln of the Haar-averaged complex Wishart kernel at the decreasing
+    squared singular values s2 of a T x N matrix, over the increasing nodes
+    mu (M = mu.size <= T) and T - M unit nodes:
 
-    With mu_i = 1/(1 + rt d2_i) the closed form is
-
-        pi^{-NT} prod_{i=T-M+1}^{T} Gamma(i) prod mu_i^{N-T+M} (rt d2_i)^{M-T}
+        pi^{-NT} prod_{i=T-M+1}^{T} Gamma(i) prod mu_i^N
         det(K) / [prod_{i<j}(s2_i - s2_j) prod_{i<j}(mu_j - mu_i)]
 
-    with K_{ij} = exp(-mu_i s2_j) on the first M rows and
-    s2_j^{T-i} exp(-s2_j) below.  mu is formed directly rather than as
-    1 - lambda, which would lose its digits as lambda -> 1 at high SNR.
-    Returns the log density and ln prod_{i<j}(s2_i - s2_j), which the
-    spectrum density reuses.
+    with K_{ij} = exp(-mu_i s2_j) on the first M rows and, the confluent
+    limit of the unit nodes, s2_j^{T-i} exp(-s2_j) below.  At T = M this is
+    the density of U diag(mu)^{-1/2} G with U Haar and G an M x N standard
+    Gaussian; for T > M the unit nodes leave a factor prod (1 - mu_i)^{M-T}
+    to the caller.
     """
-    T, M = s2.size, d2.size
-    mu = 1.0 / (1.0 + rt * d2)
+    T, M = s2.size, mu.size
     logmag = np.empty((T, T))
     logmag[:M] = -mu[:, None] * s2
     # xlogy keeps the power-0 row at 0 * ln 0 = 0 where a tiny s2 underflows
     logmag[M:] = xlogy(_row_powers(T, M)[:, None], s2) - s2
-    ld, sign = _scaled_slogdet(logmag)
-    _check_sign(sign, "conditional pdf")
-    lv = _log_vandermonde(s2)
-    log_f = (
+    return float(
         -N * T * LOG_PI
         + log_gamma_range(T - M + 1, T)
-        + (N - T + M) * np.log(mu).sum()
-        - (T - M) * np.log(rt * d2).sum()
-        + float(ld)
-        - lv
-        - _log_vandermonde(-mu)
+        + N * np.log(mu).sum()
+        + _scaled_logdet(logmag)
+        - log_vandermonde(s2)
+        - log_vandermonde(-mu)
     )
-    return float(log_f), lv
+
+
+def _cond_log(s2: np.ndarray, d2: np.ndarray, rt: float, N: int) -> float:
+    """ln f(Y | D) from the decreasing squared singular values s2 of Y.
+
+    The kernel at mu_i = 1/(1 + rt d2_i) times prod (1 - mu_i)^{M-T}.  mu
+    and 1 - mu = rt d2 mu are both formed directly: mu as 1 - lambda would
+    lose its digits at high SNR, 1 - mu by subtraction at low SNR.
+    """
+    mu = 1.0 / (1.0 + rt * d2)
+    return _kernel_log(s2, mu, N) - (s2.size - d2.size) * float(np.log(rt * d2 * mu).sum())
+
+
+def _jacobian_log(sv: np.ndarray, n: int) -> float:
+    # the SVD volume Jacobian of an n x sv.size spectrum
+    return float((2 * (n - sv.size) + 1) * np.log(sv).sum()
+                 + 2.0 * log_vandermonde(sv * sv))
+
+
+def _sv_log(matrix_log: float, sv: np.ndarray, n: int) -> float:
+    """ln of the joint density of the decreasing singular values sv of an
+    m x n matrix (m = sv.size <= n) whose unitarily invariant density is
+    exp(matrix_log) at them: the SVD Jacobian and the volumes of the
+    singular-vector manifolds the change of variables integrates out."""
+    return float(matrix_log + _jacobian_log(sv, n) + _spectrum_volumes(sv.size, n))
 
 
 def svd_jacobian_log(sv, rmax: int, rmin: int) -> float:
@@ -143,9 +138,7 @@ def svd_jacobian_log(sv, rmax: int, rmin: int) -> float:
     """
     if rmax < rmin:
         raise DomainError(f"svd_jacobian_log requires rmax >= rmin, got {rmax} < {rmin}")
-    sv = check_decreasing(sv, rmin, "svd_jacobian_log sv")
-    return float((2 * (rmax - rmin) + 1) * np.log(sv).sum()
-                 + 2.0 * _log_vandermonde(sv * sv))
+    return _jacobian_log(check_decreasing(sv, rmin, "svd_jacobian_log sv"), rmax)
 
 
 def cond_pdf_y_given_d_log(Y: np.ndarray, D: GainDiagonal, dp: DerivedParams,
@@ -165,22 +158,13 @@ def cond_pdf_y_given_d_log(Y: np.ndarray, D: GainDiagonal, dp: DerivedParams,
         raise DomainError(f"Y must be T x N = {T} x {N}, got {Y.shape}")
     d2 = _gain2(D, M)
     sv = check_decreasing(np.linalg.svd(Y, compute_uv=False), T, "singular values of Y")
-    return _cond_log(sv * sv, d2, rho_from_db(snr_db) / M, N)[0]
+    return _cond_log(sv * sv, d2, rho_from_db(snr_db) / M, N)
 
 
 def _gaussian_sv_log(sv: np.ndarray, n: int, var: float) -> float:
     """ln of the joint density of the singular values sv of an m x n complex
     Gaussian matrix with iid CN(0, var) entries, m = sv.size <= n."""
-    m = sv.size
-    s2 = sv * sv
-    return float(
-        m * LOG_2 + m * (m - 1) * LOG_PI
-        - log_multivariate_gamma(m, n) - log_multivariate_gamma(m, m)
-        - s2.sum() / var
-        - m * n * np.log(var)
-        + (2 * (n - m) + 1) * np.log(sv).sum()
-        + 2.0 * _log_vandermonde(s2)
-    )
+    return _sv_log(-sv.size * n * (LOG_PI + np.log(var)) - (sv * sv).sum() / var, sv, n)
 
 
 def first_sv_pdf_log(sv, dp: DerivedParams, snr_db: float) -> float:
@@ -212,9 +196,8 @@ def cond_sv_pdf_finite_log(svn, D: GainDiagonal, dp: DerivedParams,
     sqrt(M/rho) scaling, the rest are raw.  The support is the set where
     the raw values (leading block times sqrt(rho/M)) decrease strictly,
     which is wider than svn decreasing and is what the normalization
-    integral runs over.  The density is ln f(Y | D) of _cond_log times the
-    SVD Jacobian (svd_jacobian_log), the volumes of the singular-vector
-    manifolds, and (rho/M)^{M/2} for the scaling of the leading block.
+    integral runs over.  The density is the spectrum density of ln f(Y | D)
+    times (rho/M)^{M/2} for the scaling of the leading block.
     """
     T, M, N = dp.T, dp.M, dp.N
     if T > N:
@@ -225,14 +208,7 @@ def cond_sv_pdf_finite_log(svn, D: GainDiagonal, dp: DerivedParams,
     raw = np.array(svn, dtype=float, ndmin=1)
     raw[:M] *= np.sqrt(rt)
     raw = check_decreasing(raw, T, "raw spectrum (leading block times sqrt(rho/M))")
-    log_f, lv = _cond_log(raw * raw, d2, rt, N)
-    return float(
-        log_f
-        + (2 * (N - T) + 1) * np.log(raw).sum()
-        + 2.0 * lv
-        + _spectrum_volumes(T, N)
-        + 0.5 * M * np.log(rt)
-    )
+    return _sv_log(_cond_log(raw * raw, d2, rt, N) + 0.5 * M * np.log(rt), raw, N)
 
 
 def cond_sv_pdf_limit_log(svn, D: GainDiagonal, dp: DerivedParams) -> float:
@@ -240,8 +216,9 @@ def cond_sv_pdf_limit_log(svn, D: GainDiagonal, dp: DerivedParams) -> float:
 
     Factorizes over the two blocks: the leading M normalized values follow
     the law of the singular values of D H (H an M x N Gaussian), the
-    trailing block follows the pure-noise law of tail_sv_pdf_log.  No
-    cross-block ordering constraint remains in the limit.
+    spectrum density of the kernel at T = M with nodes 1/d^2; the trailing
+    block follows the pure-noise law of tail_sv_pdf_log.  No cross-block
+    ordering constraint remains in the limit.
     """
     T, M, N = dp.T, dp.M, dp.N
     if T > N:
@@ -252,20 +229,5 @@ def cond_sv_pdf_limit_log(svn, D: GainDiagonal, dp: DerivedParams) -> float:
         raise DomainError(f"normalized spectrum must have T={T} entries, got {svn.size}")
     head = check_decreasing(svn[:M], M, "svn leading block")
     tail = check_decreasing(svn[M:], T - M, "svn trailing block")
-    d2 = _gain2(D, M)
-    h2 = head * head
-
-    # The M x M kernel exp(-h2_j / d2_i) of the limit law lives on the
-    # leading block alone; it is no finite-SNR f(Y | D), so it keeps its
-    # own determinant.
-    ld, sign = _scaled_slogdet(-(1.0 / d2)[:, None] * h2)
-    _check_sign(sign, "limit sv pdf")
-    log_g1 = (
-        M * LOG_2
-        + float(ld)
-        + (2 * (N - M) + 1) * np.log(head).sum()
-        - (N - M + 1) * np.log(d2).sum()
-        - log_gamma_range(N - M + 1, N)
-        + _log_vandermonde(h2) - _log_vandermonde(d2)
-    )
-    return float(log_g1 + _gaussian_sv_log(tail, N - M, 1.0))
+    head_log = _sv_log(_kernel_log(head * head, 1.0 / _gain2(D, M), N), head, N)
+    return float(head_log + _gaussian_sv_log(tail, N - M, 1.0))

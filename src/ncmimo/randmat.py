@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .params import DomainError, check_decreasing
-from .specfun import LOG_PI, log_multivariate_gamma
+from .specfun import LOG_PI, log_multivariate_gamma, log_vandermonde
 
 # Generator recorded in output metadata; PCG64 has a documented,
 # collision-resistant stream-split rule via SeedSequence.spawn.
@@ -167,6 +167,5 @@ def beta_eig_pdf_log(m: int, p: int, n: int, a) -> float:
     b, c = (p, n) if n >= m else (m, p + n - m)
     log_c = (k * (k - 1) * LOG_PI - log_multivariate_gamma(k, k) + log_multivariate_gamma(k, p + n)
              - log_multivariate_gamma(k, b) - log_multivariate_gamma(k, c))
-    diffs = a[:, None] - a[None, :]
     return float(log_c + (p - m) * np.log(a).sum() + abs(n - m) * np.log1p(-a).sum()
-                 + 2.0 * np.log(diffs[np.triu_indices(k, k=1)]).sum())
+                 + 2.0 * log_vandermonde(a))

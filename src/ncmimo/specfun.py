@@ -18,6 +18,22 @@ LOG_2 = float(np.log(2.0))
 EULER_GAMMA = float(np.euler_gamma)
 
 
+# The cached index arrays are shared by every caller: read-only.
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def log_vandermonde(x: np.ndarray) -> float:
+    """sum_{i<j} ln(x_i - x_j) for a strictly decreasing vector x."""
+    if x.size < 2:
+        return 0.0
+    i, j = _pairs(x.size)
+    return float(np.log(x[i] - x[j]).sum())
+
+
 def log_gamma(a: float) -> float:
     """ln Gamma(a) for a > 0."""
     if a <= 0:

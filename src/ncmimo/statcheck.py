@@ -53,7 +53,7 @@ def report(name: str, statistic: float, threshold: float, n: int, seed: int,
     if passed is None:
         passed = p_value > threshold if p_value is not None else statistic < threshold
     return TestReport(name=name, statistic=statistic, threshold=threshold,
-                      p_value=p_value, passed=passed, n_samples=n, seed=seed)
+                      p_value=p_value, passed=bool(passed), n_samples=n, seed=seed)
 
 
 def suite_size(n: int | None, default: int | None) -> int | None:

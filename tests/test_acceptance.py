@@ -26,8 +26,9 @@ from ncmimo.specfun import (
 )
 
 # Seed recorded for the statistical suites.  Any fixed seed is a fresh
-# draw of the KS p-values (the thresholds admit a ~1% false alarm per
-# index under the null); this one was recorded once and must reproduce
+# draw of the KS p-values (each suite gates its indices as one Holm
+# family at family-wise level 0.01, so under the null a suite false-alarms
+# on at most 1% of seeds); this one was recorded once and must reproduce
 # bit-for-bit.
 KS_SEED = 1
 

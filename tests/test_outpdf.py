@@ -376,6 +376,40 @@ def test_cond_sv_limit_value_and_factorization():
     assert np.isfinite(v)
 
 
+def test_cond_sv_limit_leading_block_normalizes_two_antennas():
+    # M = 2: the leading-block law of sv(D H) integrates to 1 over h1 > h2 > 0
+    dp = _dp(4, 2, 6)
+    dgain = GainDiagonal(np.array([2.1, 1.3]))
+    tail = np.array([0.9, 0.4])
+    tail_log = tail_sv_pdf_log(tail, dp)
+
+    def head(h2, h1):
+        svn = np.array([h1, h2, *tail])
+        return math.exp(cond_sv_pdf_limit_log(svn, dgain, dp) - tail_log)
+
+    mass, _ = integrate.dblquad(head, 0.0, 20.0, 0.0, lambda h1: h1,
+                                epsabs=1e-10, epsrel=1e-8)
+    assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+def test_every_density_returns_a_python_float():
+    dp = _dp(4, 2, 6)
+    dgain = GainDiagonal(np.array([2.1, 1.3]))
+    svn = np.array([2.4, 1.2, 0.9, 0.4])
+    y = simulate_channel(np.eye(4, 2) * np.array([2.1, 1.3]), 6, 20.0, RngHandle(5))
+    values = (
+        cond_pdf_y_given_d_log(y, dgain, dp, 20.0),
+        cond_sv_pdf_finite_log(svn, dgain, dp, 20.0),
+        cond_sv_pdf_limit_log(svn, dgain, dp),
+        first_sv_pdf_log(svn[:2], dp, 20.0),
+        tail_sv_pdf_log(svn[2:], dp),
+        tail_sv_pdf_log(np.array([]), _dp(2, 1, 1)),
+        svd_jacobian_log(svn, 6, 4),
+    )
+    for v in values:
+        assert type(v) is float and math.isfinite(v)
+
+
 def test_cond_sv_finite_approaches_limit():
     dp = _dp(2, 1, 2)
     dgain = GainDiagonal(np.array([1.3]))

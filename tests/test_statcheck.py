@@ -9,7 +9,9 @@ from ncmimo.statcheck import (
     ks_two_sample,
     lemma4_suite,
     lemma5_suite,
+    report,
 )
+from ncmimo.suites import _converging
 
 
 def _named(reports, case):
@@ -95,6 +97,19 @@ def test_report_is_frozen_dataclass():
         rep.passed = False
     s = str(rep)
     assert "pass" in s and "x" in s
+
+
+def test_report_verdict_is_a_python_bool_for_numpy_scalars():
+    # a numpy-scalar statistic or p-value must not leave np.bool_ in `passed`:
+    # the CSV would print True for true and json.dumps would raise
+    stat = np.float64(1e-3)
+    reports = [report("given", stat, 1e-2, 1, 0, passed=stat < 1e-2),
+               report("by p-value", stat, 1e-2, 1, 0, p_value=np.float64(0.5)),
+               report("by statistic", stat, 1e-2, 1, 0),
+               _converging("converging", [np.float64(0.1), stat], 0)]
+    for rep in reports:
+        assert type(rep.passed) is bool and rep.passed, rep.name
+        assert type(rep.statistic) is float
 
 
 def test_lemma5_suite_reproducible_and_passing():
