@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: constants, gain-table, sample, validate.  Output goes to
-stdout or --out as CSV (default, '#'-prefixed metadata lines) or JSON.
-Output bytes are deterministic for a fixed invocation; timing is
-reported on stderr only.
+stdout or --out as CSV (default, '#'-prefixed metadata lines) or JSON,
+written to its sink as it is formatted: no copy of the whole payload is
+built first.  Output bytes are deterministic for a fixed invocation;
+timing is reported on stderr only.
 
 Exit codes: 0 success, 1 usage error, 2 domain/dimension error,
 3 validation suite failure.
@@ -12,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 domain/dimension error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -68,8 +70,6 @@ def _cell(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
@@ -86,28 +86,20 @@ def _config_echo(args) -> dict:
 def _emit(args, columns, rows, warnings_list=()) -> None:
     config = _config_echo(args)
     tool = f"ncmimo {__version__}"
-    if args.format == "json":
-        payload = {
-            "meta": {"tool": tool, "rng": RNG_ALGORITHM, "config": config,
-                     "columns": list(columns), "warnings": list(warnings_list)},
-            "rows": [[v for v in row] for row in rows],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = [
-            f"# tool: {tool}",
-            f"# rng: {RNG_ALGORITHM}",
-            f"# config: {json.dumps(config, sort_keys=True)}",
-            ",".join(columns),
-        ]
-        lines.extend(",".join(_cell(v) for v in row) for row in rows)
-        lines.extend(f"# warning: {w}" for w in warnings_list)
-        text = "\n".join(lines) + "\n"
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    with (contextlib.nullcontext(sys.stdout) if args.out in (None, "-")
+          else open(args.out, "w", encoding="utf-8", newline="")) as fh:
+        if args.format == "json":
+            json.dump({"meta": {"tool": tool, "rng": RNG_ALGORITHM, "config": config,
+                                "columns": list(columns), "warnings": list(warnings_list)},
+                       "rows": rows}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        else:
+            fh.write(f"# tool: {tool}\n# rng: {RNG_ALGORITHM}\n"
+                     f"# config: {json.dumps(config, sort_keys=True)}\n{','.join(columns)}\n")
+            for row in rows:
+                fh.write(",".join(map(_cell, row)) + "\n")
+            for w in warnings_list:
+                fh.write(f"# warning: {w}\n")
 
 
 def cmd_constants(args) -> int:
@@ -173,6 +165,8 @@ def _rows(a: np.ndarray) -> list[list]:
 def cmd_sample(args) -> int:
     if args.count < 1:
         args._parser.error("--count must be a positive integer")
+    if args.ustm and args.kind not in ("gain", "input"):
+        args._parser.error("--ustm applies only to --kind gain and input")
     rng = RngHandle(args.seed)
     count = args.count
     kind = args.kind
@@ -258,7 +252,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--ustm", action="store_true",
-                   help="force the constant equal-gain diagonal")
+                   help="force the constant equal-gain diagonal (kinds gain and input)")
     _add_common(p)
     p.set_defaults(func=cmd_sample)
 

@@ -87,12 +87,20 @@ def test_sample_wishart_domain_error_exit_code(capsys):
     assert "scale > 0" in err
 
 
-def test_sample_gain_peak_memory_is_bounded(tmp_path):
-    # 10^5 gain draws at (10, 5, 100) in a fresh interpreter, which reports its
-    # own peak RSS (ru_maxrss is in KiB on Linux); one unchunked stack of
-    # full 5 x n Gaussians peaks at about 1,700 MB, a bare import at about 100
-    argv = ["sample", "--kind", "gain", "--T", "10", "--M", "5", "--N", "100",
-            "--count", "100000", "--out", str(tmp_path / "gain.csv")]
+@pytest.mark.parametrize("argv, limit_mb", [
+    # one unchunked stack of full 5 x n Gaussians peaks at about 1,700 MB
+    (["sample", "--kind", "gain", "--T", "10", "--M", "5", "--N", "100",
+      "--count", "100000"], 400),
+    # a 44 MB JSON export; joining the encoder's chunks into one payload
+    # string before writing peaks at about 400 MB, writing them as they
+    # come at about 210 MB
+    (["sample", "--kind", "input", "--T", "8", "--M", "2", "--N", "4",
+      "--count", "50000", "--format", "json"], 300),
+], ids=["gain", "input-json"])
+def test_sample_peak_memory_is_bounded(tmp_path, argv, limit_mb):
+    # a fresh interpreter reports its own peak RSS (ru_maxrss is in KiB on
+    # Linux); a bare import peaks at about 100 MB
+    argv = argv + ["--out", str(tmp_path / "sample.out")]
     script = ("import resource; from ncmimo import cli; "
               f"code = cli.main({argv!r}); "
               "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
@@ -103,7 +111,7 @@ def test_sample_gain_peak_memory_is_bounded(tmp_path):
                          env=env, timeout=120, check=True)
     code, max_kib = res.stdout.split()
     assert code == "0"
-    assert int(max_kib) * 1024 / 1e6 < 400
+    assert int(max_kib) * 1024 / 1e6 < limit_mb
 
 
 def test_output_is_deterministic(capsys):
@@ -200,6 +208,20 @@ def test_sample_input_round_trips_bit_for_bit(capsys, fmt):
     assert np.array_equal(re_im[..., 1], x.imag)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kind", "noiseless-sv", "--T", "4", "--M", "2", "--N", "3"],
+    ["--kind", "unitary", "--T", "4", "--M", "2"],
+])
+def test_sample_ustm_outside_gain_and_input_is_usage_error(capsys, argv):
+    # only the gain and input draws depend on the gain law
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sample", *argv, "--ustm"])
+    assert exc.value.code == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert "--ustm" in cap.err
+
+
 def test_sample_missing_args_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sample", "--kind", "gain", "--T", "8", "--M", "2"])
@@ -234,22 +256,25 @@ def test_json_output_structure(capsys):
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
-    argv = ["gain-table", "--T-list", "10", "--N-list", "20,100"]
-    _, out, _ = run_cli(capsys, argv)
-    path = tmp_path / "table.csv"
-    code, out2, _ = run_cli(capsys, argv + ["--out", str(path)])
-    assert code == 0
-    assert out2 == ""  # nothing on stdout when writing a file
-    data = path.read_bytes()
-    assert b"\r" not in data  # LF endings
-    assert data.endswith(b"\n")
-    # data rows are identical; only the config echo records the output path
-    file_rows = [ln for ln in data.decode().splitlines() if not ln.startswith("#")]
-    stdout_rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
-    assert file_rows == stdout_rows
-    # re-running to the same path is byte-identical
-    run_cli(capsys, argv + ["--out", str(path)])
-    assert path.read_bytes() == data
+    cases = [["gain-table", "--T-list", "10", "--N-list", "20,100"],
+             ["sample", "--kind", "input", "--T", "4", "--M", "2", "--N", "3",
+              "--count", "3", "--seed", "2"]]
+    for argv in cases:
+        for fmt in ("csv", "json"):
+            argv_fmt = argv + ["--format", fmt]
+            _, out, _ = run_cli(capsys, argv_fmt)
+            path = tmp_path / f"{argv[0]}.{fmt}"
+            code, out2, _ = run_cli(capsys, argv_fmt + ["--out", str(path)])
+            assert code == 0
+            assert out2 == ""  # nothing on stdout when writing a file
+            data = path.read_bytes()
+            assert b"\r" not in data  # LF endings
+            assert data.endswith(b"\n")
+            # both sinks get the same bytes; only the config echo records the output path
+            assert data.decode().replace(json.dumps(str(path)), json.dumps("-")) == out
+            # re-running to the same path is byte-identical
+            run_cli(capsys, argv_fmt + ["--out", str(path)])
+            assert path.read_bytes() == data
 
 
 def test_validate_suite_passes(capsys):

@@ -154,11 +154,16 @@ def test_unitary_first_entry_is_haar():
 
 def test_unitary_phase_convention_not_degenerate():
     # without the phase fix the diagonal of R would leave a bias; check the
-    # first entry's phase is uniform rather than clustered
+    # first entry's phase is uniform rather than clustered, and that the
+    # check fails on QR of the same draws without the fix
+    def phase_p(q):
+        ph = np.angle(q[:, 0, 0])
+        return stats.kstest(ph, "uniform", args=(-np.pi, 2 * np.pi)).pvalue
+
     q = sample_isotropic_unitary(3, 2, RngHandle(13), count=4_000)
-    ph = np.angle(q[:, 0, 0])
-    res = stats.kstest(ph, "uniform", args=(-np.pi, 2 * np.pi))
-    assert res.pvalue > 0.01
+    raw, _ = np.linalg.qr(sample_gaussian(3, 2, 1.0, RngHandle(13), count=4_000))
+    assert phase_p(q) > 0.01
+    assert phase_p(raw) < 0.01
 
 
 def test_matrix_beta_eigenvalues_in_unit_interval():
