@@ -36,9 +36,9 @@ class GainDiagonal:
         d = np.asarray(self.d, dtype=float)
         if d.ndim != 1 or d.size < 1:
             raise DomainError(f"GainDiagonal needs a 1-D vector, got shape {d.shape}")
-        if np.any(d < 0):
+        if not np.all(d >= 0):
             raise DomainError("GainDiagonal entries must be nonnegative")
-        if np.any(np.diff(d) > 0):
+        if not np.all(np.diff(d) <= 0):
             raise DomainError("GainDiagonal entries must be nonincreasing")
         object.__setattr__(self, "d", d)
 

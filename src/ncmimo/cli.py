@@ -2,9 +2,11 @@
 
 Subcommands: constants, gain-table, sample, validate.  Output goes to
 stdout or --out as CSV (default, '#'-prefixed metadata lines) or JSON,
-written to its sink as it is formatted: no copy of the whole payload is
-built first.  Output bytes are deterministic for a fixed invocation;
-timing is reported on stderr only.
+written to its sink as it is formatted, with bytes fixed by the
+invocation; timing goes to stderr only.  Every `sample` kind is one
+`_KINDS` entry: its required options, the column prefix of a real vector
+draw and its stacked draw.  An SNR whose linear value is not a positive
+finite float is a domain error.
 
 Exit codes: 0 success, 1 usage error, 2 domain/dimension error,
 3 validation suite failure.
@@ -30,6 +32,7 @@ from .params import (
     DomainError,
     RegimeError,
     derive,
+    rho_from_db,
 )
 from .capacity import asymptotic_gain_constant, bstm_constant, gain_ratio, ustm_constant
 from .randmat import (
@@ -122,6 +125,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_gain_table(args) -> int:
+    rho_from_db(args.snr_db)  # an SNR out of rho_from_db's domain fails the whole table
     rows = []
     warnings_list = []
     for T in args.T_list:
@@ -138,28 +142,33 @@ def cmd_gain_table(args) -> int:
     return EXIT_OK
 
 
-def _require(args, names) -> None:
-    missing = [f"--{n}" for n in names if getattr(args, n, None) is None]
-    if missing:
-        args._parser.error(
-            f"kind '{args.kind}' requires {', '.join(missing)}")
+def _dims(args):
+    return derive(ChannelDims(T=args.T, M=args.M, N=args.N))
 
 
-def _matrix_columns(r: int, c: int) -> list[str]:
-    cols = []
-    for i in range(r):
-        for j in range(c):
-            cols.extend((f"re_{i}_{j}", f"im_{i}_{j}"))
-    return cols
+# kind -> (required options, column prefix of a real vector draw, stacked draw)
+_KINDS = {
+    "gain": ("TMN", "d", lambda a, rng: sample_gain(_dims(a), rng, a.count, a.ustm)),
+    "input": ("TMN", None, lambda a, rng: sample_input(_dims(a), rng, a.count, a.ustm)),
+    "unitary": ("TM", None, lambda a, rng: sample_isotropic_unitary(a.T, a.M, rng, a.count)),
+    "wishart": ("mn", None, lambda a, rng: sample_wishart(a.m, a.n, a.scale, rng, a.count)),
+    "beta": ("mpn", None, lambda a, rng: sample_matrix_beta(a.m, a.p, a.n, rng, a.count)),
+    "noiseless-sv": ("TMN", "sv", lambda a, rng: noiseless_sv_sample(_dims(a), rng, a.count)),
+}
 
 
-def _rows(a: np.ndarray) -> list[list]:
-    """One row per draw: its index, then its entries in row-major order
-    (re, im for complex entries)."""
-    flat = np.ascontiguousarray(a.reshape(len(a), -1))
+def _table(draws: np.ndarray, prefix: str | None) -> tuple[list[str], list[list]]:
+    """Columns and rows of a stacked draw, one row per draw: its index, then
+    a real vector's entries as prefix1, prefix2, ... or a complex matrix's
+    as re_i_j, im_i_j in row-major order."""
+    flat = np.ascontiguousarray(draws.reshape(len(draws), -1))
     if np.iscomplexobj(flat):
+        columns = [f"{part}_{i}_{j}" for i, j in np.ndindex(draws.shape[1:])
+                   for part in ("re", "im")]
         flat = flat.view(flat.real.dtype)
-    return [[i] + row for i, row in enumerate(flat.tolist())]
+    else:
+        columns = [f"{prefix}{i + 1}" for i in range(flat.shape[1])]
+    return ["draw"] + columns, [[i] + row for i, row in enumerate(flat.tolist())]
 
 
 def cmd_sample(args) -> int:
@@ -167,34 +176,11 @@ def cmd_sample(args) -> int:
         args._parser.error("--count must be a positive integer")
     if args.ustm and args.kind not in ("gain", "input"):
         args._parser.error("--ustm applies only to --kind gain and input")
-    rng = RngHandle(args.seed)
-    count = args.count
-    kind = args.kind
-    if kind in ("gain", "input", "noiseless-sv"):
-        _require(args, ["T", "M", "N"])
-        dp = derive(ChannelDims(T=args.T, M=args.M, N=args.N))
-        if kind == "gain":
-            draws = sample_gain(dp, rng, count=count, ustm=args.ustm)
-            columns = [f"d{i + 1}" for i in range(dp.M)]
-        elif kind == "noiseless-sv":
-            draws = noiseless_sv_sample(dp, rng, count=count)
-            columns = [f"sv{i + 1}" for i in range(dp.M)]
-        else:
-            draws = sample_input(dp, rng, count=count, ustm=args.ustm)
-            columns = _matrix_columns(dp.T, dp.M)
-    elif kind == "unitary":
-        _require(args, ["T", "M"])
-        draws = sample_isotropic_unitary(args.T, args.M, rng, count=count)
-        columns = _matrix_columns(args.T, args.M)
-    elif kind == "wishart":
-        _require(args, ["m", "n"])
-        draws = sample_wishart(args.m, args.n, args.scale, rng, count=count)
-        columns = _matrix_columns(args.m, args.m)
-    else:  # beta
-        _require(args, ["m", "p", "n"])
-        draws = sample_matrix_beta(args.m, args.p, args.n, rng, count=count)
-        columns = _matrix_columns(args.m, args.m)
-    _emit(args, ["draw"] + columns, _rows(draws))
+    options, prefix, draw = _KINDS[args.kind]
+    missing = [f"--{o}" for o in options if getattr(args, o) is None]
+    if missing:
+        args._parser.error(f"kind '{args.kind}' requires {', '.join(missing)}")
+    _emit(args, *_table(draw(args, RngHandle(args.seed)), prefix))
     return EXIT_OK
 
 
@@ -241,8 +227,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_gain_table)
 
     p = subs.add_parser("sample", help="draw from the random-matrix building blocks")
-    p.add_argument("--kind", required=True,
-                   choices=("gain", "input", "unitary", "wishart", "beta", "noiseless-sv"))
+    p.add_argument("--kind", required=True, choices=tuple(_KINDS))
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--M", type=int, default=None)

@@ -9,6 +9,7 @@ accept a DerivedParams and do not re-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,5 +127,15 @@ def derive(dims: ChannelDims) -> DerivedParams:
 
 
 def rho_from_db(snr_db: float) -> float:
-    """Linear SNR rho from its dB value."""
-    return 10.0 ** (snr_db / 10.0)
+    """Linear SNR rho = 10^(snr_db/10) from its dB value.
+
+    Raises DomainError unless rho is a positive finite float: for NaN,
+    for +-inf, and where 10^(snr_db/10) overflows or underflows to zero.
+    """
+    try:
+        rho = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        rho = math.inf
+    if not 0.0 < rho < math.inf:
+        raise DomainError(f"snr_db must give a positive finite linear SNR, got {snr_db} dB")
+    return rho

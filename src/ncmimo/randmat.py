@@ -48,7 +48,7 @@ def sample_gaussian(m: int, n: int, variance: float, rng: RngHandle,
     """m x n matrix of iid circularly-symmetric CN(0, variance) entries."""
     if m < 1 or n < 1:
         raise DomainError(f"sample_gaussian requires m, n >= 1, got m={m}, n={n}")
-    if variance <= 0:
+    if not variance > 0:
         raise DomainError(f"sample_gaussian requires variance > 0, got {variance}")
     gen = rng.generator
     shape = _shape(m, n, count)

@@ -36,7 +36,7 @@ def log_vandermonde(x: np.ndarray) -> float:
 
 def log_gamma(a: float) -> float:
     """ln Gamma(a) for a > 0."""
-    if a <= 0:
+    if not a > 0:
         raise DomainError(f"log_gamma requires a > 0, got a={a}")
     return float(special.gammaln(a))
 
@@ -51,7 +51,7 @@ def log_gamma_range(a: int, b: int) -> float:
 
 def digamma(a: float) -> float:
     """psi(a) for a > 0."""
-    if a <= 0:
+    if not a > 0:
         raise DomainError(f"digamma requires a > 0, got a={a}")
     return float(special.digamma(a))
 
@@ -63,7 +63,7 @@ def log_multivariate_gamma(m: int, a: float) -> float:
     """
     if m < 1:
         raise DomainError(f"log_multivariate_gamma requires m >= 1, got m={m}")
-    if a <= m - 1:
+    if not a > m - 1:
         raise DomainError(
             f"log_multivariate_gamma requires a > m-1: a={a}, m={m}")
     ks = np.arange(1, m + 1)

@@ -16,7 +16,13 @@ import numpy as np
 from scipy import stats
 
 from .params import ChannelDims, DomainError, derive
-from .randmat import RngHandle, sample_gaussian, sample_matrix_beta, sample_wishart
+from .randmat import (
+    RngHandle,
+    sample_bartlett_factor,
+    sample_gaussian,
+    sample_matrix_beta,
+    sample_wishart,
+)
 from .bstm import noiseless_sv_sample
 
 P_THRESHOLD = 0.01
@@ -124,18 +130,18 @@ def lemma5_suite(n: int | None = None, seed: int = 0) -> list[TestReport]:
 def lemma4_suite(n: int | None = None, seed: int = 0) -> list[TestReport]:
     """Whitened matrix-Beta eigenvalues vs direct Wishart eigenvalues.
 
-    For each (m, p, n): draw an independent scale S ~ W_m(p+n), factor
-    S = U^H U, and compare the eigenvalues of U^H C U (C a matrix-Beta
-    variate) with those of a W_m(p) draw, index by index.
+    For each (m, p, n): draw the Bartlett factor L of an independent scale
+    S = L L^H ~ W_m(p+n), so S = U^H U with U = L^H, and compare the
+    eigenvalues of U^H C U (C a matrix-Beta variate) with those of a
+    W_m(p) draw, index by index.
     """
     draws = suite_size(n, KS_DEFAULT_N)
     rng = RngHandle(seed)
     reports: list[TestReport] = []
     for (m, p, n) in LEMMA4_DEFAULT_CASES:
         rng_s, rng_c, rng_w = rng.spawn(3)
-        s = sample_wishart(m, p + n, 1.0, rng_s, count=draws)
+        ell = sample_bartlett_factor(m, p + n, 1.0, rng_s, count=draws)
         c = sample_matrix_beta(m, p, n, rng_c, count=draws)
-        ell = np.linalg.cholesky(s)  # S = L L^H, U = L^H upper
         recon = ell @ c @ np.conj(np.swapaxes(ell, -1, -2))
         eig_a = np.linalg.eigvalsh(recon)[..., ::-1]
         w = sample_wishart(m, p, 1.0, rng_w, count=draws)

@@ -27,6 +27,8 @@ def test_gain_diagonal_validation():
         GainDiagonal(np.array([[1.0], [0.5]]))  # not a vector
     with pytest.raises(DomainError):
         GainDiagonal(np.array([1.0, -0.5]))  # negative
+    with pytest.raises(DomainError):
+        GainDiagonal(np.array([np.nan, np.nan]))  # neither nonnegative nor ordered
 
 
 def test_gain_is_constant_for_long_blocks():

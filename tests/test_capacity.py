@@ -112,6 +112,15 @@ def test_gain_ratio_undefined_at_low_snr():
         gain_ratio(_dp(2, 1, 1), -40.0)
 
 
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0, math.inf, math.nan])
+def test_snr_without_finite_linear_value_rejected(snr_db):
+    dp = _dp(10, 5, 100)
+    with pytest.raises(DomainError, match="snr_db"):
+        capacity_approx(dp, snr_db)
+    with pytest.raises(DomainError, match="snr_db"):
+        gain_ratio(dp, snr_db)
+
+
 def test_asymptotic_gain_constant_values():
     assert asymptotic_gain_constant(2, 1) == pytest.approx(C_MT_1_2, abs=1e-13)
     assert asymptotic_gain_constant(4, 2) == pytest.approx(C_MT_2_4, abs=1e-13)

@@ -11,9 +11,14 @@ import pytest
 import ncmimo
 from ncmimo import cli
 from ncmimo.capacity import bstm_constant, gain_ratio, ustm_constant
-from ncmimo.bstm import sample_input
+from ncmimo.bstm import noiseless_sv_sample, sample_gain, sample_input
 from ncmimo.params import ChannelDims, derive
-from ncmimo.randmat import RngHandle
+from ncmimo.randmat import (
+    RngHandle,
+    sample_isotropic_unitary,
+    sample_matrix_beta,
+    sample_wishart,
+)
 
 
 def run_cli(capsys, argv):
@@ -190,22 +195,49 @@ def test_sample_beta_columns(capsys):
     assert len(rows) == 2
 
 
+_DP = derive(ChannelDims(T=10, M=5, N=100))
+_DIMS = ["--T", "10", "--M", "5", "--N", "100"]
+# kind -> (options, the library's draw of 7 at the same seed)
+_ROUND_TRIP = {
+    "gain": (_DIMS, lambda rng: sample_gain(_DP, rng, count=7)),
+    "input": (_DIMS, lambda rng: sample_input(_DP, rng, count=7)),
+    "unitary": (["--T", "4", "--M", "2"],
+                lambda rng: sample_isotropic_unitary(4, 2, rng, count=7)),
+    "wishart": (["--m", "3", "--n", "2", "--scale", "2.5"],
+                lambda rng: sample_wishart(3, 2, 2.5, rng, count=7)),
+    "beta": (["--m", "2", "--p", "3", "--n", "2"],
+             lambda rng: sample_matrix_beta(2, 3, 2, rng, count=7)),
+    "noiseless-sv": (_DIMS, lambda rng: noiseless_sv_sample(_DP, rng, count=7)),
+}
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sample_input_round_trips_bit_for_bit(capsys, fmt):
-    code, out, _ = run_cli(capsys, [
-        "sample", "--kind", "input", "--T", "10", "--M", "5", "--N", "100",
-        "--count", "7", "--seed", "4", "--format", fmt])
+@pytest.mark.parametrize("kind", list(_ROUND_TRIP))
+def test_sample_round_trips_bit_for_bit(capsys, kind, fmt):
+    options, draw = _ROUND_TRIP[kind]
+    code, out, _ = run_cli(capsys, ["sample", "--kind", kind, *options,
+                                    "--count", "7", "--seed", "4", "--format", fmt])
     assert code == 0
     if fmt == "csv":
-        rows = [[float(v) for v in row] for row in parse_csv(out)[1]]
+        header, rows = parse_csv(out)
+        rows = [[float(v) for v in row] for row in rows]
     else:
-        rows = json.loads(out)["rows"]
+        doc = json.loads(out)
+        header, rows = doc["meta"]["columns"], doc["rows"]
     got = np.array(rows)
-    x = sample_input(derive(ChannelDims(T=10, M=5, N=100)), RngHandle(4), count=7)
+    x = draw(RngHandle(4))
     assert np.array_equal(got[:, 0], np.arange(7))
-    re_im = got[:, 1:].reshape(7, 10, 5, 2)
-    assert np.array_equal(re_im[..., 0], x.real)
-    assert np.array_equal(re_im[..., 1], x.imag)
+    if np.iscomplexobj(x):
+        _, r, c = x.shape
+        assert header == ["draw"] + [f"{part}_{i}_{j}" for i in range(r) for j in range(c)
+                                     for part in ("re", "im")]
+        re_im = got[:, 1:].reshape(7, r, c, 2)
+        assert np.array_equal(re_im[..., 0], x.real)
+        assert np.array_equal(re_im[..., 1], x.imag)
+    else:
+        prefix = {"gain": "d", "noiseless-sv": "sv"}[kind]
+        assert header == ["draw"] + [f"{prefix}{i + 1}" for i in range(5)]
+        assert np.array_equal(got[:, 1:], x)
 
 
 @pytest.mark.parametrize("argv", [
@@ -222,12 +254,34 @@ def test_sample_ustm_outside_gain_and_input_is_usage_error(capsys, argv):
     assert "--ustm" in cap.err
 
 
-def test_sample_missing_args_is_usage_error(capsys):
+_REQUIRED = {"gain": "TMN", "input": "TMN", "unitary": "TM", "wishart": "mn",
+             "beta": "mpn", "noiseless-sv": "TMN"}
+_VALUES = {"T": "8", "M": "2", "N": "4", "m": "2", "p": "3", "n": "2"}
+
+
+@pytest.mark.parametrize("kind, missing", [
+    (kind, opt) for kind, required in _REQUIRED.items() for opt in required])
+def test_sample_missing_args_is_usage_error(capsys, kind, missing):
+    given = [arg for opt in _REQUIRED[kind] if opt != missing
+             for arg in (f"--{opt}", _VALUES[opt])]
     with pytest.raises(SystemExit) as exc:
-        cli.main(["sample", "--kind", "gain", "--T", "8", "--M", "2"])
+        cli.main(["sample", "--kind", kind, *given])
     assert exc.value.code == 1
-    err = capsys.readouterr().err
-    assert "--N" in err
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert f"ncmimo sample: error: kind '{kind}' requires --{missing}\n" in cap.err
+
+
+@pytest.mark.parametrize("snr_db", ["4000", "-4000", "inf", "-inf", "nan"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_gain_table_invalid_snr_is_domain_error(capsys, snr_db, fmt):
+    # 10^(snr/10) overflows, underflows to 0 or is not a number: the whole
+    # table is refused before any cell is written
+    code, out, err = run_cli(capsys, ["gain-table", "--T-list", "10", "--N-list", "100",
+                                      f"--snr-db={snr_db}", "--format", fmt])
+    assert code == 2
+    assert out == ""
+    assert "ncmimo: error: snr_db" in err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -77,6 +78,11 @@ def test_rho_from_db():
     assert rho_from_db(10.0) == pytest.approx(10.0, rel=1e-15)
     assert rho_from_db(-10.0) == pytest.approx(0.1, rel=1e-15)
     assert rho_from_db(30.0) == pytest.approx(1000.0, rel=1e-15)
+    # 10^(x/10) must be a positive finite float: overflow, underflow to 0,
+    # infinities and NaN are all out of the domain
+    for bad in (4000.0, -4000.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="snr_db"):
+            rho_from_db(bad)
 
 
 def test_check_decreasing():

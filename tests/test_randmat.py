@@ -53,6 +53,8 @@ def test_gaussian_domain():
         sample_gaussian(0, 2, 1.0, RngHandle(0))
     with pytest.raises(DomainError):
         sample_gaussian(2, 2, -1.0, RngHandle(0))
+    with pytest.raises(DomainError):
+        sample_gaussian(1, 2, np.nan, RngHandle(0))
 
 
 def test_wishart_hermitian_psd_and_mean():

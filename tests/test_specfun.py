@@ -34,11 +34,19 @@ def test_log_gamma_domain():
         log_gamma(0.0)
     with pytest.raises(DomainError):
         log_gamma(-2.5)
+    with pytest.raises(DomainError):
+        log_gamma(math.nan)
 
 
 def test_digamma_spot_values():
     assert digamma(10.0) == pytest.approx(PSI_10, abs=1e-14)
     assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-14)
+
+
+def test_digamma_domain():
+    for bad in (0.0, -1.5, math.nan):
+        with pytest.raises(DomainError):
+            digamma(bad)
 
 
 def test_log_multivariate_gamma_values():
@@ -55,6 +63,8 @@ def test_log_multivariate_gamma_domain():
         log_multivariate_gamma(3, 2.0)
     with pytest.raises(DomainError):
         log_multivariate_gamma(0, 1.0)
+    with pytest.raises(DomainError):
+        log_multivariate_gamma(2, math.nan)
 
 
 def test_log_multivariate_gamma_recursion():
