@@ -28,7 +28,7 @@ DRAW_CHUNK = 10_000
 
 @dataclass(frozen=True)
 class GainDiagonal:
-    """Diagonal of the input gain matrix D: nonincreasing, nonnegative."""
+    """Diagonal of the input gain matrix D: nonincreasing, finite, nonnegative."""
 
     d: np.ndarray
 
@@ -36,8 +36,8 @@ class GainDiagonal:
         d = np.asarray(self.d, dtype=float)
         if d.ndim != 1 or d.size < 1:
             raise DomainError(f"GainDiagonal needs a 1-D vector, got shape {d.shape}")
-        if not np.all(d >= 0):
-            raise DomainError("GainDiagonal entries must be nonnegative")
+        if not np.all((0 <= d) & (d < np.inf)):
+            raise DomainError("GainDiagonal entries must be finite and nonnegative")
         if not np.all(np.diff(d) <= 0):
             raise DomainError("GainDiagonal entries must be nonincreasing")
         object.__setattr__(self, "d", d)

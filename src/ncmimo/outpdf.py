@@ -228,6 +228,5 @@ def cond_sv_pdf_limit_log(svn, D: GainDiagonal, dp: DerivedParams) -> float:
     if svn.size != T:
         raise DomainError(f"normalized spectrum must have T={T} entries, got {svn.size}")
     head = check_decreasing(svn[:M], M, "svn leading block")
-    tail = check_decreasing(svn[M:], T - M, "svn trailing block")
     head_log = _sv_log(_kernel_log(head * head, 1.0 / _gain2(D, M), N), head, N)
-    return float(head_log + _gaussian_sv_log(tail, N - M, 1.0))
+    return float(head_log + tail_sv_pdf_log(svn[M:], dp))

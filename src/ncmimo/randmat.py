@@ -2,11 +2,12 @@
 
 Complex Gaussian matrices, the Bartlett factor of the complex Wishart
 and the Wishart drawn through it (including the rank-deficient
-pseudo-Wishart), the complex matrix-variate Beta built from two Wisharts,
-and isotropically distributed truncated unitaries (Haar on the Stiefel
-manifold).  Every sampler takes an RngHandle and is deterministic given
-its seed; an optional count stacks independent draws along a leading
-axis so Monte Carlo loops stay in compiled code.
+pseudo-Wishart), the complex matrix-variate Beta built from the Bartlett
+factors of two independent Wisharts, and isotropically distributed
+truncated unitaries (Haar on the Stiefel manifold).  Every sampler
+takes an RngHandle and is deterministic given its seed; an optional
+count stacks independent draws along a leading axis so Monte Carlo loops
+stay in compiled code.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ def sample_gaussian(m: int, n: int, variance: float, rng: RngHandle,
     """m x n matrix of iid circularly-symmetric CN(0, variance) entries."""
     if m < 1 or n < 1:
         raise DomainError(f"sample_gaussian requires m, n >= 1, got m={m}, n={n}")
-    if not variance > 0:
-        raise DomainError(f"sample_gaussian requires variance > 0, got {variance}")
+    if not 0 < variance < np.inf:
+        raise DomainError(f"sample_gaussian requires finite variance > 0, got {variance}")
     gen = rng.generator
     shape = _shape(m, n, count)
     scale = np.sqrt(variance / 2.0)
@@ -71,8 +72,8 @@ def sample_bartlett_factor(m: int, n: int, scale: float, rng: RngHandle,
     """
     if m < 1 or n < 1:
         raise DomainError(f"sample_bartlett_factor requires m, n >= 1, got m={m}, n={n}")
-    if not scale > 0:
-        raise DomainError(f"sample_bartlett_factor requires scale > 0, got {scale}")
+    if not 0 < scale < np.inf:
+        raise DomainError(f"sample_bartlett_factor requires finite scale > 0, got {scale}")
     k = min(m, n)
     stack = () if count is None else (count,)
     ell = np.zeros(stack + (m, k), dtype=complex)
@@ -84,6 +85,12 @@ def sample_bartlett_factor(m: int, n: int, scale: float, rng: RngHandle,
     return ell
 
 
+def _gram(x: np.ndarray) -> np.ndarray:
+    """x x^H over the last two axes, symmetrized to be exactly Hermitian."""
+    g = x @ np.conj(np.swapaxes(x, -1, -2))
+    return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
+
+
 def sample_wishart(m: int, n: int, scale: float, rng: RngHandle,
                    count: int | None = None) -> np.ndarray:
     """Complex Wishart W_m(n, scale I), the law of B B^H with B an m x n
@@ -91,9 +98,7 @@ def sample_wishart(m: int, n: int, scale: float, rng: RngHandle,
     factor.  n < m is allowed and gives the singular (pseudo-) Wishart of
     rank n.
     """
-    ell = sample_bartlett_factor(m, n, scale, rng, count=count)
-    a = ell @ np.conj(np.swapaxes(ell, -1, -2))
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+    return _gram(sample_bartlett_factor(m, n, scale, rng, count=count))
 
 
 def sample_matrix_beta(m: int, p: int, n: int, rng: RngHandle,
@@ -103,23 +108,23 @@ def sample_matrix_beta(m: int, p: int, n: int, rng: RngHandle,
     C = (T^H)^{-1} A T^{-1} with A ~ Wishart(m, p, I), B ~ Wishart(m, n, I)
     independent and A + B = T^H T, T upper-triangular with positive
     diagonal.  With the standard lower Cholesky A + B = L L^H this is
-    T = L^H, so C = L^{-1} A L^{-H}.  Eigenvalues lie in [0, 1]; when
-    n < m exactly m - n of them equal 1 (the singular Beta).
+    T = L^H, so C = L^{-1} A L^{-H}.  A and B enter only through their
+    Bartlett factors L_A, L_B: A + B = F F^H with F = [L_A L_B], and
+    C = X X^H with X = L^{-1} L_A, one linear solve.
+    Eigenvalues lie in [0, 1]; when n < m exactly m - n of them equal 1
+    (the singular Beta).
     """
     if not p >= m >= 1:
         raise DomainError(f"sample_matrix_beta requires p >= m >= 1, got m={m}, p={p}")
     if n < 1:
         raise DomainError(f"sample_matrix_beta requires n >= 1, got n={n}")
-    a = sample_wishart(m, p, 1.0, rng, count=count)
-    b = sample_wishart(m, n, 1.0, rng, count=count)
+    ell_a = sample_bartlett_factor(m, p, 1.0, rng, count=count)
+    ell_b = sample_bartlett_factor(m, n, 1.0, rng, count=count)
     try:
-        ell = np.linalg.cholesky(a + b)
+        ell = np.linalg.cholesky(_gram(np.concatenate([ell_a, ell_b], axis=-1)))
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"A + B numerically singular in Beta construction: {exc}")
-    x = np.linalg.solve(ell, a)
-    c = np.conj(np.swapaxes(np.linalg.solve(ell, np.conj(np.swapaxes(x, -1, -2))),
-                            -1, -2))
-    return 0.5 * (c + np.conj(np.swapaxes(c, -1, -2)))
+    return _gram(np.linalg.solve(ell, ell_a))
 
 
 def sample_isotropic_unitary(T: int, M: int, rng: RngHandle,

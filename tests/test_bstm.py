@@ -29,6 +29,8 @@ def test_gain_diagonal_validation():
         GainDiagonal(np.array([1.0, -0.5]))  # negative
     with pytest.raises(DomainError):
         GainDiagonal(np.array([np.nan, np.nan]))  # neither nonnegative nor ordered
+    with pytest.raises(DomainError):
+        GainDiagonal(np.array([np.inf, 1.0]))  # not finite
 
 
 def test_gain_is_constant_for_long_blocks():

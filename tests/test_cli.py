@@ -84,12 +84,17 @@ def test_sample_unitary_domain_error_exit_code(capsys):
     assert "T >= M >= 1" in err
 
 
-def test_sample_wishart_domain_error_exit_code(capsys):
-    code, out, err = run_cli(capsys, ["sample", "--kind", "wishart", "--m", "1", "--n", "3",
-                                      "--scale", "-1"])
-    assert code == 2
-    assert out == ""
-    assert "scale > 0" in err
+def test_sample_wishart_domain_error_exit_code(capsys, tmp_path):
+    # an infinite scale would fill every cell with nan
+    target = tmp_path / "wishart.csv"
+    for m, scale in (("1", "-1"), ("2", "inf")):
+        for fmt, out_args in (("csv", []), ("json", []), ("csv", ["--out", str(target)])):
+            code, out, err = run_cli(capsys, ["sample", "--kind", "wishart", "--m", m, "--n", "3",
+                                              "--scale", scale, "--format", fmt] + out_args)
+            assert code == 2
+            assert out == ""
+            assert "scale > 0" in err
+        assert not target.exists()
 
 
 @pytest.mark.parametrize("argv, limit_mb", [
@@ -103,12 +108,14 @@ def test_sample_wishart_domain_error_exit_code(capsys):
       "--count", "50000", "--format", "json"], 300),
 ], ids=["gain", "input-json"])
 def test_sample_peak_memory_is_bounded(tmp_path, argv, limit_mb):
-    # a fresh interpreter reports its own peak RSS (ru_maxrss is in KiB on
-    # Linux); a bare import peaks at about 100 MB
+    # a fresh interpreter reports its own peak RSS, VmHWM in KiB; a bare
+    # import peaks at about 100 MB.  ru_maxrss would not do: Linux carries
+    # it across exec, so the child would inherit the pytest process's peak
     argv = argv + ["--out", str(tmp_path / "sample.out")]
-    script = ("import resource; from ncmimo import cli; "
+    script = ("import re; from ncmimo import cli; "
               f"code = cli.main({argv!r}); "
-              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+              "status = open('/proc/self/status').read(); "
+              r"print(code, re.search(r'VmHWM:\s*(\d+) kB', status).group(1))")
     src = str(Path(ncmimo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

@@ -55,6 +55,8 @@ def test_gaussian_domain():
         sample_gaussian(2, 2, -1.0, RngHandle(0))
     with pytest.raises(DomainError):
         sample_gaussian(1, 2, np.nan, RngHandle(0))
+    with pytest.raises(DomainError):
+        sample_gaussian(1, 2, np.inf, RngHandle(0))
 
 
 def test_wishart_hermitian_psd_and_mean():
@@ -73,7 +75,8 @@ def test_singular_wishart_rank():
     assert np.all(ranks == 2)
 
 
-@pytest.mark.parametrize("m, n, scale", [(1, 3, -1.0), (1, 3, 0.0), (0, 2, 1.0), (2, 0, 1.0)])
+@pytest.mark.parametrize("m, n, scale", [(1, 3, -1.0), (1, 3, 0.0), (1, 3, np.inf), (2, 3, np.inf),
+                                         (0, 2, 1.0), (2, 0, 1.0)])
 def test_wishart_domain(m, n, scale):
     # m = 1 has no Gaussian entry below the diagonal, so the factor checks
     # the scale itself rather than relying on sample_gaussian's check
@@ -203,6 +206,20 @@ def test_matrix_beta_unitary_invariance():
     for i in range(m):
         res = stats.ks_2samp(rotated[:, i], fresh[:, i], method="asymp")
         assert res.pvalue > 0.01
+
+
+@pytest.mark.parametrize("m, p, n", [(3, 4, 2), (3, 4, 1), (5, 5, 95)])
+def test_matrix_beta_matches_two_wishart_construction(m, p, n):
+    # the defining construction on the same stream: A and B in full, the
+    # Cholesky A + B = L L^H, then C = L^{-1} A L^{-H} by two solves
+    rng = RngHandle(9)
+    a = sample_wishart(m, p, 1.0, rng, count=300)
+    b = sample_wishart(m, n, 1.0, rng, count=300)
+    ell = np.linalg.cholesky(a + b)
+    x = np.linalg.solve(ell, a)
+    want = np.conj(np.swapaxes(np.linalg.solve(ell, np.conj(np.swapaxes(x, -1, -2))), -1, -2))
+    got = sample_matrix_beta(m, p, n, RngHandle(9), count=300)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_matrix_beta_domain():
