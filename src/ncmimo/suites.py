@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .params import ChannelDims, ConfluenceError, DomainError, derive, rho_from_db
 from .capacity import asymptotic_gain_constant, gain_limit_sequence
@@ -58,6 +57,7 @@ def stiefel_pdf_oracle(Y: np.ndarray, d: float, snr_db: float) -> float:
     over the isotropic direction reduces (by unitary invariance) to a
     one-dimensional integral over the squared projection u in (0, 1).
     """
+    from scipy import integrate  # local: only quadrature suites pay for it
     Y = np.asarray(Y)
     T, N = Y.shape
     if T != 2:
@@ -90,6 +90,7 @@ def run_pdf_oracle(n: int | None = None, seed: int = 0) -> list[TestReport]:
 
 
 def _quad_mass(fun, lo, hi, **kw) -> float:
+    from scipy import integrate  # local: only quadrature suites pay for it
     val, _ = integrate.quad(fun, lo, hi, limit=200, **kw)
     return val
 
@@ -111,6 +112,7 @@ def run_density_normalization(n: int | None = None, seed: int = 0) -> list[TestR
     1-D Gaussian-type spectra are held to 1e-8, 1-D beta densities to
     1e-6, and the 2-D quadratures to 1e-3.
     """
+    from scipy import integrate  # local: only quadrature suites pay for it
     suite_size(n, None)
     masses = []  # (name, integrated mass, tolerance)
 

@@ -27,6 +27,16 @@ def run_cli(capsys, argv):
     return code, cap.out, cap.err
 
 
+def run_fresh_python(script):
+    """stdout of `script` run in a fresh interpreter that imports ncmimo from
+    this checkout."""
+    src = str(Path(ncmimo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True).stdout
+
+
 def parse_csv(out):
     lines = [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
     header = lines[0].split(",")
@@ -102,28 +112,43 @@ def test_sample_wishart_domain_error_exit_code(capsys, tmp_path):
     (["sample", "--kind", "gain", "--T", "10", "--M", "5", "--N", "100",
       "--count", "100000"], 400),
     # a 44 MB JSON export; joining the encoder's chunks into one payload
-    # string before writing peaks at about 400 MB, writing them as they
-    # come at about 210 MB
+    # string before writing peaks at about 335 MB, writing them as they
+    # come at about 160 MB
     (["sample", "--kind", "input", "--T", "8", "--M", "2", "--N", "4",
       "--count", "50000", "--format", "json"], 300),
 ], ids=["gain", "input-json"])
 def test_sample_peak_memory_is_bounded(tmp_path, argv, limit_mb):
     # a fresh interpreter reports its own peak RSS, VmHWM in KiB; a bare
-    # import peaks at about 100 MB.  ru_maxrss would not do: Linux carries
+    # import peaks at about 57 MB.  ru_maxrss would not do: Linux carries
     # it across exec, so the child would inherit the pytest process's peak
     argv = argv + ["--out", str(tmp_path / "sample.out")]
     script = ("import re; from ncmimo import cli; "
               f"code = cli.main({argv!r}); "
               "status = open('/proc/self/status').read(); "
               r"print(code, re.search(r'VmHWM:\s*(\d+) kB', status).group(1))")
-    src = str(Path(ncmimo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, timeout=120, check=True)
-    code, max_kib = res.stdout.split()
+    code, max_kib = run_fresh_python(script).split()
     assert code == "0"
     assert int(max_kib) * 1024 / 1e6 < limit_mb
+
+
+HEAVY_SCIPY = ("scipy.stats", "scipy.integrate")
+
+
+@pytest.mark.parametrize("script, loaded", [
+    ("import ncmimo", set()),
+    ("from ncmimo import cli; cli.build_parser()", set()),
+    # the controls: a suite that needs a package loads it, so the check can see a load
+    ("from ncmimo import cli; cli.main(['validate', '--suite', 'lemma4', '--n', '200'])",
+     {"scipy.stats"}),
+    ("from ncmimo import cli; cli.main(['validate', '--suite', 'pdf-oracle', '--n', '1'])",
+     {"scipy.integrate"}),
+], ids=["package", "parser", "lemma4", "pdf-oracle"])
+def test_heavy_scipy_loads_only_where_used(script, loaded):
+    script += ("; import json, sys; "
+               f"print(json.dumps([m for m in {HEAVY_SCIPY!r} if m in sys.modules]))")
+    seen = set(json.loads(run_fresh_python(script).splitlines()[-1]))
+    # a control may load more: scipy.stats imports scipy.integrate
+    assert seen >= loaded if loaded else not seen
 
 
 def test_output_is_deterministic(capsys):
