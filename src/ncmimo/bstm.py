@@ -28,12 +28,17 @@ DRAW_CHUNK = 10_000
 
 @dataclass(frozen=True)
 class GainDiagonal:
-    """Diagonal of the input gain matrix D: nonincreasing, finite, nonnegative."""
+    """Diagonal of the input gain matrix D: nonincreasing, finite, nonnegative.
+
+    d is a read-only copy of the vector given, so the validated invariant
+    holds for the life of the instance.
+    """
 
     d: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
+        d = np.array(self.d, dtype=float)
+        d.flags.writeable = False
         if d.ndim != 1 or d.size < 1:
             raise DomainError(f"GainDiagonal needs a 1-D vector, got shape {d.shape}")
         if not np.all((0 <= d) & (d < np.inf)):

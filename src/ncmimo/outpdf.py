@@ -63,7 +63,7 @@ def _scaled_logdet(logmag: np.ndarray) -> float:
     pivoted factorization cannot keep raises ConfluenceError.
     """
     c = logmag.max(axis=1)
-    c[np.isneginf(c)] = 0.0  # a row of zeros stays zero
+    c[c == -np.inf] = 0.0  # a row of zeros stays zero
     sign, ld = np.linalg.slogdet(np.exp(logmag - c[:, None]))
     if sign <= 0:
         raise ConfluenceError(

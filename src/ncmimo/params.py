@@ -42,24 +42,35 @@ _MAX_ROOT = float(np.sqrt(np.finfo(float).max))
 def check_decreasing(x, size: int, label: str) -> np.ndarray:
     """x as a float vector of `size` strictly decreasing positive entries.
 
-    Raises DomainError off that set or when a squared entry overflows, and
-    ConfluenceError when two adjacent squared entries differ by less than
-    REL_GAP_TOL relative to the larger.
+    The checks run in this order, and the first that fails raises:
+    DomainError for a shape other than (size,), for an entry that is not
+    > 0 (NaN and -0.0 included), for entries that do not strictly
+    decrease, and for a first entry whose square overflows; then
+    ConfluenceError when adjacent squared entries p >= q have
+    (p - q) / p < REL_GAP_TOL.  Two adjacent squares that both underflow
+    to 0 are equal, so they are confluent; a single trailing square that
+    underflows to 0 is valid.
+
+    The entries are few, so the checks run on Python floats; the decisions
+    are those of the same IEEE comparisons on the array.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (size,):
         raise DomainError(f"{label}: expected {size} entries, got shape {x.shape}")
-    if not np.all(x > 0):
+    v = x.tolist()
+    if not all(a > 0 for a in v):
         raise DomainError(f"{label}: entries must be strictly positive")
-    if not np.all(x[1:] < x[:-1]):
+    pairs = list(zip(v, v[1:]))
+    if not all(a > b for a, b in pairs):
         raise DomainError(f"{label}: entries must be strictly decreasing")
-    if x.size and x[0] > _MAX_ROOT:
+    if v and v[0] > _MAX_ROOT:
         raise DomainError(f"{label}: squared entries must be finite")
-    x2 = x * x
-    if np.any((x2[:-1] - x2[1:]) / x2[:-1] < REL_GAP_TOL):
-        raise ConfluenceError(
-            f"{label}: relative gap below {REL_GAP_TOL:g}, "
-            "inputs are numerically confluent")
+    for a, b in pairs:
+        p = a * a
+        if p == 0.0 or (p - b * b) / p < REL_GAP_TOL:
+            raise ConfluenceError(
+                f"{label}: relative gap below {REL_GAP_TOL:g}, "
+                "inputs are numerically confluent")
     return x
 
 

@@ -33,6 +33,16 @@ def test_gain_diagonal_validation():
         GainDiagonal(np.array([np.inf, 1.0]))  # not finite
 
 
+def test_gain_diagonal_is_a_read_only_copy():
+    # neither the caller's array nor D.d can break the validated invariant
+    a = np.array([2.0, 1.0])
+    g = GainDiagonal(a)
+    a[0] = -5.0
+    assert g.d.tolist() == [2.0, 1.0]
+    with pytest.raises(ValueError, match="read-only"):
+        g.d[1] = 7.0
+
+
 def test_gain_is_constant_for_long_blocks():
     # T >= M+N: the optimal diagonal degenerates to sqrt(T) exactly
     dp = _dp(8, 2, 4)

@@ -254,6 +254,23 @@ def test_cond_sv_finite_with_underflowing_trailing_square(dims, head):
     assert tiny == pytest.approx(small - 20 * math.log(10.0), abs=1e-9)
 
 
+def test_two_underflowing_squares_are_confluent():
+    # 1e-170 and 1e-171 both square to 0: equal squares, rejected by the
+    # validator itself rather than as a NaN gap that passes with a warning
+    # (-inf from the Jacobian) or as a later loss of the determinant's sign
+    dp = _dp(4, 1, 4)
+    calls = (
+        lambda: svd_jacobian_log(np.array([1.0, 1e-170, 1e-171]), 3, 3),
+        lambda: tail_sv_pdf_log(np.array([1.0, 1e-170, 1e-171]), dp),
+        lambda: cond_sv_pdf_finite_log(np.array([1.1, 0.5, 1e-170, 1e-171]),
+                                       GainDiagonal(np.array([1.3])), dp, 10.0),
+    )
+    with np.errstate(all="raise"):
+        for call in calls:
+            with pytest.raises(ConfluenceError, match="relative gap"):
+                call()
+
+
 # -------------------------------------------------------- spectrum factors
 
 def test_first_sv_value_and_gamma_identity():

@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from ncmimo.params import (
+    _MAX_ROOT,
+    REL_GAP_TOL,
     ChannelDims,
     ConfluenceError,
     DimensionError,
@@ -99,3 +102,113 @@ def test_check_decreasing():
     with pytest.raises(ConfluenceError):
         check_decreasing([1.0, 1.0 - 1e-10], 2, "x")
     check_decreasing([1.0, 1.0 - 1e-9], 2, "x")
+
+
+
+
+def _check_decreasing_reference(x, size, label):
+    # the validator as whole-array numpy reductions, kept as the reference
+    # for the decisions of check_decreasing
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (size,):
+        raise DomainError(f"{label}: expected {size} entries, got shape {x.shape}")
+    if not np.all(x > 0):
+        raise DomainError(f"{label}: entries must be strictly positive")
+    if not np.all(x[1:] < x[:-1]):
+        raise DomainError(f"{label}: entries must be strictly decreasing")
+    if x.size and x[0] > _MAX_ROOT:
+        raise DomainError(f"{label}: squared entries must be finite")
+    x2 = x * x
+    if np.any((x2[:-1] - x2[1:]) / x2[:-1] < REL_GAP_TOL):
+        raise ConfluenceError(
+            f"{label}: relative gap below {REL_GAP_TOL:g}, "
+            "inputs are numerically confluent")
+    return x
+
+
+def _decision(check, x, size):
+    # the exception type and message, or the returned array's dtype, shape and bytes
+    try:
+        y = check(x, size, "x")
+    except ValueError as e:
+        return type(e), str(e)
+    return y.dtype, y.shape, y.tobytes()
+
+
+def _reference_decision(x, size):
+    with np.errstate(invalid="ignore"):
+        want = _decision(_check_decreasing_reference, x, size)
+    if isinstance(want[0], np.dtype) and np.any(np.square(np.frombuffer(want[2])[:-1]) == 0):
+        # the one intended change: where two adjacent squares both underflow
+        # to 0, the reference's gap is 0/0 = NaN, which passed
+        return ConfluenceError, "x: relative gap below 1e-09, inputs are numerically confluent"
+    return want
+
+
+def _edge_inputs():
+    nan, inf = math.nan, math.inf
+    yield [-3.0, 2.0], 2  # the squares decrease, an entry is negative
+    yield [3.0, 3.0, -1.0], 3  # DomainError wins over ConfluenceError
+    yield [1.0, 1.0 - 1e-12, -1.0], 3
+    yield [2.0, 2.0], 2  # the USTM equal-gain diagonal
+    for i in range(4):
+        yield [4.0, 3.0, 2.0, 1.0][:i] + [nan] + [4.0, 3.0, 2.0, 1.0][i + 1:], 4
+    yield from (([inf, 1.0], 2), ([2.0, -inf], 2), ([inf, inf], 2), ([inf], 1),
+                ([1.0, -0.0], 2), ([-0.0], 1), ([1.0, 0.0], 2))
+    yield [float(np.nextafter(_MAX_ROOT, inf)), 1.0], 2
+    yield [_MAX_ROOT, 1.0], 2
+    yield [1e200, 2.0, 1.0], 3
+    yield [], 0
+    yield [2.0], 1
+    yield 2.0, 1  # a scalar is a vector of one entry
+    yield np.geomspace(100.0, 1.0, 100), 100
+    yield [[2.0, 1.0]], 2  # not a vector
+    yield [3.0, 2.0], 3  # wrong size
+    yield [3, 2, 1], 3  # integers convert
+    yield [1.0, 1e-170], 2  # one trailing square underflows: valid
+    yield [1.0, 1e-170, 1e-171], 3  # two underflow: confluent
+
+
+def _gap_inputs():
+    # [1, b] with b stepped by one ulp across squared relative gap 1e-9
+    b = math.sqrt(1.0 - REL_GAP_TOL)
+    return [([1.0, b + k * 2.0 ** -53], 2) for k in range(-40, 41)]
+
+
+def _random_inputs(count):
+    # decreasing bases with entries swapped for special values, repeats and
+    # near-gaps, and sometimes a wrong size, so that every branch is reached
+    rng = np.random.default_rng(2024)
+    specials = (math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0, 1e160, 1e-170, 1e-200)
+    for _ in range(count):
+        n = int(rng.integers(0, 7))
+        x = np.sort(rng.exponential(size=n))[::-1].tolist()
+        for i in range(n):
+            r = rng.random()
+            if r < 0.1:
+                x[i] = specials[rng.integers(len(specials))]
+            elif r < 0.2 and i:
+                x[i] = x[i - 1]
+            elif r < 0.3 and i:
+                x[i] = x[i - 1] * math.sqrt(1.0 - 10.0 ** rng.uniform(-11.0, -7.0))
+        yield x, n if rng.random() < 0.95 else int(rng.integers(0, 7))
+
+
+def test_check_decreasing_matches_reference_decisions():
+    reached = set()
+    for x, size in [*_edge_inputs(), *_gap_inputs(), *_random_inputs(4000)]:
+        want = _reference_decision(x, size)
+        assert _decision(check_decreasing, x, size) == want, (x, size)
+        reached.add("valid" if isinstance(want[0], np.dtype) else re.sub(r"\d", "#", want[1]))
+    assert reached == {
+        "valid",
+        "x: expected # entries, got shape (#,)",
+        "x: expected # entries, got shape (#, #)",
+        "x: entries must be strictly positive",
+        "x: entries must be strictly decreasing",
+        "x: squared entries must be finite",
+        "x: relative gap below #e-##, inputs are numerically confluent",
+    }
+    # the gap inputs fall on both sides of the tolerance
+    assert {_decision(check_decreasing, x, 2)[0] for x, _ in _gap_inputs()} == {
+        np.dtype(float), ConfluenceError}
