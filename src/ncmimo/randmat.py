@@ -12,6 +12,8 @@ stay in compiled code.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .params import DomainError, check_decreasing
@@ -32,6 +34,8 @@ class RngHandle:
 
     def __init__(self, seed: int, _ss: np.random.SeedSequence | None = None):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise DomainError(f"seed must be a non-negative integer, got seed={self.seed}")
         self._ss = np.random.SeedSequence(self.seed) if _ss is None else _ss
         self.generator = np.random.Generator(np.random.PCG64(self._ss))
 
@@ -57,6 +61,14 @@ def sample_gaussian(m: int, n: int, variance: float, rng: RngHandle,
     return scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
 
 
+@lru_cache(maxsize=None)
+def _below_diagonal(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # (rows, cols) of the entries strictly below the diagonal of an m x k matrix
+    rows, cols = np.tril_indices(m, -1, k)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def sample_bartlett_factor(m: int, n: int, scale: float, rng: RngHandle,
                            count: int | None = None) -> np.ndarray:
     """Lower-trapezoidal m x min(m, n) factor L with L L^H ~ W_m(n, scale I).
@@ -79,7 +91,7 @@ def sample_bartlett_factor(m: int, n: int, scale: float, rng: RngHandle,
     ell = np.zeros(stack + (m, k), dtype=complex)
     diag = np.arange(k)
     ell[..., diag, diag] = np.sqrt(scale * rng.generator.standard_gamma(n - diag, stack + (k,)))
-    rows, cols = np.tril_indices(m, -1, k)
+    rows, cols = _below_diagonal(m, k)
     if rows.size:  # m = 1 has no entry below the diagonal
         ell[..., rows, cols] = sample_gaussian(1, rows.size, scale, rng, count=count)[..., 0, :]
     return ell

@@ -107,6 +107,17 @@ def test_sample_wishart_domain_error_exit_code(capsys, tmp_path):
         assert not target.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--kind", "gain", "--T", "4", "--M", "2", "--N", "4", "--seed", "-1"],
+    ["validate", "--suite", "power", "--seed", "-3"],
+], ids=["sample", "validate"])
+def test_negative_seed_is_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"ncmimo: error: seed must be a non-negative integer, got seed={argv[-1]}" in err
+
+
 @pytest.mark.parametrize("argv, limit_mb", [
     # one unchunked stack of full 5 x n Gaussians peaks at about 1,700 MB
     (["sample", "--kind", "gain", "--T", "10", "--M", "5", "--N", "100",

@@ -37,6 +37,12 @@ def test_spawned_streams_differ_and_reproduce():
     assert np.array_equal(a2, sample_gaussian(2, 2, 1.0, r2b))
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_negative_seed_is_domain_error(seed):
+    with pytest.raises(DomainError, match=f"seed={seed}"):
+        RngHandle(seed)
+
+
 def test_gaussian_shapes_and_moments():
     z = sample_gaussian(4, 3, 2.0, RngHandle(0))
     assert z.shape == (4, 3) and z.dtype == np.complex128

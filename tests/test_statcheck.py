@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from ncmimo.params import DomainError
 from ncmimo.statcheck import (
@@ -83,6 +84,93 @@ def test_holm_family_false_alarm_rate():
                   for _ in range(9)]
         alarms += not all(r.passed for r in holm(family))
     assert alarms <= 6
+
+
+def _ks_2samp_oracle(a, b):
+    # the statistic and p-value of the scipy routine ks_two_sample replaces
+    res = stats.ks_2samp(np.ravel(a), np.ravel(b), method="asymp")
+    return float(res.statistic), float(res.pvalue)
+
+
+def _same_bits(x, y):
+    return (np.isnan(x) and np.isnan(y)) or np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def _assert_matches_oracle(a, b):
+    rep = ks_two_sample(a, b)
+    d, p = _ks_2samp_oracle(a, b)
+    assert _same_bits(rep.statistic, d), (rep.statistic, d)
+    assert _same_bits(rep.p_value, p), (rep.p_value, p)
+    return rep
+
+
+def test_ks_matches_scipy_on_random_pairs():
+    # unequal sizes in both orders, shifted alternatives, and one pair in
+    # five rounded so that the pooled sample has ties
+    gen = np.random.Generator(np.random.PCG64(77))
+    for i in range(200):
+        n1, n2 = gen.choice(np.arange(2, 301), size=2, replace=False)
+        a = gen.standard_normal(n1)
+        b = gen.standard_normal(n2) + gen.choice([0.0, 0.1, 0.5, 3.0])
+        if i % 5 == 0:
+            a, b = np.round(a, 1), np.round(b, 1)
+        _assert_matches_oracle(a, b)
+        _assert_matches_oracle(b, a)
+
+
+@pytest.mark.parametrize("a, b, d", [
+    (np.ones(5), np.ones(7), 0.0),                                # constant, equal
+    (np.round(np.linspace(0, 1, 9), 1), np.round(np.linspace(0, 1, 6), 1), None),  # ties
+    (np.arange(5.0), np.arange(10.0) + 100, 1.0),                 # disjoint
+    (np.arange(10.0) + 100, np.arange(5.0), 1.0),
+    (np.array([-np.inf, 0.0, 1.0, np.inf]), np.array([-1.0, 0.5, 2.0]), None),
+    (np.array([np.inf, np.inf]), np.array([-np.inf, -np.inf, 0.0]), 1.0),
+    (np.array([0.3, 1.7]), np.array([0.5, 2.0]), None),           # n = 2
+    (np.array([0.3, 1.7]), np.array([2.5, 3.0]), 1.0),
+], ids=["constant", "ties", "disjoint", "disjoint-swapped", "inf", "all-inf", "n2", "n2-disjoint"])
+def test_ks_matches_scipy_on_edge_cases(a, b, d):
+    rep = _assert_matches_oracle(a, b)
+    if d is not None:
+        assert rep.statistic == d
+
+
+@pytest.mark.parametrize("where", ["a", "b", "both"])
+def test_ks_nan_sample_fails_like_scipy(where):
+    # a NaN anywhere gives statistic and p-value NaN and a failed row;
+    # without the NaN branch, np.sort puts the NaN last and the row passes
+    a = np.linspace(0.0, 1.0, 40)
+    b = np.linspace(0.01, 1.01, 30)
+    if where in ("a", "both"):
+        a[7] = np.nan
+    if where in ("b", "both"):
+        b[0] = np.nan
+    rep = _assert_matches_oracle(a, b)
+    assert np.isnan(rep.statistic) and np.isnan(rep.p_value)
+    assert not rep.passed
+
+
+def test_ks_ravels_2d_inputs():
+    gen = np.random.Generator(np.random.PCG64(78))
+    a = gen.standard_normal((6, 5))
+    b = gen.standard_normal((4, 3)) + 0.3
+    rep = _assert_matches_oracle(a, b)
+    assert rep.n_samples == 30
+
+
+@pytest.mark.parametrize("size, shift, low, high", [
+    (200, 0.05, 0.0, 0.754693),   # n = 100: DMTW
+    (200, 0.12, 0.754693, 4.0),   # Pomeranz
+    (200, 0.30, 4.0, np.inf),     # Miller's 2 * smirnov
+    (400, 0.10, 0.0, np.inf),     # n = 200 > 140: the large-n branch
+])
+def test_ks_matches_scipy_on_each_kolmogn_branch(size, shift, low, high):
+    # the effective size n = round(n1 n2 / (n1 + n2)) and n d^2 select how
+    # kstwo.sf evaluates the tail; every branch must give scipy's bits
+    a = np.arange(size) / size
+    rep = _assert_matches_oracle(a, a + shift)
+    n = round(size / 2)
+    assert low < n * rep.statistic ** 2 <= high
+    assert 1 < n * rep.statistic < n - 1 and rep.statistic < 0.5
 
 
 def test_ks_rejects_tiny_samples():
