@@ -47,10 +47,6 @@ class GainDiagonal:
             raise DomainError("GainDiagonal entries must be nonincreasing")
         object.__setattr__(self, "d", d)
 
-    @property
-    def M(self) -> int:
-        return self.d.size
-
 
 def _gain_entries(dp: DerivedParams, rng: RngHandle, count: int | None,
                   ustm: bool) -> np.ndarray:
@@ -96,28 +92,24 @@ def sample_input(dp: DerivedParams, rng: RngHandle, count: int | None = None,
 
 
 def simulate_channel(X: np.ndarray, N: int, snr_db: float,
-                     rng: RngHandle, count: int | None = None) -> np.ndarray:
-    """One coherence block of the channel: Y = sqrt(rho/M) X H + W.
+                     rng: RngHandle) -> np.ndarray:
+    """Y = sqrt(rho/M) X H + W, one coherence block per T x M block of X.
 
-    H (M x N) and W (T x N) are fresh iid CN(0,1) draws per block.  X may
-    be a single T x M block or a stack of them; a count with a single X
-    repeats that block over independent fading and noise draws.
+    H (M x N) and W (T x N) are fresh iid CN(0,1) draws per block.  A 2-D X
+    draws one block; a 3-D X draws one block per slice X[k].  Every argument
+    is checked before the first draw, so a DomainError leaves rng as it was.
     """
     X = np.asarray(X)
     if N < 1:
         raise DomainError(f"simulate_channel requires N >= 1, got N={N}")
-    if X.ndim == 2:
-        batch = count
-    elif X.ndim == 3:
-        if count is not None and count != X.shape[0]:
-            raise DomainError("count conflicts with the leading axis of X")
-        batch = X.shape[0]
-    else:
-        raise DomainError(f"X must be T x M or stacked, got shape {X.shape}")
+    if X.ndim not in (2, 3) or 0 in X.shape[-2:]:
+        raise DomainError(f"X must be a T x M block or a stack of them, got shape {X.shape}")
     T, M = X.shape[-2], X.shape[-1]
+    gain = np.sqrt(rho_from_db(snr_db) / M)
+    batch = X.shape[0] if X.ndim == 3 else None
     h = sample_gaussian(M, N, 1.0, rng, count=batch)
     w = sample_gaussian(T, N, 1.0, rng, count=batch)
-    return np.sqrt(rho_from_db(snr_db) / M) * (X @ h) + w
+    return gain * (X @ h) + w
 
 
 def noiseless_sv_sample(dp: DerivedParams, rng: RngHandle,

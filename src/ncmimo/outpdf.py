@@ -2,8 +2,8 @@
 
 Everything here is evaluated in the natural-log domain.  The closed
 forms hold only for T <= N; T > N is rejected with a RegimeError (the
-confluent limits those dimensions would need are deliberately out of
-scope, Monte Carlo covers them).  Determinants of matrices with
+confluent limits those dimensions would need are not implemented; ROADMAP
+item 10 plans them).  Determinants of matrices with
 exponentially large or small entries are computed by factoring the
 largest exponent out of every row before a pivoted factorization, which
 keeps every intermediate bounded at any SNR.
@@ -35,7 +35,7 @@ from .params import (
     check_decreasing,
     rho_from_db,
 )
-from .specfun import LOG_PI, log_gamma_range, log_stiefel_volume, log_vandermonde
+from .specfun import LOG_2, LOG_PI, log_gamma_range, log_stiefel_volume, log_vandermonde
 from .bstm import GainDiagonal
 
 
@@ -50,8 +50,9 @@ def _row_powers(T: int, M: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _spectrum_volumes(m: int, n: int) -> float:
-    # ln of the U(m)/phase and S(n, m) volumes the SVD integrates out
-    return log_stiefel_volume(m, m, reduced=True) + log_stiefel_volume(n, m)
+    # ln of the U(m)/phase and S(n, m) volumes the SVD integrates out; the
+    # quotient by the m phases divides |U(m)| = |S(m, m)| by (2 pi)^m
+    return log_stiefel_volume(m, m) - m * (LOG_2 + LOG_PI) + log_stiefel_volume(n, m)
 
 
 def _scaled_logdet(logmag: np.ndarray) -> float:

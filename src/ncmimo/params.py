@@ -85,31 +85,21 @@ class ChannelDims:
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Coherence parameters derived from ChannelDims.
+    """Validated dimensions T, M, N and the parameters derived from them.
 
     P = max(N, T-M), Q = min(N, T-M), rmax = max(N, T), rmin = min(N, T).
     large_mimo is true iff T < M+N, the regime where the optimal input
     gain matrix is genuinely random.
     """
 
-    dims: ChannelDims
+    T: int
+    M: int
+    N: int
     P: int
     Q: int
     rmax: int
     rmin: int
     large_mimo: bool
-
-    @property
-    def T(self) -> int:
-        return self.dims.T
-
-    @property
-    def M(self) -> int:
-        return self.dims.M
-
-    @property
-    def N(self) -> int:
-        return self.dims.N
 
 
 def derive(dims: ChannelDims) -> DerivedParams:
@@ -128,7 +118,7 @@ def derive(dims: ChannelDims) -> DerivedParams:
     if M > N:
         raise DimensionError(f"M <= N required: M={M}, N={N}")
     return DerivedParams(
-        dims=dims,
+        T=T, M=M, N=N,
         P=max(N, T - M),
         Q=min(N, T - M),
         rmax=max(N, T),

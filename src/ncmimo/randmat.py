@@ -44,10 +44,6 @@ class RngHandle:
         return [RngHandle(self.seed, _ss=child) for child in self._ss.spawn(k)]
 
 
-def _shape(m: int, n: int, count: int | None) -> tuple[int, ...]:
-    return (m, n) if count is None else (count, m, n)
-
-
 def sample_gaussian(m: int, n: int, variance: float, rng: RngHandle,
                     count: int | None = None) -> np.ndarray:
     """m x n matrix of iid circularly-symmetric CN(0, variance) entries."""
@@ -56,7 +52,7 @@ def sample_gaussian(m: int, n: int, variance: float, rng: RngHandle,
     if not 0 < variance < np.inf:
         raise DomainError(f"sample_gaussian requires finite variance > 0, got {variance}")
     gen = rng.generator
-    shape = _shape(m, n, count)
+    shape = (m, n) if count is None else (count, m, n)
     scale = np.sqrt(variance / 2.0)
     return scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
 

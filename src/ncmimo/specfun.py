@@ -81,16 +81,9 @@ def expected_logdet_wishart(M: int, N: int) -> float:
     return float(special.digamma(N - idx + 1).sum())
 
 
-def log_stiefel_volume(n: int, m: int, reduced: bool = False) -> float:
-    """ln of the volume of the Stiefel manifold S(n, m).
-
-    |S(n,m)| = 2^m pi^{mn} / Gamma_m(n).  With reduced=True, returns the
-    volume of the submanifold with phase ambiguity removed,
-    |S~(n,m)| = |S(n,m)| / (2 pi)^m.
-    """
+def log_stiefel_volume(n: int, m: int) -> float:
+    """ln of the volume of the Stiefel manifold S(n, m) of n x m matrices
+    with orthonormal columns: |S(n,m)| = 2^m pi^{mn} / Gamma_m(n)."""
     if m < 1 or m > n:
         raise DomainError(f"log_stiefel_volume requires n >= m >= 1, got n={n}, m={m}")
-    v = m * LOG_2 + m * n * LOG_PI - log_multivariate_gamma(m, n)
-    if reduced:
-        v -= m * (LOG_2 + LOG_PI)
-    return v
+    return m * LOG_2 + m * n * LOG_PI - log_multivariate_gamma(m, n)

@@ -43,12 +43,6 @@ class TestReport:
     n_samples: int
     seed: int
 
-    def __str__(self) -> str:
-        state = "pass" if self.passed else "FAIL"
-        p = "-" if self.p_value is None else f"{self.p_value:.4g}"
-        return (f"[{state}] {self.name}: stat={self.statistic:.4g} "
-                f"threshold={self.threshold:g} p={p} n={self.n_samples} seed={self.seed}")
-
 
 def report(name: str, statistic: float, threshold: float, n: int, seed: int,
            p_value: float | None = None, passed: bool | None = None) -> TestReport:
@@ -81,22 +75,24 @@ def ks_two_sample(a, b, name: str = "ks_two_sample", seed: int = 0) -> TestRepor
     tail `kstwo.sf(d, n)` at the rounded effective size
     n = round(n1 n2 / (n1 + n2)) (Simard & L'Ecuyer 2011).  Both equal, bit
     for bit, what `scipy.stats.ks_2samp(a, b, method="asymp")` returns.  A
-    sample that contains NaN gives d = p = NaN, and the row fails.
+    sample that contains NaN gives d = p = NaN, and the row fails.  The
+    report's n_samples is min(n1, n2), the size of the smaller sample.
     """
     from scipy import stats  # local: only validate's KS suites pay for scipy.stats
     a = np.sort(np.asarray(a, dtype=float).ravel())
     b = np.sort(np.asarray(b, dtype=float).ravel())
     if a.size < 2 or b.size < 2:
         raise DomainError("ks_two_sample needs at least two observations per sample")
+    n = min(a.size, b.size)
     if np.isnan(a[-1]) or np.isnan(b[-1]):  # np.sort puts NaN last
-        return report(name, np.nan, P_THRESHOLD, int(a.size), seed, p_value=np.nan)
+        return report(name, np.nan, P_THRESHOLD, n, seed, p_value=np.nan)
     pooled = np.concatenate([a, b])
     gap = (np.searchsorted(a, pooled, side="right") / a.size
            - np.searchsorted(b, pooled, side="right") / b.size)
     d = max(gap.max(), np.clip(-gap.min(), 0, 1))  # a tie keeps +0.0, not clip's -0.0
     size = np.round(float(a.size) * b.size / (a.size + b.size))
     p = np.clip(stats.kstwo.sf(d, size), 0, 1)
-    return report(name, d, P_THRESHOLD, int(a.size), seed, p_value=float(p))
+    return report(name, d, P_THRESHOLD, n, seed, p_value=float(p))
 
 
 def holm(reports: list[TestReport]) -> list[TestReport]:

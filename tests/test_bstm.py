@@ -20,7 +20,7 @@ def _dp(T, M, N):
 
 def test_gain_diagonal_validation():
     g = GainDiagonal(np.array([2.0, 1.0]))
-    assert g.M == 2
+    assert g.d.size == 2
     with pytest.raises(DomainError):
         GainDiagonal(np.array([1.0, 2.0]))  # increasing
     with pytest.raises(DomainError):
@@ -110,9 +110,19 @@ def test_simulate_channel_shapes():
     ys = simulate_channel(xs, 3, 10.0, rng)
     assert ys.shape == (7, 4, 3)
     with pytest.raises(DomainError):
-        simulate_channel(xs, 3, 10.0, rng, count=5)  # count conflicts with batch
-    with pytest.raises(DomainError):
         simulate_channel(x[0], 3, 10.0, rng)  # not a matrix
+    with pytest.raises(DomainError):
+        simulate_channel(np.zeros((4, 0)), 3, 10.0, rng)  # no transmit antenna
+
+
+@pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), 4000.0])
+def test_simulate_channel_checks_snr_before_drawing(snr_db):
+    # a rejected SNR must leave the caller's stream where it was
+    x = np.eye(4, 2)
+    rng = RngHandle(13)
+    with pytest.raises(DomainError):
+        simulate_channel(x, 3, snr_db, rng)
+    assert rng.generator.standard_normal() == RngHandle(13).generator.standard_normal()
 
 
 def test_simulate_channel_snr_scaling():
@@ -123,7 +133,7 @@ def test_simulate_channel_snr_scaling():
     rng = RngHandle(21)
     x = sample_input(dp, rng)
     power_x = float(np.sum(np.abs(x) ** 2))
-    y = simulate_channel(x, 3, 10.0, RngHandle(22), count=40_000)
+    y = simulate_channel(np.broadcast_to(x, (40_000,) + x.shape), 3, 10.0, RngHandle(22))
     got = float(np.mean(np.sum(np.abs(y) ** 2, axis=(-2, -1))))
     rho = 10.0
     want = rho / 2 * 3 * power_x + 4 * 3

@@ -27,12 +27,12 @@ def run_cli(capsys, argv):
     return code, cap.out, cap.err
 
 
-def run_fresh_python(script):
+def run_fresh_python(script, *paths):
     """stdout of `script` run in a fresh interpreter that imports ncmimo from
-    this checkout."""
+    this checkout, with `paths` also on its import path."""
     src = str(Path(ncmimo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        p for p in (src, *paths, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120, check=True).stdout
 
@@ -160,6 +160,17 @@ def test_heavy_scipy_loads_only_where_used(script, loaded):
     seen = set(json.loads(run_fresh_python(script).splitlines()[-1]))
     # a control may load more: scipy.stats imports scipy.integrate
     assert seen >= loaded if loaded else not seen
+
+
+def test_benchmark_binds_to_the_library():
+    # perfbench/worker.py looks up and wraps library functions by name (such
+    # as statcheck.lemma4_suite and cli._emit): a name it uses that the
+    # library drops fails its import, and every wrapper must come off again
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    script = ("import tracer, worker; from ncmimo import cli; emit = cli._emit; "
+              "tr = tracer.Tracer(); worker.instrument(tr); wrapped = cli._emit is not emit; "
+              "print(wrapped, tr.restore(), cli._emit is emit)")
+    assert run_fresh_python(script, bench).split() == ["True", "True", "True"]
 
 
 def test_output_is_deterministic(capsys):

@@ -68,7 +68,7 @@ def test_dims_are_immutable():
     with pytest.raises(dataclasses.FrozenInstanceError):
         dp.P = 7
     with pytest.raises(dataclasses.FrozenInstanceError):
-        dp.dims.T = 9
+        dp.T = 9
 
 
 def test_pass_through_properties():

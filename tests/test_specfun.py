@@ -103,9 +103,6 @@ def test_expected_logdet_domain():
 def test_stiefel_volume():
     # |S(2,1)| is the area of the unit sphere in C^2: 2 pi^2
     assert log_stiefel_volume(2, 1) == pytest.approx(LOG_STIEFEL_2_1, abs=1e-13)
-    # reduced manifold divides one 2*pi phase per column
-    assert (log_stiefel_volume(2, 1, reduced=True)
-            == pytest.approx(LOG_STIEFEL_2_1 - math.log(2 * math.pi), abs=1e-13))
     # square case: volume of U(2) = 2^2 pi^{4} / Gamma_2(2)
     assert log_stiefel_volume(2, 2) == pytest.approx(
         2 * math.log(2.0) + 4 * math.log(math.pi) - LOG_MVGAMMA_2_2, abs=1e-13)
