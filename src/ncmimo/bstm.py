@@ -4,18 +4,16 @@ The optimal input factors as X = Phi D with Phi isotropically distributed
 on the Stiefel manifold and D a random nonnegative diagonal.  For
 T >= M+N the diagonal is deterministic, D = sqrt(T) I (USTM); otherwise
 D = sqrt(TN/Q) D~ where the squared entries of D~ are the ordered
-eigenvalues of a Beta_M(T-M, M+N-T) matrix (BSTM).
+eigenvalues of a Beta_M(T-M, M+N-T) matrix (BSTM).  D is the plain
+vector of its diagonal entries.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .params import DerivedParams, DomainError, rho_from_db
 from .randmat import (
-    RngHandle,
     sample_bartlett_factor,
     sample_gaussian,
     sample_isotropic_unitary,
@@ -26,47 +24,41 @@ from .randmat import (
 DRAW_CHUNK = 10_000
 
 
-@dataclass(frozen=True)
-class GainDiagonal:
-    """Diagonal of the input gain matrix D: nonincreasing, finite, nonnegative.
-
-    d is a read-only copy of the vector given, so the validated invariant
-    holds for the life of the instance.
-    """
-
-    d: np.ndarray
-
-    def __post_init__(self):
-        d = np.array(self.d, dtype=float)
-        d.flags.writeable = False
-        if d.ndim != 1 or d.size < 1:
-            raise DomainError(f"GainDiagonal needs a 1-D vector, got shape {d.shape}")
-        if not np.all((0 <= d) & (d < np.inf)):
-            raise DomainError("GainDiagonal entries must be finite and nonnegative")
-        if not np.all(np.diff(d) <= 0):
-            raise DomainError("GainDiagonal entries must be nonincreasing")
-        object.__setattr__(self, "d", d)
+def GainDiagonal(d) -> np.ndarray:
+    """d, the diagonal of the gain D, checked and returned as a read-only
+    float copy.  DomainError unless it is a nonempty 1-D vector of finite,
+    nonnegative, nonincreasing entries."""
+    d = np.array(d, dtype=float)
+    d.flags.writeable = False
+    if d.ndim != 1 or d.size < 1:
+        raise DomainError(f"GainDiagonal needs a 1-D vector, got shape {d.shape}")
+    if not np.all((0 <= d) & (d < np.inf)):
+        raise DomainError("GainDiagonal entries must be finite and nonnegative")
+    if not np.all(np.diff(d) <= 0):
+        raise DomainError("GainDiagonal entries must be nonincreasing")
+    return d
 
 
-def _gain_entries(dp: DerivedParams, rng: RngHandle, count: int | None,
+def _gain_entries(dp: DerivedParams, rng: np.random.Generator, count: int | None,
                   ustm: bool) -> np.ndarray:
     T, M, N = dp.T, dp.M, dp.N
     k = 1 if count is None else count
     if ustm or not dp.large_mimo:
         d = np.full((k, M), np.sqrt(float(T)))
     else:
+        # max(k, 1): count = 0 makes one empty draw, so the stack is (0, M)
         lam = np.concatenate([
             np.linalg.eigvalsh(sample_matrix_beta(M, T - M, M + N - T, rng,
                                                   count=min(DRAW_CHUNK, k - done)))
-            for done in range(0, k, DRAW_CHUNK)])[..., ::-1]  # descending
+            for done in range(0, max(k, 1), DRAW_CHUNK)])[..., ::-1]  # descending
         # clip eigensolver round-off just outside [0, 1]
         lam = np.clip(lam, 0.0, 1.0)
         d = np.sqrt(T * N / dp.Q) * np.sqrt(lam)
     return d
 
 
-def sample_gain(dp: DerivedParams, rng: RngHandle, count: int | None = None,
-                ustm: bool = False) -> GainDiagonal | np.ndarray:
+def sample_gain(dp: DerivedParams, rng: np.random.Generator, count: int | None = None,
+                ustm: bool = False) -> np.ndarray:
     """Draw the input gain diagonal.
 
     T >= M+N gives the deterministic USTM vector sqrt(T)*(1,..,1); in the
@@ -77,10 +69,10 @@ def sample_gain(dp: DerivedParams, rng: RngHandle, count: int | None = None,
     count, returns a (count, M) array of stacked diagonals instead.
     """
     d = _gain_entries(dp, rng, count, ustm)
-    return GainDiagonal(d=d[0]) if count is None else d
+    return d[0] if count is None else d
 
 
-def sample_input(dp: DerivedParams, rng: RngHandle, count: int | None = None,
+def sample_input(dp: DerivedParams, rng: np.random.Generator, count: int | None = None,
                  ustm: bool = False) -> np.ndarray:
     """Draw X = Phi D, a T x M input block (stacked when count is given)."""
     T, M = dp.T, dp.M
@@ -92,7 +84,7 @@ def sample_input(dp: DerivedParams, rng: RngHandle, count: int | None = None,
 
 
 def simulate_channel(X: np.ndarray, N: int, snr_db: float,
-                     rng: RngHandle) -> np.ndarray:
+                     rng: np.random.Generator) -> np.ndarray:
     """Y = sqrt(rho/M) X H + W, one coherence block per T x M block of X.
 
     H (M x N) and W (T x N) are fresh iid CN(0,1) draws per block.  A 2-D X
@@ -112,7 +104,7 @@ def simulate_channel(X: np.ndarray, N: int, snr_db: float,
     return gain * (X @ h) + w
 
 
-def noiseless_sv_sample(dp: DerivedParams, rng: RngHandle,
+def noiseless_sv_sample(dp: DerivedParams, rng: np.random.Generator,
                         count: int | None = None) -> np.ndarray:
     """Ordered singular values of D H for a fresh (D, H) pair.
 

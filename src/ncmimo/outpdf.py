@@ -1,9 +1,10 @@
 """Closed-form output densities of the block-fading channel.
 
-Everything here is evaluated in the natural-log domain.  The closed
-forms hold only for T <= N; T > N is rejected with a RegimeError (the
-confluent limits those dimensions would need are not implemented; ROADMAP
-item 10 plans them).  Determinants of matrices with
+Everything here is evaluated in the natural-log domain, with the gain
+D given as the vector of its strictly decreasing diagonal.  f(Y | D) and
+the finite-SNR spectrum density hold only for T <= N and raise
+RegimeError otherwise (ROADMAP item 10 plans the confluent limits T > N
+needs); the high-SNR limit holds at any T.  Determinants of matrices with
 exponentially large or small entries are computed by factoring the
 largest exponent out of every row before a pivoted factorization, which
 keeps every intermediate bounded at any SNR.
@@ -36,7 +37,6 @@ from .params import (
     rho_from_db,
 )
 from .specfun import LOG_2, LOG_PI, log_gamma_range, log_stiefel_volume, log_vandermonde
-from .bstm import GainDiagonal
 
 
 # The cached power arrays are shared by every caller: read-only.
@@ -73,8 +73,8 @@ def _scaled_logdet(logmag: np.ndarray) -> float:
     return float(ld + c.sum())
 
 
-def _gain2(D: GainDiagonal, M: int) -> np.ndarray:
-    d = check_decreasing(D.d, M, "gain diagonal")
+def _gain2(D, M: int) -> np.ndarray:
+    d = check_decreasing(D, M, "gain diagonal")
     return d * d
 
 
@@ -142,7 +142,7 @@ def svd_jacobian_log(sv, rmax: int, rmin: int) -> float:
     return _jacobian_log(check_decreasing(sv, rmin, "svd_jacobian_log sv"), rmax)
 
 
-def cond_pdf_y_given_d_log(Y: np.ndarray, D: GainDiagonal, dp: DerivedParams,
+def cond_pdf_y_given_d_log(Y: np.ndarray, D, dp: DerivedParams,
                            snr_db: float) -> float:
     """ln f(Y | D) for the block-fading channel output, T <= N only.
 
@@ -189,7 +189,7 @@ def tail_sv_pdf_log(sv, dp: DerivedParams) -> float:
     return _gaussian_sv_log(sv, dp.rmax - dp.M, 1.0) if R else 0.0
 
 
-def cond_sv_pdf_finite_log(svn, D: GainDiagonal, dp: DerivedParams,
+def cond_sv_pdf_finite_log(svn, D, dp: DerivedParams,
                            snr_db: float) -> float:
     """ln of the finite-SNR conditional density of the normalized spectrum.
 
@@ -212,22 +212,20 @@ def cond_sv_pdf_finite_log(svn, D: GainDiagonal, dp: DerivedParams,
     return _sv_log(_cond_log(raw * raw, d2, rt, N) + 0.5 * M * np.log(rt), raw, N)
 
 
-def cond_sv_pdf_limit_log(svn, D: GainDiagonal, dp: DerivedParams) -> float:
+def cond_sv_pdf_limit_log(svn, D, dp: DerivedParams) -> float:
     """ln of the high-SNR limit of the conditional density of the spectrum.
 
-    Factorizes over the two blocks: the leading M normalized values follow
-    the law of the singular values of D H (H an M x N Gaussian), the
-    spectrum density of the kernel at T = M with nodes 1/d^2; the trailing
-    block follows the pure-noise law of tail_sv_pdf_log.  No cross-block
-    ordering constraint remains in the limit.
+    svn holds the rmin = min(T, N) normalized singular values.  The density
+    factorizes over the two blocks: the leading M follow the law of the
+    singular values of D H (H an M x N Gaussian), the spectrum density of
+    the kernel at T = M with nodes 1/d^2; the trailing rmin - M follow the
+    pure-noise law of tail_sv_pdf_log.  No cross-block ordering constraint
+    remains in the limit, and neither block needs T <= N.
     """
-    T, M, N = dp.T, dp.M, dp.N
-    if T > N:
-        raise RegimeError(
-            f"limit conditional sv pdf requires T <= N, got T={T}, N={N}")
+    M, N = dp.M, dp.N
     svn = np.atleast_1d(np.asarray(svn, dtype=float))
-    if svn.size != T:
-        raise DomainError(f"normalized spectrum must have T={T} entries, got {svn.size}")
+    if svn.size != dp.rmin:
+        raise DomainError(f"normalized spectrum must have {dp.rmin} entries, got {svn.size}")
     head = check_decreasing(svn[:M], M, "svn leading block")
     head_log = _sv_log(_kernel_log(head * head, 1.0 / _gain2(D, M), N), head, N)
     return float(head_log + tail_sv_pdf_log(svn[M:], dp))

@@ -5,9 +5,9 @@ and the Wishart drawn through it (including the rank-deficient
 pseudo-Wishart), the complex matrix-variate Beta built from the Bartlett
 factors of two independent Wisharts, and isotropically distributed
 truncated unitaries (Haar on the Stiefel manifold).  Every sampler
-takes an RngHandle and is deterministic given its seed; an optional
-count stacks independent draws along a leading axis so Monte Carlo loops
-stay in compiled code.
+draws from a numpy Generator, such as RngHandle(seed), and is
+deterministic given its seed; an optional count stacks independent
+draws along a leading axis so Monte Carlo loops stay in compiled code.
 """
 
 from __future__ import annotations
@@ -23,38 +23,26 @@ from .specfun import LOG_PI, log_multivariate_gamma, log_vandermonde
 # collision-resistant stream-split rule via SeedSequence.spawn.
 RNG_ALGORITHM = "pcg64"
 
-# Eigenvalues of a singular Beta draw this close to 1 belong to the
-# deterministic unit block; eigensolver backward error at these sizes is
-# orders of magnitude below this threshold.
-UNIT_EIG_TOL = 1e-8
+
+def RngHandle(seed: int) -> np.random.Generator:
+    """numpy's PCG64 Generator seeded through SeedSequence, the stream of
+    np.random.default_rng(seed); DomainError for a negative seed."""
+    seed = int(seed)
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got seed={seed}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
-class RngHandle:
-    """Seeded random stream with deterministic child-stream splitting."""
-
-    def __init__(self, seed: int, _ss: np.random.SeedSequence | None = None):
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise DomainError(f"seed must be a non-negative integer, got seed={self.seed}")
-        self._ss = np.random.SeedSequence(self.seed) if _ss is None else _ss
-        self.generator = np.random.Generator(np.random.PCG64(self._ss))
-
-    def spawn(self, k: int) -> list["RngHandle"]:
-        """k independent child streams, reproducible from the parent seed."""
-        return [RngHandle(self.seed, _ss=child) for child in self._ss.spawn(k)]
-
-
-def sample_gaussian(m: int, n: int, variance: float, rng: RngHandle,
+def sample_gaussian(m: int, n: int, variance: float, rng: np.random.Generator,
                     count: int | None = None) -> np.ndarray:
     """m x n matrix of iid circularly-symmetric CN(0, variance) entries."""
     if m < 1 or n < 1:
         raise DomainError(f"sample_gaussian requires m, n >= 1, got m={m}, n={n}")
     if not 0 < variance < np.inf:
         raise DomainError(f"sample_gaussian requires finite variance > 0, got {variance}")
-    gen = rng.generator
     shape = (m, n) if count is None else (count, m, n)
     scale = np.sqrt(variance / 2.0)
-    return scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 @lru_cache(maxsize=None)
@@ -65,7 +53,7 @@ def _below_diagonal(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def sample_bartlett_factor(m: int, n: int, scale: float, rng: RngHandle,
+def sample_bartlett_factor(m: int, n: int, scale: float, rng: np.random.Generator,
                            count: int | None = None) -> np.ndarray:
     """Lower-trapezoidal m x min(m, n) factor L with L L^H ~ W_m(n, scale I).
 
@@ -86,7 +74,7 @@ def sample_bartlett_factor(m: int, n: int, scale: float, rng: RngHandle,
     stack = () if count is None else (count,)
     ell = np.zeros(stack + (m, k), dtype=complex)
     diag = np.arange(k)
-    ell[..., diag, diag] = np.sqrt(scale * rng.generator.standard_gamma(n - diag, stack + (k,)))
+    ell[..., diag, diag] = np.sqrt(scale * rng.standard_gamma(n - diag, stack + (k,)))
     rows, cols = _below_diagonal(m, k)
     if rows.size:  # m = 1 has no entry below the diagonal
         ell[..., rows, cols] = sample_gaussian(1, rows.size, scale, rng, count=count)[..., 0, :]
@@ -99,7 +87,7 @@ def _gram(x: np.ndarray) -> np.ndarray:
     return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
 
 
-def sample_wishart(m: int, n: int, scale: float, rng: RngHandle,
+def sample_wishart(m: int, n: int, scale: float, rng: np.random.Generator,
                    count: int | None = None) -> np.ndarray:
     """Complex Wishart W_m(n, scale I), the law of B B^H with B an m x n
     matrix of iid CN(0, scale) entries, drawn as L L^H from its Bartlett
@@ -109,7 +97,7 @@ def sample_wishart(m: int, n: int, scale: float, rng: RngHandle,
     return _gram(sample_bartlett_factor(m, n, scale, rng, count=count))
 
 
-def sample_matrix_beta(m: int, p: int, n: int, rng: RngHandle,
+def sample_matrix_beta(m: int, p: int, n: int, rng: np.random.Generator,
                        count: int | None = None) -> np.ndarray:
     """Complex matrix-variate Beta_m(p, n) draw.
 
@@ -135,7 +123,7 @@ def sample_matrix_beta(m: int, p: int, n: int, rng: RngHandle,
     return _gram(np.linalg.solve(ell, ell_a))
 
 
-def sample_isotropic_unitary(T: int, M: int, rng: RngHandle,
+def sample_isotropic_unitary(T: int, M: int, rng: np.random.Generator,
                              count: int | None = None) -> np.ndarray:
     """T x M isotropically distributed matrix with orthonormal columns.
 

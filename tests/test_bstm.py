@@ -20,7 +20,7 @@ def _dp(T, M, N):
 
 def test_gain_diagonal_validation():
     g = GainDiagonal(np.array([2.0, 1.0]))
-    assert g.d.size == 2
+    assert g.size == 2
     with pytest.raises(DomainError):
         GainDiagonal(np.array([1.0, 2.0]))  # increasing
     with pytest.raises(DomainError):
@@ -34,21 +34,22 @@ def test_gain_diagonal_validation():
 
 
 def test_gain_diagonal_is_a_read_only_copy():
-    # neither the caller's array nor D.d can break the validated invariant
+    # neither the caller's array nor the returned vector can break the
+    # validated invariant
     a = np.array([2.0, 1.0])
     g = GainDiagonal(a)
     a[0] = -5.0
-    assert g.d.tolist() == [2.0, 1.0]
+    assert g.tolist() == [2.0, 1.0]
     with pytest.raises(ValueError, match="read-only"):
-        g.d[1] = 7.0
+        g[1] = 7.0
 
 
 def test_gain_is_constant_for_long_blocks():
     # T >= M+N: the optimal diagonal degenerates to sqrt(T) exactly
     dp = _dp(8, 2, 4)
     g = sample_gain(dp, RngHandle(0))
-    assert isinstance(g, GainDiagonal)
-    assert np.array_equal(g.d, np.full(2, math.sqrt(8.0)))
+    assert g.shape == (2,)
+    assert np.array_equal(g, np.full(2, math.sqrt(8.0)))
     batch = sample_gain(dp, RngHandle(0), count=3)
     assert batch.shape == (3, 2)
     assert np.all(batch == math.sqrt(8.0))
@@ -57,7 +58,7 @@ def test_gain_is_constant_for_long_blocks():
 def test_gain_forced_ustm_flag():
     dp = _dp(4, 2, 3)  # short block, random gain by default
     g = sample_gain(dp, RngHandle(0), ustm=True)
-    assert np.array_equal(g.d, np.full(2, 2.0))
+    assert np.array_equal(g, np.full(2, 2.0))
 
 
 def test_gain_random_in_short_blocks():
@@ -70,6 +71,22 @@ def test_gain_random_in_short_blocks():
     assert np.all(np.diff(d, axis=-1) <= 0)
     # draws are genuinely random here
     assert np.std(d[:, 1]) > 1e-3
+
+
+def test_count_zero_gives_empty_stacks():
+    dp = _dp(4, 2, 3)  # large-MIMO: the gain comes from matrix-Beta draws
+    assert sample_gain(dp, RngHandle(0), count=0).shape == (0, 2)
+    assert sample_input(dp, RngHandle(0), count=0).shape == (0, 4, 2)
+    assert noiseless_sv_sample(dp, RngHandle(0), count=0).shape == (0, 2)
+
+
+def test_samplers_take_any_numpy_generator():
+    # RngHandle(7) is numpy's default PCG64 Generator at seed 7
+    dp = _dp(4, 2, 3)
+    x = sample_input(dp, np.random.default_rng(7), count=5)
+    assert np.array_equal(x, sample_input(dp, RngHandle(7), count=5))
+    y = simulate_channel(x, 3, 20.0, np.random.default_rng(7))
+    assert np.array_equal(y, simulate_channel(x, 3, 20.0, RngHandle(7)))
 
 
 def test_gain_power_budget():
@@ -122,7 +139,7 @@ def test_simulate_channel_checks_snr_before_drawing(snr_db):
     rng = RngHandle(13)
     with pytest.raises(DomainError):
         simulate_channel(x, 3, snr_db, rng)
-    assert rng.generator.standard_normal() == RngHandle(13).generator.standard_normal()
+    assert rng.standard_normal() == RngHandle(13).standard_normal()
 
 
 def test_simulate_channel_snr_scaling():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,22 @@ def test_benchmark_binds_to_the_library():
               "tr = tracer.Tracer(); worker.instrument(tr); wrapped = cli._emit is not emit; "
               "print(wrapped, tr.restore(), cli._emit is emit)")
     assert run_fresh_python(script, bench).split() == ["True", "True", "True"]
+
+
+def test_readme_python_examples_run(capsys):
+    # README's python blocks run in order in one namespace; each print
+    # shows the value in the comment beside it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    shown = re.findall(r"^print\(.*\)\s+#\s*(\S+)$", blocks[0], re.M)
+    assert capsys.readouterr().out.split() == shown
+    assert namespace["x"].shape == (64, 10, 5) and namespace["y"].shape == (64, 10, 100)
+    assert math.isfinite(namespace["logf"])
+    assert all(r.passed for r in namespace["reports"])
 
 
 def test_output_is_deterministic(capsys):

@@ -111,7 +111,7 @@ def test_cond_pdf_matches_stiefel_quadrature_t3m1():
 
 
 def test_cond_pdf_finite_over_random_inputs():
-    gen = RngHandle(23).generator
+    gen = RngHandle(23)
     for _ in range(200):
         T = int(gen.integers(2, 6))
         M = int(gen.integers(1, T // 2 + 1))
@@ -128,7 +128,7 @@ def test_cond_pdf_finite_over_random_inputs():
 # -------------------------------------------------- conditional output pdf
 
 def test_cond_pdf_matches_quadrature():
-    gen = RngHandle(31).generator
+    gen = RngHandle(31)
     dp = _dp(2, 1, 2)
     for _ in range(6):
         snr_db = float(gen.uniform(5.0, 20.0))
@@ -141,7 +141,7 @@ def test_cond_pdf_matches_quadrature():
 
 def test_cond_pdf_unitary_invariance():
     dp = _dp(3, 1, 4)
-    gen = RngHandle(33).generator
+    gen = RngHandle(33)
     y = gen.standard_normal((3, 4)) + 1j * gen.standard_normal((3, 4))
     u = sample_isotropic_unitary(3, 3, RngHandle(34))
     dgain = GainDiagonal(np.array([1.2]))
@@ -202,7 +202,7 @@ def test_equal_gains_rejected_for_m_above_one():
     # the equal-gain USTM diagonal is a confluent limit the closed forms exclude
     dp = _dp(4, 2, 4)
     dgain = GainDiagonal(np.full(2, 2.0))
-    y = RngHandle(3).generator.standard_normal((4, 4)) + 0j
+    y = RngHandle(3).standard_normal((4, 4)) + 0j
     svn = np.array([2.0, 1.5, 0.8, 0.3])
     with pytest.raises(DomainError):
         cond_pdf_y_given_d_log(y, dgain, dp, 20.0)
@@ -351,7 +351,7 @@ def test_cond_sv_finite_consistent_with_matrix_pdf():
     dgain = GainDiagonal(np.array([1.1]))
     snr_db = 12.0
     rt = rho_from_db(snr_db)
-    gen = RngHandle(41).generator
+    gen = RngHandle(41)
     consts = []
     for _ in range(10):
         s2 = float(gen.uniform(0.1, 1.2))
@@ -407,6 +407,31 @@ def test_cond_sv_limit_leading_block_normalizes_two_antennas():
     mass, _ = integrate.dblquad(head, 0.0, 20.0, 0.0, lambda h1: h1,
                                 epsabs=1e-10, epsrel=1e-8)
     assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("dims", [(3, 1, 2), (4, 1, 2)])
+def test_cond_sv_limit_normalizes_for_long_blocks(dims):
+    # T > N: the limit is a density of the rmin = N normalized values
+    dp = _dp(*dims)
+    dgain = np.array([1.3])
+
+    def f(s2, s1):
+        return math.exp(cond_sv_pdf_limit_log(np.array([s1, s2]), dgain, dp))
+
+    mass, _ = integrate.dblquad(f, 0.0, 12.0, 0.0, 12.0, epsabs=1e-10, epsrel=1e-9)
+    assert mass == pytest.approx(1.0, abs=1e-8)
+
+
+def test_conditional_densities_take_a_plain_gain_vector():
+    # a plain vector and the validated GainDiagonal give the same bits
+    dp = _dp(4, 2, 6)
+    d = np.array([2.1, 1.3])
+    svn = np.array([2.4, 1.2, 0.9, 0.4])
+    y = simulate_channel(np.eye(4, 2) * d, 6, 20.0, RngHandle(5))
+    for density in (lambda D: cond_pdf_y_given_d_log(y, D, dp, 20.0),
+                    lambda D: cond_sv_pdf_finite_log(svn, D, dp, 20.0),
+                    lambda D: cond_sv_pdf_limit_log(svn, D, dp)):
+        assert density(d) == density(GainDiagonal(d))
 
 
 def test_every_density_returns_a_python_float():

@@ -7,7 +7,6 @@ from ncmimo.params import DomainError
 from ncmimo.randmat import (
     RNG_ALGORITHM,
     RngHandle,
-    UNIT_EIG_TOL,
     beta_eig_pdf_log,
     sample_bartlett_factor,
     sample_gaussian,
@@ -15,6 +14,11 @@ from ncmimo.randmat import (
     sample_matrix_beta,
     sample_wishart,
 )
+
+# Eigenvalues of a singular Beta draw this close to 1 belong to the
+# deterministic unit block; eigensolver backward error at these sizes is
+# orders of magnitude below this threshold.
+UNIT_EIG_TOL = 1e-8
 
 
 def test_rng_algorithm_id():
@@ -35,6 +39,17 @@ def test_spawned_streams_differ_and_reproduce():
     r1b, r2b = RngHandle(7).spawn(2)
     assert np.array_equal(a1, sample_gaussian(2, 2, 1.0, r1b))
     assert np.array_equal(a2, sample_gaussian(2, 2, 1.0, r2b))
+
+
+def test_spawn_follows_seed_sequence():
+    # children and grandchildren are PCG64 streams of the spawned SeedSequences
+    children, kids = RngHandle(7).spawn(2), np.random.SeedSequence(7).spawn(2)
+    for rng, kid in zip(children, kids):
+        ref = np.random.Generator(np.random.PCG64(kid))
+        assert rng.standard_normal(4).tolist() == ref.standard_normal(4).tolist()
+    grand = children[1].spawn(1)[0]
+    ref = np.random.Generator(np.random.PCG64(kids[1].spawn(1)[0]))
+    assert grand.standard_normal(4).tolist() == ref.standard_normal(4).tolist()
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**70)])
@@ -124,7 +139,7 @@ def _wishart_vs_direct_gram(extra_dof: bool) -> list:
     reports = []
     for (m, n), rng_w, rng_b in zip(BARTLETT_CASES, rngs[::2], rngs[1::2]):
         if extra_dof:
-            rng_w.generator = _ExtraDof(rng_w.generator)
+            rng_w = _ExtraDof(rng_w)
         k = min(m, n)  # the pseudo-Wishart's m - k zero eigenvalues are dropped
         w = sample_wishart(m, n, scale, rng_w, count=draws)
         b = sample_gaussian(m, n, scale, rng_b, count=draws)
