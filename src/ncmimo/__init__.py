@@ -5,9 +5,7 @@ from .params import (
     ChannelDims,
     ConfluenceError,
     DerivedParams,
-    DimensionError,
     DomainError,
-    RegimeError,
     derive,
     rho_from_db,
 )
@@ -58,11 +56,9 @@ __all__ = [
     "ChannelDims",
     "ConfluenceError",
     "DerivedParams",
-    "DimensionError",
     "DomainError",
     "GainDiagonal",
     "RNG_ALGORITHM",
-    "RegimeError",
     "RngHandle",
     "SUITES",
     "TestReport",

@@ -8,8 +8,8 @@ invocation; timing goes to stderr only.  Every `sample` kind is one
 draw and its stacked draw.  An SNR whose linear value is not a positive
 finite float is a domain error.
 
-Exit codes: 0 success, 1 usage error, 2 domain/dimension error,
-3 validation suite failure.
+Exit codes: 0 success, 1 usage error, 2 rejected input (DomainError or
+ConfluenceError), 3 validation suite failure.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from . import __version__
 from .params import (
     ChannelDims,
     ConfluenceError,
-    DimensionError,
     DomainError,
-    RegimeError,
     derive,
     rho_from_db,
 )
@@ -51,7 +49,7 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_VALIDATION = 3
 
-_ERRORS = (DimensionError, DomainError, RegimeError, ConfluenceError)
+_ERRORS = (DomainError, ConfluenceError)
 
 
 class _Parser(argparse.ArgumentParser):

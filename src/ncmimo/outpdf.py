@@ -3,7 +3,7 @@
 Everything here is evaluated in the natural-log domain, with the gain
 D given as the vector of its strictly decreasing diagonal.  f(Y | D) and
 the finite-SNR spectrum density hold only for T <= N and raise
-RegimeError otherwise (ROADMAP item 10 plans the confluent limits T > N
+DomainError otherwise (ROADMAP item 10 plans the confluent limits T > N
 needs); the high-SNR limit holds at any T.  Determinants of matrices with
 exponentially large or small entries are computed by factoring the
 largest exponent out of every row before a pivoted factorization, which
@@ -32,7 +32,6 @@ from .params import (
     ConfluenceError,
     DerivedParams,
     DomainError,
-    RegimeError,
     check_decreasing,
     rho_from_db,
 )
@@ -152,7 +151,7 @@ def cond_pdf_y_given_d_log(Y: np.ndarray, D, dp: DerivedParams,
     """
     T, M, N = dp.T, dp.M, dp.N
     if T > N:
-        raise RegimeError(
+        raise DomainError(
             f"closed-form conditional pdf requires T <= N, got T={T}, N={N}")
     Y = np.asarray(Y)
     if Y.shape != (T, N):
@@ -202,7 +201,7 @@ def cond_sv_pdf_finite_log(svn, D, dp: DerivedParams,
     """
     T, M, N = dp.T, dp.M, dp.N
     if T > N:
-        raise RegimeError(
+        raise DomainError(
             f"closed-form conditional sv pdf requires T <= N, got T={T}, N={N}")
     d2 = _gain2(D, M)
     rt = rho_from_db(snr_db) / M

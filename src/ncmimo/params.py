@@ -15,16 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class DimensionError(ValueError):
-    """Channel dimensions violate the standing assumptions."""
-
-
 class DomainError(ValueError):
     """Argument outside the domain of the requested quantity."""
-
-
-class RegimeError(ValueError):
-    """Requested closed form does not exist in this dimension regime."""
 
 
 class ConfluenceError(ValueError):
@@ -105,18 +97,18 @@ class DerivedParams:
 def derive(dims: ChannelDims) -> DerivedParams:
     """Validate dims and compute the derived parameters.
 
-    Raises DimensionError naming the violated constraint.
+    Raises DomainError naming the violated constraint.
     """
     T, M, N = dims.T, dims.M, dims.N
     for label, v in (("T", T), ("M", M), ("N", N)):
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise DimensionError(f"{label} must be a positive integer, got {v!r}")
+            raise DomainError(f"{label} must be a positive integer, got {v!r}")
     if T < 2:
-        raise DimensionError(f"T >= 2 required, got T={T}")
+        raise DomainError(f"T >= 2 required, got T={T}")
     if M > T // 2:
-        raise DimensionError(f"M <= floor(T/2) required: M={M}, floor(T/2)={T // 2}")
+        raise DomainError(f"M <= floor(T/2) required: M={M}, floor(T/2)={T // 2}")
     if M > N:
-        raise DimensionError(f"M <= N required: M={M}, N={N}")
+        raise DomainError(f"M <= N required: M={M}, N={N}")
     return DerivedParams(
         T=T, M=M, N=N,
         P=max(N, T - M),

@@ -26,10 +26,10 @@ RNG_ALGORITHM = "pcg64"
 
 def RngHandle(seed: int) -> np.random.Generator:
     """numpy's PCG64 Generator seeded through SeedSequence, the stream of
-    np.random.default_rng(seed); DomainError for a negative seed."""
-    seed = int(seed)
-    if seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got seed={seed}")
+    np.random.default_rng(seed); DomainError for a seed that is not a
+    non-negative Python or numpy integer (bool, float and str included)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got seed={seed!r}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -130,6 +130,8 @@ def test_simulate_channel_shapes():
         simulate_channel(x[0], 3, 10.0, rng)  # not a matrix
     with pytest.raises(DomainError):
         simulate_channel(np.zeros((4, 0)), 3, 10.0, rng)  # no transmit antenna
+    with pytest.raises(DomainError, match="N >= 1"):
+        simulate_channel(x, 0, 10.0, rng)  # no receive antenna
 
 
 @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), 4000.0])

@@ -231,6 +231,13 @@ def test_gain_table_bad_cell_becomes_warning(capsys):
     assert "# warning: T=4 N=5 M=3" in out
 
 
+def test_gain_table_bad_list_token_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gain-table", "--T-list", "4,x", "--N-list", "2"])
+    assert exc.value.code == 1
+    assert "expected comma-separated integers, got '4,x'" in capsys.readouterr().err
+
+
 def test_sample_gain_constant_rows(capsys):
     code, out, _ = run_cli(capsys, [
         "sample", "--kind", "gain", "--T", "8", "--M", "2", "--N", "4",

@@ -18,7 +18,6 @@ from ncmimo.params import (
     ChannelDims,
     ConfluenceError,
     DomainError,
-    RegimeError,
     derive,
     rho_from_db,
 )
@@ -79,11 +78,21 @@ def _stiefel_integral_log(s2, lam, N):
 
 
 def test_cond_pdf_matches_stiefel_rank_one_closed_form():
-    for (lam, s1, s2) in ((0.4, 2.0, 0.7), (0.93, 5.0, 0.1), (0.05, 1.3, 1.0)):
+    # (0.5, 800, 1) is Y = diag(sqrt(800), 1) at 0 dB, d = 1: ln f = -412.955
+    for (lam, s1, s2) in ((0.4, 2.0, 0.7), (0.93, 5.0, 0.1), (0.05, 1.3, 1.0),
+                          (0.5, 800.0, 1.0)):
         exact = (math.log((math.exp(lam * s1) - math.exp(lam * s2))
                           / (lam * (s1 - s2)))
                  + log_stiefel_volume(2, 1))
         assert _stiefel_integral_log([s1, s2], [lam], 2) == pytest.approx(exact, abs=1e-12)
+
+
+def test_cond_pdf_raises_where_the_determinant_loses_its_sign():
+    # Y = diag(sqrt(3000), 1) at 0 dB, d = 1: both kernel rows scale to (0, 1),
+    # so the row-scaled determinant cancels to zero; the closed form is -1514.278
+    y = np.diag([math.sqrt(3000.0), 1.0]).astype(complex)
+    with pytest.raises(ConfluenceError, match="lost its sign"):
+        cond_pdf_y_given_d_log(y, np.array([1.0]), _dp(2, 1, 2), 0.0)
 
 
 def test_cond_pdf_matches_stiefel_quadrature_t2m1():
@@ -126,6 +135,11 @@ def test_cond_pdf_finite_over_random_inputs():
 
 
 # -------------------------------------------------- conditional output pdf
+
+def test_stiefel_oracle_is_specialized_to_t2():
+    with pytest.raises(DomainError, match="specialized to T=2"):
+        stiefel_pdf_oracle(np.eye(3, dtype=complex), 1.0, 10.0)
+
 
 def test_cond_pdf_matches_quadrature():
     gen = RngHandle(31)
@@ -215,7 +229,7 @@ def test_equal_gains_rejected_for_m_above_one():
 def test_cond_pdf_errors():
     dp = _dp(4, 2, 3)  # T > N: no closed form
     y = np.zeros((4, 3), dtype=complex)
-    with pytest.raises(RegimeError):
+    with pytest.raises(DomainError, match="requires T <= N"):
         cond_pdf_y_given_d_log(y, GainDiagonal(np.array([1.5, 1.0])), dp, 10.0)
     dp = _dp(2, 1, 2)
     with pytest.raises(DomainError):
@@ -367,13 +381,18 @@ def test_cond_sv_finite_consistent_with_matrix_pdf():
 
 def test_cond_sv_finite_errors():
     dgain = GainDiagonal(np.array([1.5, 1.0]))
-    with pytest.raises(RegimeError):
+    with pytest.raises(DomainError, match="requires T <= N"):
         cond_sv_pdf_finite_log(np.array([2.0, 1.0, 0.5, 0.2]), dgain, _dp(4, 2, 3), 10.0)
     dp = _dp(4, 2, 5)
     with pytest.raises(DomainError):
         cond_sv_pdf_finite_log(np.array([0.5, 1.2, 0.6, 0.4]), dgain, dp, 10.0)
     with pytest.raises(DomainError):
         cond_sv_pdf_finite_log(np.array([2.0, 1.0, 0.5]), dgain, dp, 10.0)
+
+
+def test_cond_sv_limit_errors():
+    with pytest.raises(DomainError, match="must have 2 entries, got 3"):
+        cond_sv_pdf_limit_log(np.array([1.1, 0.6, 0.2]), np.array([1.3]), _dp(2, 1, 2))
 
 
 def test_cond_sv_limit_value_and_factorization():

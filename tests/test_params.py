@@ -1,16 +1,18 @@
+import ast
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncmimo
 from ncmimo.params import (
     _MAX_ROOT,
     REL_GAP_TOL,
     ChannelDims,
     ConfluenceError,
-    DimensionError,
     DomainError,
     check_decreasing,
     derive,
@@ -54,12 +56,12 @@ def test_single_antenna_minimal_block():
     (4, 2, 0),   # N must be positive
 ])
 def test_invalid_dims_rejected(T, M, N):
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         derive(ChannelDims(T=T, M=M, N=N))
 
 
 def test_error_message_names_the_constraint():
-    with pytest.raises(DimensionError, match=r"floor\(T/2\)"):
+    with pytest.raises(DomainError, match=r"floor\(T/2\)"):
         derive(ChannelDims(T=4, M=3, N=4))
 
 
@@ -212,3 +214,24 @@ def test_check_decreasing_matches_reference_decisions():
     # the gap inputs fall on both sides of the tolerance
     assert {_decision(check_decreasing, x, 2)[0] for x, _ in _gap_inputs()} == {
         np.dtype(float), ConfluenceError}
+
+
+def test_every_raise_names_one_of_the_two_error_types():
+    # a rejected input raises DomainError or ConfluenceError; the CLI's usage
+    # path (exit 1) is the one exception
+    usage = {("cli.py", "error", "SystemExit"),
+             ("cli.py", "_int_list", "argparse.ArgumentTypeError")}
+    found = []
+    for path in Path(ncmimo.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # raise -> innermost enclosing function; ast.walk goes outside in
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update({r: fn.name for r in ast.walk(fn) if isinstance(r, ast.Raise)})
+        for r in (r for r in ast.walk(tree) if isinstance(r, ast.Raise)):
+            exc = r.exc.func if isinstance(r.exc, ast.Call) else r.exc
+            name = ast.unparse(exc) if exc is not None else "<re-raise>"
+            site = (path.name, owner.get(r), name)
+            if name not in ("DomainError", "ConfluenceError") and site not in usage:
+                found.append(f"{path.name}:{r.lineno} {name}")
+    assert not found

@@ -58,6 +58,18 @@ def test_negative_seed_is_domain_error(seed):
         RngHandle(seed)
 
 
+@pytest.mark.parametrize("seed", [True, False, np.bool_(True), 2.5, 2.0, np.float64(3.0), "3", None])
+def test_non_integral_seed_is_domain_error(seed):
+    with pytest.raises(DomainError, match="non-negative integer"):
+        RngHandle(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**70, np.int64(3), np.uint8(3), np.uint64(2**63 + 5)])
+def test_integer_seeds_draw_the_default_rng_stream(seed):
+    want = np.random.default_rng(int(seed)).standard_normal(4)
+    assert RngHandle(seed).standard_normal(4).tolist() == want.tolist()
+
+
 def test_gaussian_shapes_and_moments():
     z = sample_gaussian(4, 3, 2.0, RngHandle(0))
     assert z.shape == (4, 3) and z.dtype == np.complex128
@@ -250,6 +262,15 @@ def test_matrix_beta_domain():
         sample_matrix_beta(2, 3, 0, RngHandle(0))  # n < 1
 
 
+def test_matrix_beta_failed_cholesky_is_domain_error(monkeypatch):
+    def singular(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", singular)
+    with pytest.raises(DomainError, match="numerically singular"):
+        sample_matrix_beta(2, 3, 2, RngHandle(0))
+
+
 def test_beta_eig_pdf_values():
     # m = 1 reduces to a scalar Beta(p, n) density
     assert np.exp(beta_eig_pdf_log(1, 2, 3, np.array([0.5]))) == pytest.approx(1.5, abs=1e-13)
@@ -273,3 +294,7 @@ def test_beta_eig_pdf_domain():
         beta_eig_pdf_log(2, 3, 2, np.array([0.5]))  # wrong length
     with pytest.raises(DomainError):
         beta_eig_pdf_log(2, 2, 1, np.array([0.3, 0.2]))  # singular case takes n values
+    with pytest.raises(DomainError, match="p >= m >= 1"):
+        beta_eig_pdf_log(3, 2, 2, np.array([0.5, 0.2]))  # p < m
+    with pytest.raises(DomainError, match="n >= 1"):
+        beta_eig_pdf_log(2, 3, 0, np.array([0.5, 0.2]))  # n < 1

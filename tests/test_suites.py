@@ -66,3 +66,11 @@ def test_power_rejects_two_percent_gain(monkeypatch):
     for r, p in zip(reports, plain):
         want = [abs(1.02 ** 2 * (1.0 + sign * p.statistic) - 1.0) for sign in (1, -1)]
         assert min(abs(r.statistic - w) for w in want) < 1e-12
+
+
+def test_zero_on_error_reads_rejected_inputs_as_zero():
+    pdf = suites._zero_on_error(
+        lambda a2, a1: randmat.beta_eig_pdf_log(2, 2, 2, np.array([a1, a2])))
+    assert pdf(0.2, 0.6) > 0.0
+    assert pdf(0.6, 0.2) == 0.0  # increasing: DomainError
+    assert pdf(0.5 - 1e-12, 0.5) == 0.0  # confluent: ConfluenceError
