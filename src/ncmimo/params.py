@@ -31,6 +31,14 @@ REL_GAP_TOL = 1e-9
 _MAX_ROOT = float(np.sqrt(np.finfo(float).max))
 
 
+def check_nonnegative_int(value, name: str):
+    """value unchanged if it is a non-negative Python or numpy integer;
+    DomainError naming `name` otherwise (bool, float, str and None included)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise DomainError(f"{name} must be a non-negative integer, got {name}={value!r}")
+    return value
+
+
 def check_decreasing(x, size: int, label: str) -> np.ndarray:
     """x as a float vector of `size` strictly decreasing positive entries.
 

@@ -6,8 +6,10 @@ pseudo-Wishart), the complex matrix-variate Beta built from the Bartlett
 factors of two independent Wisharts, and isotropically distributed
 truncated unitaries (Haar on the Stiefel manifold).  Every sampler
 draws from a numpy Generator, such as RngHandle(seed), and is
-deterministic given its seed; an optional count stacks independent
-draws along a leading axis so Monte Carlo loops stay in compiled code.
+deterministic given its seed.  It takes a count, a non-negative integer
+checked (DomainError) before anything is drawn, and returns that many
+independent draws stacked along a leading axis, so Monte Carlo loops
+stay in compiled code.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import DomainError, check_decreasing
+from .params import DomainError, check_decreasing, check_nonnegative_int
 from .specfun import LOG_PI, log_multivariate_gamma, log_vandermonde
 
 # Generator recorded in output metadata; PCG64 has a documented,
@@ -28,19 +30,18 @@ def RngHandle(seed: int) -> np.random.Generator:
     """numpy's PCG64 Generator seeded through SeedSequence, the stream of
     np.random.default_rng(seed); DomainError for a seed that is not a
     non-negative Python or numpy integer (bool, float and str included)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got seed={seed!r}")
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(check_nonnegative_int(seed, "seed")))
 
 
 def sample_gaussian(m: int, n: int, variance: float, rng: np.random.Generator,
-                    count: int | None = None) -> np.ndarray:
-    """m x n matrix of iid circularly-symmetric CN(0, variance) entries."""
+                    count: int) -> np.ndarray:
+    """count x m x n stack of iid circularly-symmetric CN(0, variance) entries."""
+    check_nonnegative_int(count, "count")
     if m < 1 or n < 1:
         raise DomainError(f"sample_gaussian requires m, n >= 1, got m={m}, n={n}")
     if not 0 < variance < np.inf:
         raise DomainError(f"sample_gaussian requires finite variance > 0, got {variance}")
-    shape = (m, n) if count is None else (count, m, n)
+    shape = (count, m, n)
     scale = np.sqrt(variance / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
@@ -54,8 +55,8 @@ def _below_diagonal(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_bartlett_factor(m: int, n: int, scale: float, rng: np.random.Generator,
-                           count: int | None = None) -> np.ndarray:
-    """Lower-trapezoidal m x min(m, n) factor L with L L^H ~ W_m(n, scale I).
+                           count: int) -> np.ndarray:
+    """count lower-trapezoidal m x min(m, n) factors L with L L^H ~ W_m(n, scale I).
 
     Bartlett (1933): L has a real positive diagonal with
     |L_ii|^2 ~ scale Gamma(n - i), i = 0 .. min(m, n) - 1, and iid
@@ -64,20 +65,21 @@ def sample_bartlett_factor(m: int, n: int, scale: float, rng: np.random.Generato
     CN(0, scale) entries, so D L and D B share their singular values for
     any D; n < m gives the rank-n pseudo-Wishart.  One draw costs
     min(m, n) Gamma variates and fewer than m^2 / 2 Gaussian entries,
-    however large n is.
+    however large n is.  The diagonals of the whole stack are drawn
+    first, then the entries below them in np.tril_indices order.
     """
+    check_nonnegative_int(count, "count")
     if m < 1 or n < 1:
         raise DomainError(f"sample_bartlett_factor requires m, n >= 1, got m={m}, n={n}")
     if not 0 < scale < np.inf:
         raise DomainError(f"sample_bartlett_factor requires finite scale > 0, got {scale}")
     k = min(m, n)
-    stack = () if count is None else (count,)
-    ell = np.zeros(stack + (m, k), dtype=complex)
+    ell = np.zeros((count, m, k), dtype=complex)
     diag = np.arange(k)
-    ell[..., diag, diag] = np.sqrt(scale * rng.standard_gamma(n - diag, stack + (k,)))
+    ell[:, diag, diag] = np.sqrt(scale * rng.standard_gamma(n - diag, (count, k)))
     rows, cols = _below_diagonal(m, k)
     if rows.size:  # m = 1 has no entry below the diagonal
-        ell[..., rows, cols] = sample_gaussian(1, rows.size, scale, rng, count=count)[..., 0, :]
+        ell[:, rows, cols] = sample_gaussian(1, rows.size, scale, rng, count)[:, 0, :]
     return ell
 
 
@@ -88,18 +90,18 @@ def _gram(x: np.ndarray) -> np.ndarray:
 
 
 def sample_wishart(m: int, n: int, scale: float, rng: np.random.Generator,
-                   count: int | None = None) -> np.ndarray:
-    """Complex Wishart W_m(n, scale I), the law of B B^H with B an m x n
-    matrix of iid CN(0, scale) entries, drawn as L L^H from its Bartlett
-    factor.  n < m is allowed and gives the singular (pseudo-) Wishart of
-    rank n.
+                   count: int) -> np.ndarray:
+    """count draws of the complex Wishart W_m(n, scale I), the law of B B^H
+    with B an m x n matrix of iid CN(0, scale) entries, drawn as L L^H from
+    its Bartlett factor.  n < m is allowed and gives the singular (pseudo-)
+    Wishart of rank n.
     """
-    return _gram(sample_bartlett_factor(m, n, scale, rng, count=count))
+    return _gram(sample_bartlett_factor(m, n, scale, rng, count))
 
 
 def sample_matrix_beta(m: int, p: int, n: int, rng: np.random.Generator,
-                       count: int | None = None) -> np.ndarray:
-    """Complex matrix-variate Beta_m(p, n) draw.
+                       count: int) -> np.ndarray:
+    """count complex matrix-variate Beta_m(p, n) draws.
 
     C = (T^H)^{-1} A T^{-1} with A ~ Wishart(m, p, I), B ~ Wishart(m, n, I)
     independent and A + B = T^H T, T upper-triangular with positive
@@ -114,8 +116,8 @@ def sample_matrix_beta(m: int, p: int, n: int, rng: np.random.Generator,
         raise DomainError(f"sample_matrix_beta requires p >= m >= 1, got m={m}, p={p}")
     if n < 1:
         raise DomainError(f"sample_matrix_beta requires n >= 1, got n={n}")
-    ell_a = sample_bartlett_factor(m, p, 1.0, rng, count=count)
-    ell_b = sample_bartlett_factor(m, n, 1.0, rng, count=count)
+    ell_a = sample_bartlett_factor(m, p, 1.0, rng, count)
+    ell_b = sample_bartlett_factor(m, n, 1.0, rng, count)
     try:
         ell = np.linalg.cholesky(_gram(np.concatenate([ell_a, ell_b], axis=-1)))
     except np.linalg.LinAlgError as exc:
@@ -124,8 +126,8 @@ def sample_matrix_beta(m: int, p: int, n: int, rng: np.random.Generator,
 
 
 def sample_isotropic_unitary(T: int, M: int, rng: np.random.Generator,
-                             count: int | None = None) -> np.ndarray:
-    """T x M isotropically distributed matrix with orthonormal columns.
+                             count: int) -> np.ndarray:
+    """count isotropically distributed T x M matrices with orthonormal columns.
 
     QR of a complex Gaussian matrix with the phases fixed so that the
     triangular factor has real positive diagonal; without that correction
@@ -133,7 +135,7 @@ def sample_isotropic_unitary(T: int, M: int, rng: np.random.Generator,
     """
     if not T >= M >= 1:
         raise DomainError(f"sample_isotropic_unitary requires T >= M >= 1, got T={T}, M={M}")
-    z = sample_gaussian(T, M, 1.0, rng, count=count)
+    z = sample_gaussian(T, M, 1.0, rng, count)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]

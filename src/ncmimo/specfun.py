@@ -15,7 +15,6 @@ from .params import DomainError
 
 LOG_PI = float(np.log(np.pi))
 LOG_2 = float(np.log(2.0))
-EULER_GAMMA = float(np.euler_gamma)
 
 
 # The cached index arrays are shared by every caller: read-only.
@@ -34,26 +33,12 @@ def log_vandermonde(x: np.ndarray) -> float:
     return float(np.log(x[i] - x[j]).sum())
 
 
-def log_gamma(a: float) -> float:
-    """ln Gamma(a) for a > 0."""
-    if not a > 0:
-        raise DomainError(f"log_gamma requires a > 0, got a={a}")
-    return float(special.gammaln(a))
-
-
 @lru_cache(maxsize=None)
 def log_gamma_range(a: int, b: int) -> float:
     """sum_{i=a}^{b} ln Gamma(i) over integers, 0 for an empty range; a >= 1."""
     if a < 1:
         raise DomainError(f"log_gamma_range requires a >= 1, got a={a}")
     return float(special.gammaln(np.arange(a, b + 1)).sum())
-
-
-def digamma(a: float) -> float:
-    """psi(a) for a > 0."""
-    if not a > 0:
-        raise DomainError(f"digamma requires a > 0, got a={a}")
-    return float(special.digamma(a))
 
 
 def log_multivariate_gamma(m: int, a: float) -> float:

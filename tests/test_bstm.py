@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +12,50 @@ from ncmimo.bstm import (
     simulate_channel,
 )
 from ncmimo.params import ChannelDims, DomainError, derive
-from ncmimo.randmat import RngHandle
+from ncmimo.randmat import (
+    RngHandle,
+    sample_bartlett_factor,
+    sample_gaussian,
+    sample_isotropic_unitary,
+    sample_matrix_beta,
+    sample_wishart,
+)
 
 
 def _dp(T, M, N):
     return derive(ChannelDims(T=T, M=M, N=N))
+
+
+# every sampler, called with a count; (4, 2, 3) is large-MIMO, so the gain draws
+SAMPLERS = {
+    "gaussian": lambda rng, count: sample_gaussian(2, 3, 1.0, rng, count=count),
+    "bartlett": lambda rng, count: sample_bartlett_factor(3, 2, 1.0, rng, count=count),
+    "wishart": lambda rng, count: sample_wishart(2, 3, 1.0, rng, count=count),
+    "beta": lambda rng, count: sample_matrix_beta(2, 3, 2, rng, count=count),
+    "unitary": lambda rng, count: sample_isotropic_unitary(4, 2, rng, count=count),
+    "gain": lambda rng, count: sample_gain(_dp(4, 2, 3), rng, count=count),
+    "gain-ustm": lambda rng, count: sample_gain(_dp(4, 2, 3), rng, count=count, ustm=True),
+    "input": lambda rng, count: sample_input(_dp(4, 2, 3), rng, count=count),
+    "noiseless-sv": lambda rng, count: noiseless_sv_sample(_dp(4, 2, 3), rng, count=count),
+}
+
+
+@pytest.mark.parametrize("count", [-1, 2.5, True, "3", None])
+@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+def test_bad_count_is_domain_error_before_any_draw(kind, count):
+    rng = RngHandle(4)
+    state = rng.bit_generator.state
+    message = f"count must be a non-negative integer, got count={count!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        SAMPLERS[kind](rng, count)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+def test_numpy_integer_count_draws_like_int(kind):
+    want = SAMPLERS[kind](RngHandle(4), 2)
+    for count in (np.int64(2), np.uint8(2)):
+        assert np.array_equal(SAMPLERS[kind](RngHandle(4), count), want)
 
 
 def test_gain_diagonal_validation():
@@ -47,9 +87,9 @@ def test_gain_diagonal_is_a_read_only_copy():
 def test_gain_is_constant_for_long_blocks():
     # T >= M+N: the optimal diagonal degenerates to sqrt(T) exactly
     dp = _dp(8, 2, 4)
-    g = sample_gain(dp, RngHandle(0))
-    assert g.shape == (2,)
-    assert np.array_equal(g, np.full(2, math.sqrt(8.0)))
+    g = sample_gain(dp, RngHandle(0), count=1)
+    assert g.shape == (1, 2)
+    assert np.array_equal(g, np.full((1, 2), math.sqrt(8.0)))
     batch = sample_gain(dp, RngHandle(0), count=3)
     assert batch.shape == (3, 2)
     assert np.all(batch == math.sqrt(8.0))
@@ -57,8 +97,8 @@ def test_gain_is_constant_for_long_blocks():
 
 def test_gain_forced_ustm_flag():
     dp = _dp(4, 2, 3)  # short block, random gain by default
-    g = sample_gain(dp, RngHandle(0), ustm=True)
-    assert np.array_equal(g, np.full(2, 2.0))
+    g = sample_gain(dp, RngHandle(0), count=3, ustm=True)
+    assert np.array_equal(g, np.full((3, 2), 2.0))
 
 
 def test_gain_random_in_short_blocks():
@@ -120,24 +160,24 @@ def test_input_ustm_has_constant_column_norm():
 def test_simulate_channel_shapes():
     dp = _dp(4, 2, 3)
     rng = RngHandle(9)
-    x = sample_input(dp, rng)
-    y = simulate_channel(x, 3, 10.0, rng)
-    assert y.shape == (4, 3)
-    xs = sample_input(dp, rng, count=7)
-    ys = simulate_channel(xs, 3, 10.0, rng)
-    assert ys.shape == (7, 4, 3)
+    x = sample_input(dp, rng, count=7)
+    assert simulate_channel(x, 3, 10.0, rng).shape == (7, 4, 3)
+    assert simulate_channel(x[:0], 3, 10.0, rng).shape == (0, 4, 3)
+    state = rng.bit_generator.state
+    for bad in (x[0], x[0, 0], x[None]):  # one block, one row, a 4-D stack
+        with pytest.raises(DomainError, match="stack"):
+            simulate_channel(bad, 3, 10.0, rng)
     with pytest.raises(DomainError):
-        simulate_channel(x[0], 3, 10.0, rng)  # not a matrix
-    with pytest.raises(DomainError):
-        simulate_channel(np.zeros((4, 0)), 3, 10.0, rng)  # no transmit antenna
+        simulate_channel(np.zeros((1, 4, 0)), 3, 10.0, rng)  # no transmit antenna
     with pytest.raises(DomainError, match="N >= 1"):
         simulate_channel(x, 0, 10.0, rng)  # no receive antenna
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), 4000.0])
 def test_simulate_channel_checks_snr_before_drawing(snr_db):
     # a rejected SNR must leave the caller's stream where it was
-    x = np.eye(4, 2)
+    x = np.eye(4, 2)[None]
     rng = RngHandle(13)
     with pytest.raises(DomainError):
         simulate_channel(x, 3, snr_db, rng)
@@ -150,9 +190,9 @@ def test_simulate_channel_snr_scaling():
     # E tr Y Y^H = (rho/M) * N * tr(X X^H) + T N
     dp = _dp(4, 2, 3)
     rng = RngHandle(21)
-    x = sample_input(dp, rng)
+    x = sample_input(dp, rng, count=1)
     power_x = float(np.sum(np.abs(x) ** 2))
-    y = simulate_channel(np.broadcast_to(x, (40_000,) + x.shape), 3, 10.0, RngHandle(22))
+    y = simulate_channel(np.broadcast_to(x, (40_000,) + x.shape[1:]), 3, 10.0, RngHandle(22))
     got = float(np.mean(np.sum(np.abs(y) ** 2, axis=(-2, -1))))
     rho = 10.0
     want = rho / 2 * 3 * power_x + 4 * 3

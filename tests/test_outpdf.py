@@ -157,7 +157,7 @@ def test_cond_pdf_unitary_invariance():
     dp = _dp(3, 1, 4)
     gen = RngHandle(33)
     y = gen.standard_normal((3, 4)) + 1j * gen.standard_normal((3, 4))
-    u = sample_isotropic_unitary(3, 3, RngHandle(34))
+    u = sample_isotropic_unitary(3, 3, RngHandle(34), count=1)[0]
     dgain = GainDiagonal(np.array([1.2]))
     a = cond_pdf_y_given_d_log(y, dgain, dp, 12.0)
     b = cond_pdf_y_given_d_log(u @ y, dgain, dp, 12.0)
@@ -205,8 +205,8 @@ def test_cond_pdf_matches_mpmath_to_160db(dims, d):
     dgain = GainDiagonal(np.array(d))
     for snr_db in range(20, 161, 20):
         rng = RngHandle(7)
-        phi = sample_isotropic_unitary(T, M, rng)
-        y = simulate_channel(phi * np.array(d), N, float(snr_db), rng)
+        phi = sample_isotropic_unitary(T, M, rng, count=1)
+        y = simulate_channel(phi * np.array(d), N, float(snr_db), rng)[0]
         s2 = np.linalg.svd(y, compute_uv=False) ** 2
         got = cond_pdf_y_given_d_log(y, dgain, dp, float(snr_db))
         assert got == pytest.approx(_mp_cond_pdf_log(s2, d, snr_db, N), abs=1e-10), snr_db
@@ -446,7 +446,7 @@ def test_conditional_densities_take_a_plain_gain_vector():
     dp = _dp(4, 2, 6)
     d = np.array([2.1, 1.3])
     svn = np.array([2.4, 1.2, 0.9, 0.4])
-    y = simulate_channel(np.eye(4, 2) * d, 6, 20.0, RngHandle(5))
+    y = simulate_channel(np.eye(4, 2)[None] * d, 6, 20.0, RngHandle(5))[0]
     for density in (lambda D: cond_pdf_y_given_d_log(y, D, dp, 20.0),
                     lambda D: cond_sv_pdf_finite_log(svn, D, dp, 20.0),
                     lambda D: cond_sv_pdf_limit_log(svn, D, dp)):
@@ -457,7 +457,7 @@ def test_every_density_returns_a_python_float():
     dp = _dp(4, 2, 6)
     dgain = GainDiagonal(np.array([2.1, 1.3]))
     svn = np.array([2.4, 1.2, 0.9, 0.4])
-    y = simulate_channel(np.eye(4, 2) * np.array([2.1, 1.3]), 6, 20.0, RngHandle(5))
+    y = simulate_channel(np.eye(4, 2)[None] * np.array([2.1, 1.3]), 6, 20.0, RngHandle(5))[0]
     values = (
         cond_pdf_y_given_d_log(y, dgain, dp, 20.0),
         cond_sv_pdf_finite_log(svn, dgain, dp, 20.0),

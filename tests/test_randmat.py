@@ -33,12 +33,12 @@ def test_same_seed_same_stream():
 
 def test_spawned_streams_differ_and_reproduce():
     r1, r2 = RngHandle(7).spawn(2)
-    a1 = sample_gaussian(2, 2, 1.0, r1)
-    a2 = sample_gaussian(2, 2, 1.0, r2)
+    a1 = sample_gaussian(2, 2, 1.0, r1, count=1)
+    a2 = sample_gaussian(2, 2, 1.0, r2, count=1)
     assert not np.allclose(a1, a2)
     r1b, r2b = RngHandle(7).spawn(2)
-    assert np.array_equal(a1, sample_gaussian(2, 2, 1.0, r1b))
-    assert np.array_equal(a2, sample_gaussian(2, 2, 1.0, r2b))
+    assert np.array_equal(a1, sample_gaussian(2, 2, 1.0, r1b, count=1))
+    assert np.array_equal(a2, sample_gaussian(2, 2, 1.0, r2b, count=1))
 
 
 def test_spawn_follows_seed_sequence():
@@ -71,8 +71,8 @@ def test_integer_seeds_draw_the_default_rng_stream(seed):
 
 
 def test_gaussian_shapes_and_moments():
-    z = sample_gaussian(4, 3, 2.0, RngHandle(0))
-    assert z.shape == (4, 3) and z.dtype == np.complex128
+    z = sample_gaussian(4, 3, 2.0, RngHandle(0), count=1)
+    assert z.shape == (1, 4, 3) and z.dtype == np.complex128
     z = sample_gaussian(4, 3, 2.0, RngHandle(0), count=30_000)
     assert z.shape == (30_000, 4, 3)
     assert abs(z.mean()) < 0.01
@@ -83,13 +83,43 @@ def test_gaussian_shapes_and_moments():
 
 def test_gaussian_domain():
     with pytest.raises(DomainError):
-        sample_gaussian(0, 2, 1.0, RngHandle(0))
+        sample_gaussian(0, 2, 1.0, RngHandle(0), count=1)
     with pytest.raises(DomainError):
-        sample_gaussian(2, 2, -1.0, RngHandle(0))
+        sample_gaussian(2, 2, -1.0, RngHandle(0), count=1)
     with pytest.raises(DomainError):
-        sample_gaussian(1, 2, np.nan, RngHandle(0))
+        sample_gaussian(1, 2, np.nan, RngHandle(0), count=1)
     with pytest.raises(DomainError):
-        sample_gaussian(1, 2, np.inf, RngHandle(0))
+        sample_gaussian(1, 2, np.inf, RngHandle(0), count=1)
+
+
+@pytest.mark.parametrize("m, n, variance, count", [(4, 3, 2.0, 5), (1, 7, 0.5, 1), (3, 3, 1.0, 0)])
+def test_gaussian_stream_layout(m, n, variance, count):
+    # the real parts of the whole stack first, then the imaginary parts,
+    # each in C order: numpy's own layout, identical on every platform
+    g = np.random.default_rng(11)
+    want = np.sqrt(variance / 2) * (g.standard_normal((count, m, n))
+                                    + 1j * g.standard_normal((count, m, n)))
+    got = sample_gaussian(m, n, variance, np.random.default_rng(11), count)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m, n, count", [(3, 5, 4), (4, 2, 3), (1, 3, 2), (3, 1, 2),
+                                         (5, 95, 2), (3, 4, 0)])
+def test_bartlett_factor_stream_layout(m, n, count):
+    # the diagonals of the whole stack first, as scaled Gamma(n - i) variates,
+    # then the below-diagonal Gaussians in np.tril_indices order
+    scale, k = 2.0, min(m, n)
+    g = np.random.default_rng(12)
+    want = np.zeros((count, m, k), dtype=complex)
+    i = np.arange(k)
+    want[:, i, i] = np.sqrt(scale * g.standard_gamma(n - i, (count, k)))
+    rows, cols = np.tril_indices(m, -1, k)
+    if rows.size:
+        want[:, rows, cols] = np.sqrt(scale / 2) * (
+            g.standard_normal((count, 1, rows.size))
+            + 1j * g.standard_normal((count, 1, rows.size)))[:, 0, :]
+    got = sample_bartlett_factor(m, n, scale, np.random.default_rng(12), count)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_wishart_hermitian_psd_and_mean():
@@ -114,7 +144,7 @@ def test_wishart_domain(m, n, scale):
     # m = 1 has no Gaussian entry below the diagonal, so the factor checks
     # the scale itself rather than relying on sample_gaussian's check
     with pytest.raises(DomainError):
-        sample_wishart(m, n, scale, RngHandle(0))
+        sample_wishart(m, n, scale, RngHandle(0), count=1)
 
 
 def test_bartlett_factor_shape():
@@ -233,7 +263,7 @@ def test_matrix_beta_unitary_invariance():
     m, p, n = 2, 3, 2
     r1, r2, r3 = RngHandle(8).spawn(3)
     c = sample_matrix_beta(m, p, n, r1, count=6_000)
-    u = sample_isotropic_unitary(m, m, r2)
+    u = sample_isotropic_unitary(m, m, r2, count=1)[0]
     rotated = np.linalg.eigvalsh(u @ c @ np.conj(u.T))
     fresh = np.linalg.eigvalsh(sample_matrix_beta(m, p, n, r3, count=6_000))
     for i in range(m):
@@ -257,9 +287,9 @@ def test_matrix_beta_matches_two_wishart_construction(m, p, n):
 
 def test_matrix_beta_domain():
     with pytest.raises(DomainError):
-        sample_matrix_beta(3, 2, 2, RngHandle(0))  # p < m
+        sample_matrix_beta(3, 2, 2, RngHandle(0), count=1)  # p < m
     with pytest.raises(DomainError):
-        sample_matrix_beta(2, 3, 0, RngHandle(0))  # n < 1
+        sample_matrix_beta(2, 3, 0, RngHandle(0), count=1)  # n < 1
 
 
 def test_matrix_beta_failed_cholesky_is_domain_error(monkeypatch):
@@ -268,7 +298,7 @@ def test_matrix_beta_failed_cholesky_is_domain_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", singular)
     with pytest.raises(DomainError, match="numerically singular"):
-        sample_matrix_beta(2, 3, 2, RngHandle(0))
+        sample_matrix_beta(2, 3, 2, RngHandle(0), count=1)
 
 
 def test_beta_eig_pdf_values():

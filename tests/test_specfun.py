@@ -2,51 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from ncmimo.params import DomainError
 from ncmimo.specfun import (
-    EULER_GAMMA,
-    digamma,
     expected_logdet_wishart,
-    log_gamma,
     log_gamma_range,
     log_multivariate_gamma,
     log_stiefel_volume,
 )
 
 # Reference values computed independently at 50-digit precision.
-LOG_GAMMA_HALF = 0.57236494292470009
-PSI_10 = 2.2517525890667211
 LOG_MVGAMMA_2_2 = 1.1447298858494002
 LOG_MVGAMMA_3_45 = 7.3735827012106361
 ELOGDET_2_3 = 1.3455686701969343
 LOG_STIEFEL_2_1 = 2.9826069522587457
-
-
-def test_log_gamma_spot_values():
-    assert log_gamma(0.5) == pytest.approx(LOG_GAMMA_HALF, abs=1e-14)
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-
-
-def test_log_gamma_domain():
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
-    with pytest.raises(DomainError):
-        log_gamma(-2.5)
-    with pytest.raises(DomainError):
-        log_gamma(math.nan)
-
-
-def test_digamma_spot_values():
-    assert digamma(10.0) == pytest.approx(PSI_10, abs=1e-14)
-    assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-14)
-
-
-def test_digamma_domain():
-    for bad in (0.0, -1.5, math.nan):
-        with pytest.raises(DomainError):
-            digamma(bad)
 
 
 def test_log_multivariate_gamma_values():
@@ -54,7 +24,7 @@ def test_log_multivariate_gamma_values():
     assert log_multivariate_gamma(2, 2) == pytest.approx(LOG_MVGAMMA_2_2, abs=1e-13)
     assert log_multivariate_gamma(3, 4.5) == pytest.approx(LOG_MVGAMMA_3_45, abs=1e-13)
     # m = 1 reduces to the ordinary log-gamma
-    assert log_multivariate_gamma(1, 3.25) == pytest.approx(log_gamma(3.25), abs=1e-14)
+    assert log_multivariate_gamma(1, 3.25) == pytest.approx(gammaln(3.25), abs=1e-14)
 
 
 def test_log_multivariate_gamma_domain():
@@ -72,14 +42,14 @@ def test_log_multivariate_gamma_recursion():
     for m in range(2, 6):
         for a in (m, m + 0.5, m + 3, m + 7.25):
             lhs = log_multivariate_gamma(m, a)
-            rhs = ((m - 1) * math.log(math.pi) + log_gamma(a - m + 1)
+            rhs = ((m - 1) * math.log(math.pi) + gammaln(a - m + 1)
                    + log_multivariate_gamma(m - 1, a))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_expected_logdet_wishart_values():
     assert expected_logdet_wishart(2, 3) == pytest.approx(ELOGDET_2_3, abs=1e-13)
-    assert expected_logdet_wishart(1, 1) == pytest.approx(-EULER_GAMMA, abs=1e-14)
+    assert expected_logdet_wishart(1, 1) == pytest.approx(-np.euler_gamma, abs=1e-14)
 
 
 def test_expected_logdet_two_forms_agree():
@@ -88,7 +58,7 @@ def test_expected_logdet_two_forms_agree():
     for M in range(1, 6):
         for N in range(M, 41):
             a = expected_logdet_wishart(M, N)
-            b = sum(-EULER_GAMMA + sum(1.0 / j for j in range(1, N - i + 1))
+            b = sum(-np.euler_gamma + sum(1.0 / j for j in range(1, N - i + 1))
                     for i in range(1, M + 1))
             assert a == pytest.approx(b, abs=1e-12)
 
@@ -111,20 +81,6 @@ def test_stiefel_volume():
 def test_stiefel_volume_domain():
     with pytest.raises(DomainError):
         log_stiefel_volume(1, 2)
-
-
-def test_digamma_recurrence_grid():
-    # psi(x + 1) = psi(x) + 1/x
-    xs = np.arange(1, 81) * 0.25
-    for x in xs:
-        assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, abs=1e-12)
-
-
-def test_log_gamma_recurrence_grid():
-    # ln Gamma(x + 1) = ln Gamma(x) + ln x
-    xs = np.arange(1, 81) * 0.25
-    for x in xs:
-        assert log_gamma(x + 1.0) == pytest.approx(log_gamma(x) + math.log(x), abs=1e-12)
 
 
 def test_log_gamma_range():
