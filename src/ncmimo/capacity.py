@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .params import ChannelDims, DerivedParams, DomainError, derive, rho_from_db
 from .specfun import expected_logdet_wishart, log_multivariate_gamma
@@ -35,8 +34,8 @@ class CapacityBreakdown:
 
 
 def _prelog(T: int, M: int) -> float:
-    # exact rational M(1 - M/T) = M(T - M)/T, converted once
-    return float(Fraction(M * (T - M), T))
+    # M(1 - M/T) as one int/int division, which Python rounds correctly
+    return M * (T - M) / T
 
 
 def bstm_constant(dp: DerivedParams) -> CapacityBreakdown:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import xlogy
 
 from .params import (
     ConfluenceError,
@@ -35,7 +34,7 @@ from .params import (
     check_decreasing,
     rho_from_db,
 )
-from .specfun import LOG_2, LOG_PI, log_gamma_range, log_stiefel_volume, log_vandermonde
+from .specfun import LOG_2, LOG_PI, log_gamma_range, log_stiefel_volume, log_vandermonde, special
 
 
 # The cached power arrays are shared by every caller: read-only.
@@ -95,7 +94,7 @@ def _kernel_log(s2: np.ndarray, mu: np.ndarray, N: int) -> float:
     logmag = np.empty((T, T))
     logmag[:M] = -mu[:, None] * s2
     # xlogy keeps the power-0 row at 0 * ln 0 = 0 where a tiny s2 underflows
-    logmag[M:] = xlogy(_row_powers(T, M)[:, None], s2) - s2
+    logmag[M:] = special().xlogy(_row_powers(T, M)[:, None], s2) - s2
     return float(
         -N * T * LOG_PI
         + log_gamma_range(T - M + 1, T)

@@ -2,6 +2,12 @@
 
 All values are natural logs (nats).  The multivariate gamma here is the
 complex one: Gamma_m(a) = pi^{m(m-1)/2} prod_{k=1}^m Gamma(a-k+1).
+
+scipy.special is imported by the first special-function evaluation, not
+with the package: the samplers evaluate none, so `sample` and
+sampling-only use of the library never load it.  special() hands out the
+module and is cached, and the functions here that call it are memoized,
+so only the first call pays for the import.
 """
 
 from __future__ import annotations
@@ -9,12 +15,18 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .params import DomainError
 
 LOG_PI = float(np.log(np.pi))
 LOG_2 = float(np.log(2.0))
+
+
+@lru_cache(maxsize=None)
+def special():
+    """The scipy.special module, imported on the first call."""
+    from scipy import special  # local: only special-function evaluations pay for it
+    return special
 
 
 # The cached index arrays are shared by every caller: read-only.
@@ -38,9 +50,10 @@ def log_gamma_range(a: int, b: int) -> float:
     """sum_{i=a}^{b} ln Gamma(i) over integers, 0 for an empty range; a >= 1."""
     if a < 1:
         raise DomainError(f"log_gamma_range requires a >= 1, got a={a}")
-    return float(special.gammaln(np.arange(a, b + 1)).sum())
+    return float(special().gammaln(np.arange(a, b + 1)).sum())
 
 
+@lru_cache(maxsize=None)
 def log_multivariate_gamma(m: int, a: float) -> float:
     """ln Gamma_m(a), complex multivariate gamma of dimension m.
 
@@ -52,9 +65,10 @@ def log_multivariate_gamma(m: int, a: float) -> float:
         raise DomainError(
             f"log_multivariate_gamma requires a > m-1: a={a}, m={m}")
     ks = np.arange(1, m + 1)
-    return float(m * (m - 1) / 2 * LOG_PI + special.gammaln(a - ks + 1).sum())
+    return float(m * (m - 1) / 2 * LOG_PI + special().gammaln(a - ks + 1).sum())
 
 
+@lru_cache(maxsize=None)
 def expected_logdet_wishart(M: int, N: int) -> float:
     """E[ln det(H H^H)] for an M x N matrix H of iid CN(0,1) entries.
 
@@ -63,7 +77,7 @@ def expected_logdet_wishart(M: int, N: int) -> float:
     if not 1 <= M <= N:
         raise DomainError(f"expected_logdet_wishart requires 1 <= M <= N, got M={M}, N={N}")
     idx = np.arange(1, M + 1)
-    return float(special.digamma(N - idx + 1).sum())
+    return float(special().digamma(N - idx + 1).sum())
 
 
 def log_stiefel_volume(n: int, m: int) -> float:

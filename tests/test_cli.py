@@ -131,7 +131,7 @@ def test_negative_seed_is_domain_error(capsys, argv):
 ], ids=["gain", "input-json"])
 def test_sample_peak_memory_is_bounded(tmp_path, argv, limit_mb):
     # a fresh interpreter reports its own peak RSS, VmHWM in KiB; a bare
-    # import peaks at about 57 MB.  ru_maxrss would not do: Linux carries
+    # import peaks at about 30 MB.  ru_maxrss would not do: Linux carries
     # it across exec, so the child would inherit the pytest process's peak
     argv = argv + ["--out", str(tmp_path / "sample.out")]
     script = ("import re; from ncmimo import cli; "
@@ -143,24 +143,58 @@ def test_sample_peak_memory_is_bounded(tmp_path, argv, limit_mb):
     assert int(max_kib) * 1024 / 1e6 < limit_mb
 
 
-HEAVY_SCIPY = ("scipy.stats", "scipy.integrate")
+_VALUES = {"T": "8", "M": "2", "N": "4", "m": "2", "p": "3", "n": "2"}
+# two calls that evaluate special functions, as source a fresh interpreter runs
+_SPECIAL_SETUP = ("import numpy as np; "
+                  "from ncmimo import ChannelDims, cond_pdf_y_given_d_log, derive, gain_ratio")
+_SPECIAL_CALLS = {
+    "cond_pdf": "cond_pdf_y_given_d_log(np.random.default_rng(0).standard_normal((4, 4)), "
+                "[2.0, 1.0], derive(ChannelDims(T=4, M=2, N=4)), 20.0)",
+    "gain_ratio": "gain_ratio(derive(ChannelDims(T=10, M=5, N=100)), 30.0)",
+}
+
+
+def _sample_script(kind):
+    options = [arg for opt in cli._KINDS[kind][0] for arg in (f"--{opt}", _VALUES[opt])]
+    return f"from ncmimo import cli; cli.main({['sample', '--kind', kind, *options]!r})"
 
 
 @pytest.mark.parametrize("script, loaded", [
     ("import ncmimo", set()),
     ("from ncmimo import cli; cli.build_parser()", set()),
-    # the controls: a suite that needs a package loads it, so the check can see a load
+    # the samplers evaluate no special function
+    *[(_sample_script(kind), set()) for kind in cli._KINDS],
+    # the controls: a command that needs a package loads it, so the check can see a load
+    ("from ncmimo import cli; cli.main(['constants', '--T', '4', '--M', '2', '--N', '4'])",
+     {"scipy.special"}),
+    (f"{_SPECIAL_SETUP}; {_SPECIAL_CALLS['cond_pdf']}", {"scipy.special"}),
     ("from ncmimo import cli; cli.main(['validate', '--suite', 'lemma4', '--n', '200'])",
      {"scipy.stats"}),
     ("from ncmimo import cli; cli.main(['validate', '--suite', 'pdf-oracle', '--n', '1'])",
      {"scipy.integrate"}),
-], ids=["package", "parser", "lemma4", "pdf-oracle"])
+], ids=["package", "parser", *[f"sample-{kind}" for kind in cli._KINDS],
+        "constants", "cond-pdf", "lemma4", "pdf-oracle"])
 def test_heavy_scipy_loads_only_where_used(script, loaded):
     script += ("; import json, sys; "
-               f"print(json.dumps([m for m in {HEAVY_SCIPY!r} if m in sys.modules]))")
+               "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
     seen = set(json.loads(run_fresh_python(script).splitlines()[-1]))
     # a control may load more: scipy.stats imports scipy.integrate
     assert seen >= loaded if loaded else not seen
+
+
+@pytest.mark.parametrize("first", list(_SPECIAL_CALLS))
+def test_first_special_function_call_is_bit_identical(first):
+    # in a fresh interpreter the call that imports scipy.special returns what
+    # its repeats return, and what the same call returns here
+    order = [first, *(k for k in _SPECIAL_CALLS if k != first)]
+    calls = f"[{', '.join(_SPECIAL_CALLS[k] for k in order)}]"
+    script = (f"import json, sys; {_SPECIAL_SETUP}; "
+              "assert 'scipy.special' not in sys.modules; "
+              f"print(json.dumps([{calls} for _ in range(3)]))")
+    runs = json.loads(run_fresh_python(script))
+    namespace = {}
+    exec(_SPECIAL_SETUP, namespace)
+    assert runs == [eval(calls, namespace)] * 3
 
 
 def test_benchmark_binds_to_the_library():
@@ -334,7 +368,6 @@ def test_sample_ustm_outside_gain_and_input_is_usage_error(capsys, argv):
 
 _REQUIRED = {"gain": "TMN", "input": "TMN", "unitary": "TM", "wishart": "mn",
              "beta": "mpn", "noiseless-sv": "TMN"}
-_VALUES = {"T": "8", "M": "2", "N": "4", "m": "2", "p": "3", "n": "2"}
 
 
 @pytest.mark.parametrize("kind, missing", [

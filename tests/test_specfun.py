@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 from ncmimo.params import DomainError
 from ncmimo.specfun import (
+    LOG_PI,
     expected_logdet_wishart,
     log_gamma_range,
     log_multivariate_gamma,
@@ -81,6 +82,23 @@ def test_stiefel_volume():
 def test_stiefel_volume_domain():
     with pytest.raises(DomainError):
         log_stiefel_volume(1, 2)
+
+
+def test_memoized_values_equal_their_scipy_expressions():
+    # bit for bit on a cache miss and on the hit after it
+    for f in (log_multivariate_gamma, expected_logdet_wishart, log_gamma_range):
+        f.cache_clear()
+    for m in range(1, 7):
+        ks = np.arange(1, m + 1)
+        for a in (m, m + 0.5, m + 3, 40):
+            want = float(m * (m - 1) / 2 * LOG_PI + gammaln(a - ks + 1).sum())
+            assert log_multivariate_gamma(m, a) == log_multivariate_gamma(m, a) == want
+        for N in (m, m + 1, 100):
+            want = float(digamma(N - ks + 1).sum())
+            assert expected_logdet_wishart(m, N) == expected_logdet_wishart(m, N) == want
+        for b in (m - 1, m, m + 7):
+            want = float(gammaln(np.arange(m, b + 1)).sum())
+            assert log_gamma_range(m, b) == log_gamma_range(m, b) == want
 
 
 def test_log_gamma_range():
