@@ -16,6 +16,7 @@ from .capacity import (
     asymptotic_gain_constant,
     bstm_constant,
     capacity_approx,
+    constant_gap,
     gain_limit_sequence,
     gain_ratio,
     ustm_constant,
@@ -41,7 +42,6 @@ from .outpdf import (
     cond_sv_pdf_finite_log,
     cond_sv_pdf_limit_log,
     first_sv_pdf_log,
-    svd_jacobian_log,
     tail_sv_pdf_log,
 )
 from .statcheck import TestReport, ks_two_sample
@@ -69,6 +69,7 @@ __all__ = [
     "cond_pdf_y_given_d_log",
     "cond_sv_pdf_finite_log",
     "cond_sv_pdf_limit_log",
+    "constant_gap",
     "derive",
     "first_sv_pdf_log",
     "gain_limit_sequence",
@@ -83,7 +84,6 @@ __all__ = [
     "sample_matrix_beta",
     "sample_wishart",
     "simulate_channel",
-    "svd_jacobian_log",
     "tail_sv_pdf_log",
     "ustm_constant",
 ]

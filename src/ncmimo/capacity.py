@@ -74,8 +74,8 @@ def ustm_constant(dp: DerivedParams) -> CapacityBreakdown:
     """Additive constant for the isotropic unitary (USTM) input.
 
     Terms: (1/T) ln[Gamma_M(M)/Gamma_M(T)], the M(1-M/T) ln(T/(eM))
-    piece, and (1-M/T) E[ln det HH^H].  Coincides with bstm_constant
-    exactly when T >= M+N.
+    piece, and (1-M/T) E[ln det HH^H].  Agrees with bstm_constant to
+    round-off when T >= M+N; constant_gap is exactly 0 there.
     """
     T, M, N = dp.T, dp.M, dp.N
     gamma_ratio = (
@@ -116,24 +116,27 @@ def capacity_approx(dp: DerivedParams, snr_db: float, scheme: str = BSTM) -> flo
     return value
 
 
+def constant_gap(dp: DerivedParams) -> float:
+    """c* - c_U, the constant the optimal input gains over USTM; exactly 0.0
+    when T >= M+N, where subtracting the two equal constants leaves round-off."""
+    if not dp.large_mimo:
+        return 0.0
+    return bstm_constant(dp).constant - ustm_constant(dp).constant
+
+
 def gain_ratio(dp: DerivedParams, snr_db: float) -> float:
     """Relative rate gain of the optimal input over USTM at the given SNR.
 
     Returns (C - C_U)/C_U evaluated on the truncated expansions.  Exactly
     zero whenever T >= M+N.
     """
-    c = bstm_constant(dp)
     cu = ustm_constant(dp)
     denom = cu.prelog * math.log(rho_from_db(snr_db)) + cu.constant
     if denom <= 0:
         raise DomainError(
             f"USTM expansion is nonpositive ({denom:.3g} nats) at {snr_db} dB; "
             "the high-SNR approximation is out of range, gain ratio undefined")
-    if not dp.large_mimo:
-        # the two constants are algebraically identical here; skip the
-        # floating-point cancellation
-        return 0.0
-    return (c.constant - cu.constant) / denom
+    return constant_gap(dp) / denom
 
 
 def asymptotic_gain_constant(T: int, M: int) -> float:
@@ -160,7 +163,6 @@ def gain_limit_sequence(T: int, M: int, N_list: list[int]) -> list[float]:
     """
     out = []
     for N in N_list:
-        dp = derive(ChannelDims(T=T, M=M, N=N))
-        gap = bstm_constant(dp).constant - ustm_constant(dp).constant
+        gap = constant_gap(derive(ChannelDims(T=T, M=M, N=N)))
         out.append(gap - M * M / (2 * T) * math.log(N))
     return out

@@ -8,8 +8,9 @@ invocation; timing goes to stderr only.  Every `sample` kind is one
 draw and its stacked draw.  An SNR whose linear value is not a positive
 finite float is a domain error.
 
-Exit codes: 0 success, 1 usage error, 2 rejected input (DomainError or
-ConfluenceError), 3 validation suite failure.
+Exit codes: 0 success, 1 usage error or an --out or stdout that cannot
+be written, 2 rejected input (DomainError or ConfluenceError), 3
+validation suite failure.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .params import (
     derive,
     rho_from_db,
 )
-from .capacity import asymptotic_gain_constant, bstm_constant, gain_ratio, ustm_constant
+from .capacity import (asymptotic_gain_constant, bstm_constant, constant_gap, gain_ratio,
+                       ustm_constant)
 from .randmat import (
     RNG_ALGORITHM,
     RngHandle,
@@ -111,7 +113,7 @@ def cmd_constants(args) -> int:
     scale = 1.0 / math.log(2.0) if args.bits else 1.0
     columns = ["T", "M", "N", "prelog", "c_bstm", "c_ustm", "c_gap", "c_gain_limit"]
     row = [args.T, args.M, args.N, b.prelog, b.constant * scale, u.constant * scale,
-           (b.constant - u.constant) * scale, climit * scale]
+           constant_gap(dp) * scale, climit * scale]
     for name, val in b.terms:
         columns.append(f"bstm_{name}")
         row.append(val * scale)
@@ -184,8 +186,8 @@ def cmd_sample(args) -> int:
 
 def cmd_validate(args) -> int:
     reports = SUITES[args.suite](n=args.n, seed=args.seed)
-    columns = ["suite"] + [f.name for f in dataclasses.fields(TestReport)]
-    rows = [[args.suite, *dataclasses.astuple(r)] for r in reports]
+    columns = ["suite"] + [f.name for f in dataclasses.fields(TestReport)] + ["seed"]
+    rows = [[args.suite, *dataclasses.astuple(r), args.seed] for r in reports]
     _emit(args, columns, rows)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VALIDATION
 
@@ -258,9 +260,9 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code = args.func(args)
-    except _ERRORS as exc:
+    except (*_ERRORS, OSError) as exc:  # OSError: an unwritable --out or stdout
         print(f"ncmimo: error: {exc}", file=sys.stderr)
-        code = EXIT_DOMAIN
+        code = EXIT_USAGE if isinstance(exc, OSError) else EXIT_DOMAIN
     finally:
         elapsed = time.perf_counter() - t0
         print(f"[ncmimo] wall clock: {elapsed:.3f} s", file=sys.stderr)

@@ -72,8 +72,12 @@ def _scaled_logdet(logmag: np.ndarray) -> float:
 
 
 def _gain2(D, M: int) -> np.ndarray:
+    # check_decreasing keeps a last square that underflows to 0; no density takes it
     d = check_decreasing(D, M, "gain diagonal")
-    return d * d
+    d2 = d * d
+    if d2[-1] == 0.0:
+        raise DomainError("gain diagonal: squared entries must be positive")
+    return d2
 
 
 def _kernel_log(s2: np.ndarray, mu: np.ndarray, N: int) -> float:
@@ -130,16 +134,6 @@ def _sv_log(matrix_log: float, sv: np.ndarray, n: int) -> float:
     return float(matrix_log + _jacobian_log(sv, n) + _spectrum_volumes(sv.size, n))
 
 
-def svd_jacobian_log(sv, rmax: int, rmin: int) -> float:
-    """ln of the SVD volume Jacobian for an rmax x rmin spectrum.
-
-    ln J = sum_i (2(rmax-rmin)+1) ln(sv_i) + 2 sum_{i<j} ln(sv_i^2 - sv_j^2).
-    """
-    if rmax < rmin:
-        raise DomainError(f"svd_jacobian_log requires rmax >= rmin, got {rmax} < {rmin}")
-    return _jacobian_log(check_decreasing(sv, rmin, "svd_jacobian_log sv"), rmax)
-
-
 def cond_pdf_y_given_d_log(Y: np.ndarray, D, dp: DerivedParams,
                            snr_db: float) -> float:
     """ln f(Y | D) for the block-fading channel output, T <= N only.
@@ -156,7 +150,11 @@ def cond_pdf_y_given_d_log(Y: np.ndarray, D, dp: DerivedParams,
     if Y.shape != (T, N):
         raise DomainError(f"Y must be T x N = {T} x {N}, got {Y.shape}")
     d2 = _gain2(D, M)
-    sv = check_decreasing(np.linalg.svd(Y, compute_uv=False), T, "singular values of Y")
+    try:
+        sv = np.linalg.svd(Y, compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # a NaN in Y; an inf fails the check below
+        raise DomainError(f"singular values of Y: {exc}") from None
+    sv = check_decreasing(sv, T, "singular values of Y")
     return _cond_log(sv * sv, d2, rho_from_db(snr_db) / M, N)
 
 

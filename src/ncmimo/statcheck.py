@@ -4,8 +4,9 @@ Every check, statistical or numerical, reports through `report`.  The
 KS suites draw from two constructions that should share a law and
 compare them index by index with a Kolmogorov-Smirnov test; a suite's
 indices form one family, gated by `holm` at family-wise level
-P_THRESHOLD.  Reports carry the statistic, the asymptotic p-value, and
-the seed so a failure can be replayed exactly.
+P_THRESHOLD.  Reports carry the statistic and the asymptotic p-value;
+the seed that replays a run is the caller's, and the CLI `validate`
+subcommand writes it on every row.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ class TestReport:
     p_value: float | None
     passed: bool
     n_samples: int
-    seed: int
 
 
-def report(name: str, statistic: float, threshold: float, n: int, seed: int,
+def report(name: str, statistic: float, threshold: float, n: int,
            p_value: float | None = None, passed: bool | None = None) -> TestReport:
     """Build a TestReport; the verdict defaults to p_value > threshold when a
     p-value is given and to statistic < threshold otherwise."""
@@ -52,7 +52,7 @@ def report(name: str, statistic: float, threshold: float, n: int, seed: int,
     if passed is None:
         passed = p_value > threshold if p_value is not None else statistic < threshold
     return TestReport(name=name, statistic=statistic, threshold=threshold,
-                      p_value=p_value, passed=bool(passed), n_samples=n, seed=seed)
+                      p_value=p_value, passed=bool(passed), n_samples=n)
 
 
 def suite_size(n: int | None, default: int | None) -> int | None:
@@ -67,7 +67,7 @@ def suite_size(n: int | None, default: int | None) -> int | None:
     return n
 
 
-def ks_two_sample(a, b, name: str = "ks_two_sample", seed: int = 0) -> TestReport:
+def ks_two_sample(a, b, name: str = "ks_two_sample") -> TestReport:
     """Two-sided two-sample KS test of the raveled samples; passes when p > 0.01.
 
     The statistic d is the largest gap between the two empirical CDFs,
@@ -85,14 +85,14 @@ def ks_two_sample(a, b, name: str = "ks_two_sample", seed: int = 0) -> TestRepor
         raise DomainError("ks_two_sample needs at least two observations per sample")
     n = min(a.size, b.size)
     if np.isnan(a[-1]) or np.isnan(b[-1]):  # np.sort puts NaN last
-        return report(name, np.nan, P_THRESHOLD, n, seed, p_value=np.nan)
+        return report(name, np.nan, P_THRESHOLD, n, p_value=np.nan)
     pooled = np.concatenate([a, b])
     gap = (np.searchsorted(a, pooled, side="right") / a.size
            - np.searchsorted(b, pooled, side="right") / b.size)
     d = max(gap.max(), np.clip(-gap.min(), 0, 1))  # a tie keeps +0.0, not clip's -0.0
     size = np.round(float(a.size) * b.size / (a.size + b.size))
     p = np.clip(stats.kstwo.sf(d, size), 0, 1)
-    return report(name, d, P_THRESHOLD, n, seed, p_value=float(p))
+    return report(name, d, P_THRESHOLD, n, p_value=float(p))
 
 
 def holm(reports: list[TestReport]) -> list[TestReport]:
@@ -107,14 +107,13 @@ def holm(reports: list[TestReport]) -> list[TestReport]:
     failed = int(np.cumprod(p[order] <= levels).sum())
     held = np.empty(p.size)
     held[order] = levels[np.minimum(np.arange(p.size), failed)]
-    return [report(r.name, r.statistic, float(t), r.n_samples, r.seed, p_value=r.p_value)
+    return [report(r.name, r.statistic, float(t), r.n_samples, p_value=r.p_value)
             for r, t in zip(reports, held)]
 
 
-def _ks_per_index(a: np.ndarray, b: np.ndarray, label: str, seed: int) -> list[TestReport]:
+def _ks_per_index(a: np.ndarray, b: np.ndarray, label: str) -> list[TestReport]:
     """One KS report per column of the (draws, index) samples a and b."""
-    return [ks_two_sample(a[:, i], b[:, i], name=f"{label}{i + 1}", seed=seed)
-            for i in range(a.shape[1])]
+    return [ks_two_sample(a[:, i], b[:, i], name=f"{label}{i + 1}") for i in range(a.shape[1])]
 
 
 def lemma5_suite(n: int | None = None, seed: int = 0) -> list[TestReport]:
@@ -133,7 +132,7 @@ def lemma5_suite(n: int | None = None, seed: int = 0) -> list[TestReport]:
         sv_a = noiseless_sv_sample(dp, rng_a, count=n)
         g = sample_gaussian(M, dp.Q, T * N / dp.Q, rng_b, count=n)
         sv_b = np.linalg.svd(g, compute_uv=False)
-        reports += _ks_per_index(sv_a, sv_b, f"noiseless-sv T={T} M={M} N={N} sv", seed)
+        reports += _ks_per_index(sv_a, sv_b, f"noiseless-sv T={T} M={M} N={N} sv")
     return holm(reports)
 
 
@@ -156,5 +155,5 @@ def lemma4_suite(n: int | None = None, seed: int = 0) -> list[TestReport]:
         eig_a = np.linalg.eigvalsh(recon)[..., ::-1]
         w = sample_wishart(m, p, 1.0, rng_w, count=draws)
         eig_b = np.linalg.eigvalsh(w)[..., ::-1]
-        reports += _ks_per_index(eig_a, eig_b, f"beta-whitening m={m} p={p} n={n} eig", seed)
+        reports += _ks_per_index(eig_a, eig_b, f"beta-whitening m={m} p={p} n={n} eig")
     return holm(reports)

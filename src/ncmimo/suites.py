@@ -1,10 +1,10 @@
 """Numeric validation suites and the registry of all suites.
 
 Every suite has the signature (n=None, seed=0) -> list[TestReport]; the
-CLI `validate` subcommand renders the rows as a table and fails the run
-when any row fails.  Quadrature checks integrate the closed-form
-densities over their support; Monte Carlo checks are chunked so memory
-stays flat at large dimensions.
+CLI `validate` subcommand renders the rows as a table, with the seed in a
+last column, and fails the run when any row fails.  Quadrature checks
+integrate the closed-form densities over their support; Monte Carlo
+checks are chunked so memory stays flat at large dimensions.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def run_power(n: int | None = None, seed: int = 0) -> list[TestReport]:
             x = sample_input(dp, child, count=min(DRAW_CHUNK, n - done))
             total += float(np.sum(np.abs(x) ** 2))
         reports.append(report(f"power T={T} M={M} N={N}",
-                              abs(total / (n * T * M) - 1.0), 0.01, n, seed))
+                              abs(total / (n * T * M) - 1.0), 0.01, n))
     return reports
 
 
@@ -86,7 +86,7 @@ def run_pdf_oracle(n: int | None = None, seed: int = 0) -> list[TestReport]:
         lf = cond_pdf_y_given_d_log(y, np.array([d]), dp, snr_db)
         lo = stiefel_pdf_oracle(y, d, snr_db)
         worst = max(worst, abs(math.expm1(lf - lo)))
-    return [report("cond-pdf vs quadrature T=2 M=1 N=2", worst, 1e-5, n, seed)]
+    return [report("cond-pdf vs quadrature T=2 M=1 N=2", worst, 1e-5, n)]
 
 
 def _quad_mass(fun, lo, hi) -> float:
@@ -153,14 +153,13 @@ def run_density_normalization(n: int | None = None, seed: int = 0) -> list[TestR
                                 lambda s2: s2 / math.sqrt(rt), 14.0,
                                 epsabs=1e-10, epsrel=1e-8)
     masses.append(("normalization cond-sv T=2 M=1 N=2 @10dB", mass, 1e-3))
-    return [report(name, abs(mass - 1.0), tol, 1, seed) for name, mass, tol in masses]
+    return [report(name, abs(mass - 1.0), tol, 1) for name, mass, tol in masses]
 
 
-def _converging(name: str, gaps: list[float], seed: int) -> TestReport:
+def _converging(name: str, gaps: list[float]) -> TestReport:
     """Passes when the gaps decrease strictly and the last is below 1e-2."""
     monotone = all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
-    return report(name, gaps[-1], 1e-2, len(gaps), seed,
-                  passed=monotone and gaps[-1] < 1e-2)
+    return report(name, gaps[-1], 1e-2, len(gaps), passed=monotone and gaps[-1] < 1e-2)
 
 
 def run_convergence(n: int | None = None, seed: int = 0) -> list[TestReport]:
@@ -179,8 +178,8 @@ def run_convergence(n: int | None = None, seed: int = 0) -> list[TestReport]:
     limit = cond_sv_pdf_limit_log(svn, dgain, dp)
     pdf_gaps = [abs(cond_sv_pdf_finite_log(svn, dgain, dp, s) - limit)
                 for s in (40.0, 50.0, 60.0)]
-    return [_converging(f"gain-limit T={T} M={M} N->{n_list[-1]}", gain_gaps, seed),
-            _converging("finite-vs-limit spectrum pdf T=2 M=1 N=2", pdf_gaps, seed)]
+    return [_converging(f"gain-limit T={T} M={M} N->{n_list[-1]}", gain_gaps),
+            _converging("finite-vs-limit spectrum pdf T=2 M=1 N=2", pdf_gaps)]
 
 
 SUITES = {

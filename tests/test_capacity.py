@@ -8,11 +8,12 @@ from ncmimo.capacity import (
     asymptotic_gain_constant,
     bstm_constant,
     capacity_approx,
+    constant_gap,
     gain_limit_sequence,
     gain_ratio,
     ustm_constant,
 )
-from ncmimo.params import ChannelDims, DomainError, derive
+from ncmimo.params import ChannelDims, DomainError, derive, rho_from_db
 
 # Reference values computed independently at 50-digit precision.
 C_STAR_2_1_1 = -0.44203424217079378
@@ -76,6 +77,31 @@ def test_constants_strictly_separated_in_large_mimo():
         b = bstm_constant(_dp(T, M, N))
         u = ustm_constant(_dp(T, M, N))
         assert b.constant > u.constant
+
+
+def test_constant_gap_is_zero_exactly_when_block_is_long():
+    # BSTM beats USTM iff T < M+N; for T >= M+N subtracting the two
+    # constants leaves round-off of either sign, and the gap must be +0.0.
+    # Every geometry with T <= 40, 1 <= M <= floor(T/2), M <= N <= 60:
+    for (T, M, N) in ((T, M, N) for T in range(2, 41) for M in range(1, T // 2 + 1)
+                      for N in range(M, 61)):
+        dp = _dp(T, M, N)
+        gap = constant_gap(dp)
+        if dp.large_mimo:
+            assert gap > 0, (T, M, N)
+        else:
+            assert gap == 0.0 and math.copysign(1.0, gap) == 1.0, (T, M, N)
+
+
+def test_gain_ratio_and_limit_sequence_use_the_constant_gap():
+    for (T, M, N) in ((10, 5, 100), (4, 2, 3), (12, 3, 5), (8, 2, 4)):
+        dp = _dp(T, M, N)
+        cu = ustm_constant(dp)
+        denom = cu.prelog * math.log(rho_from_db(30.0)) + cu.constant
+        assert gain_ratio(dp, 30.0) == constant_gap(dp) / denom
+    # N = 4 keeps T >= M+N at (8, 2): only the ln N shift is left
+    assert gain_limit_sequence(8, 2, [4, 100]) == [
+        -4 / 16 * math.log(4), constant_gap(_dp(8, 2, 100)) - 4 / 16 * math.log(100)]
 
 
 def test_prelog_exact_rationals():

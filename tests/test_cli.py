@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -64,6 +65,21 @@ def test_constants_csv(capsys):
     assert float(row["prelog"]) == 2.5
     # per-term columns present
     assert "bstm_gamma_ratio" in header and "ustm_logdet" in header
+
+
+def test_constants_gap_is_exactly_zero_when_block_is_long(capsys):
+    # every T >= M+N cell of T <= 40, M <= floor(T/2), M <= N <= 60 prints
+    # c_gap 0.0, as gain-table prints gain 0.0; subtracting the two
+    # constants would print -2.220446049250313e-16 at (12, 3, 5)
+    parser = cli.build_parser()
+    for T in range(2, 41):
+        for M in range(1, T // 2 + 1):
+            for N in range(M, T - M + 1):
+                args = parser.parse_args(["constants", "--T", str(T), "--M", str(M),
+                                          "--N", str(N)])
+                assert args.func(args) == 0
+                header, rows = parse_csv(capsys.readouterr().out)
+                assert rows[0][header.index("c_gap")] == "0.0", (T, M, N)
 
 
 def test_constants_bits_scaling(capsys):
@@ -464,13 +480,52 @@ def test_validate_rejects_bad_n(capsys, suite, n):
     assert "ncmimo: error:" in err and f"n={n}" in err
 
 
+@pytest.mark.parametrize("suite, n", [("lemma4", "20"), ("lemma5", "20"), ("power", "50"),
+                                      ("pdf-oracle", "2"), ("density-normalization", None),
+                                      ("convergence", None)])
+def test_validate_rows_carry_the_seed(capsys, suite, n):
+    # the run seed is the CLI's: a last column after the report fields
+    fields = [f.name for f in dataclasses.fields(ncmimo.TestReport)]
+    assert "seed" not in fields
+    argv = ["validate", "--suite", suite, "--seed", "7"] + (["--n", n] if n else [])
+    _, out, _ = run_cli(capsys, argv)
+    header, rows = parse_csv(out)
+    assert header == ["suite"] + fields + ["seed"]
+    assert rows and all(r[-1] == "7" for r in rows)
+    _, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    doc = json.loads(out)
+    assert doc["meta"]["columns"] == header
+    assert [r[-1] for r in doc["rows"]] == [7] * len(rows)
+
+
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(capsys, ["constants", "--T", "4", "--M", "2", "--N", "4",
+                                      "--out", str(path)])
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert f"ncmimo: error: [Errno 2] No such file or directory: '{path}'" in err
+    assert not path.parent.exists()
+
+
+def test_closed_stdout_is_usage_error(capsys, monkeypatch):
+    class BrokenPipe:
+        def write(self, _):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    code = cli.main(["constants", "--T", "4", "--M", "2", "--N", "4"])
+    assert code == 1
+    assert "ncmimo: error: [Errno 32] Broken pipe" in capsys.readouterr().err
+
+
 def test_validate_failure_exit_code(monkeypatch, capsys):
     from ncmimo import suites as suites_mod
     from ncmimo.statcheck import TestReport
 
     def forced_fail(n=None, seed=0):
         return [TestReport(name="forced", statistic=1.0, threshold=0.1,
-                           p_value=None, passed=False, n_samples=1, seed=seed)]
+                           p_value=None, passed=False, n_samples=1)]
 
     monkeypatch.setitem(suites_mod.SUITES, "forced-fail", forced_fail)
     code, out, _ = run_cli(capsys, ["validate", "--suite", "forced-fail"])

@@ -7,11 +7,11 @@ from scipy import integrate, stats
 
 from ncmimo.bstm import GainDiagonal, simulate_channel
 from ncmimo.outpdf import (
+    _jacobian_log,
     cond_pdf_y_given_d_log,
     cond_sv_pdf_finite_log,
     cond_sv_pdf_limit_log,
     first_sv_pdf_log,
-    svd_jacobian_log,
     tail_sv_pdf_log,
 )
 from ncmimo.params import (
@@ -40,22 +40,21 @@ def _dp(T, M, N):
 # ---------------------------------------------------------------- jacobian
 
 def test_svd_jacobian_values():
-    assert svd_jacobian_log(np.array([2.0]), 3, 1) == pytest.approx(JAC_SINGLE, abs=1e-13)
-    assert svd_jacobian_log(np.array([2.0, 1.0]), 2, 2) == pytest.approx(JAC_PAIR, abs=1e-13)
+    assert _jacobian_log(np.array([2.0]), 3) == pytest.approx(JAC_SINGLE, abs=1e-13)
+    assert _jacobian_log(np.array([2.0, 1.0]), 2) == pytest.approx(JAC_PAIR, abs=1e-13)
 
 
 def test_svd_jacobian_confluence():
+    # the spectrum a density hands to the Jacobian is validated first
     with pytest.raises(ConfluenceError):
-        svd_jacobian_log(np.array([1.0, 1.0 - 1e-14]), 2, 2)
+        tail_sv_pdf_log(np.array([1.0, 1.0 - 1e-14]), _dp(4, 2, 4))
 
 
 def test_svd_jacobian_domain():
     with pytest.raises(DomainError):
-        svd_jacobian_log(np.array([1.0, 2.0]), 2, 2)   # increasing
+        tail_sv_pdf_log(np.array([1.0, 2.0]), _dp(4, 2, 4))   # increasing
     with pytest.raises(DomainError):
-        svd_jacobian_log(np.array([2.0, 1.0]), 1, 2)   # rmax < rmin
-    with pytest.raises(DomainError):
-        svd_jacobian_log(np.array([2.0]), 3, 2)        # wrong length
+        tail_sv_pdf_log(np.array([2.0]), _dp(4, 2, 4))        # wrong length
 
 
 # ---------------------------------------------- Stiefel integral identities
@@ -240,13 +239,40 @@ def test_cond_pdf_errors():
                                dp, 10.0)
 
 
+@pytest.mark.parametrize("y", [np.full((2, 2), np.nan), np.array([[np.nan, 1.0], [1.0, 2.0]]),
+                               np.full((2, 2), np.inf)])
+def test_cond_pdf_rejects_non_finite_output(y):
+    # a NaN fails inside the SVD, an inf at the singular-value check: both
+    # are DomainError, not numpy's LinAlgError
+    with pytest.raises(DomainError, match="singular values of Y"):
+        cond_pdf_y_given_d_log(y, np.array([1.3]), _dp(2, 1, 2), 10.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dims,d", [((2, 1, 2), (1e-170,)), ((4, 2, 4), (1.0, 1e-170))])
+def test_densities_reject_a_gain_whose_square_underflows(dims, d):
+    # the spectrum validator keeps a last square that underflows to 0, but a
+    # zero squared gain would divide by zero or lose the determinant's sign
+    dp = _dp(*dims)
+    d = np.array(d)
+    svn = np.linspace(2.0, 0.5, dp.T)
+    calls = (
+        lambda: cond_pdf_y_given_d_log(np.diag(svn).astype(complex), d, dp, 10.0),
+        lambda: cond_sv_pdf_finite_log(svn, d, dp, 10.0),
+        lambda: cond_sv_pdf_limit_log(svn, d, dp),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="gain diagonal"):
+            call()
+
+
 def test_densities_reject_overflowing_squares():
     dp = _dp(2, 1, 2)
     dgain = GainDiagonal(np.array([1.3]))
     calls = (
         lambda: tail_sv_pdf_log(np.array([np.inf]), dp),
         lambda: first_sv_pdf_log(np.array([np.inf]), dp, 10.0),
-        lambda: svd_jacobian_log(np.array([1e200, 1.0]), 2, 2),
+        lambda: tail_sv_pdf_log(np.array([1e200, 1.0]), _dp(4, 2, 4)),
         lambda: cond_sv_pdf_limit_log(np.array([1.1, 0.6]), GainDiagonal(np.array([np.inf])), dp),
         lambda: cond_sv_pdf_finite_log(np.array([np.inf, 0.6]), dgain, dp, 10.0),
     )
@@ -274,7 +300,7 @@ def test_two_underflowing_squares_are_confluent():
     # (-inf from the Jacobian) or as a later loss of the determinant's sign
     dp = _dp(4, 1, 4)
     calls = (
-        lambda: svd_jacobian_log(np.array([1.0, 1e-170, 1e-171]), 3, 3),
+        lambda: first_sv_pdf_log(np.array([1.0, 1e-170, 1e-171]), _dp(6, 3, 6), 10.0),
         lambda: tail_sv_pdf_log(np.array([1.0, 1e-170, 1e-171]), dp),
         lambda: cond_sv_pdf_finite_log(np.array([1.1, 0.5, 1e-170, 1e-171]),
                                        GainDiagonal(np.array([1.3])), dp, 10.0),
@@ -374,7 +400,7 @@ def test_cond_sv_finite_consistent_with_matrix_pdf():
         raw = np.array([math.sqrt(rt) * s1, s2])
         lhs = cond_sv_pdf_finite_log(svn, dgain, dp, snr_db)
         rhs = (cond_pdf_y_given_d_log(np.diag(raw).astype(complex), dgain, dp, snr_db)
-               + svd_jacobian_log(raw, dp.rmax, dp.rmin))
+               + _jacobian_log(raw, dp.rmax))
         consts.append(lhs - rhs)
     assert np.std(consts) < 1e-9
 
@@ -465,7 +491,7 @@ def test_every_density_returns_a_python_float():
         first_sv_pdf_log(svn[:2], dp, 20.0),
         tail_sv_pdf_log(svn[2:], dp),
         tail_sv_pdf_log(np.array([]), _dp(2, 1, 1)),
-        svd_jacobian_log(svn, 6, 4),
+        _jacobian_log(svn, 6),
     )
     for v in values:
         assert type(v) is float and math.isfinite(v)

@@ -23,12 +23,11 @@ def test_ks_same_distribution_passes():
     gen = np.random.Generator(np.random.PCG64(100))
     a = gen.standard_normal(10_000)
     b = gen.standard_normal(10_000)
-    rep = ks_two_sample(a, b, name="null-check", seed=100)
+    rep = ks_two_sample(a, b, name="null-check")
     assert rep.passed
     assert rep.p_value > P_THRESHOLD
     assert rep.name == "null-check"
     assert rep.n_samples == 10_000
-    assert rep.seed == 100
 
 
 def test_ks_different_distribution_fails():
@@ -55,7 +54,7 @@ def test_ks_calibration_false_failure_rate():
 
 def _p_rows(p_values):
     return [Report(name=f"r{i}", statistic=0.0, threshold=P_THRESHOLD, p_value=p,
-                   passed=p > P_THRESHOLD, n_samples=10, seed=0)
+                   passed=p > P_THRESHOLD, n_samples=10)
             for i, p in enumerate(p_values)]
 
 
@@ -180,7 +179,7 @@ def test_ks_rejects_tiny_samples():
 
 def test_report_is_frozen_dataclass():
     rep = Report(name="x", statistic=0.1, threshold=0.01, p_value=0.5,
-                 passed=True, n_samples=10, seed=0)
+                 passed=True, n_samples=10)
     with pytest.raises(Exception):
         rep.passed = False
 
@@ -189,10 +188,10 @@ def test_report_verdict_is_a_python_bool_for_numpy_scalars():
     # a numpy-scalar statistic or p-value must not leave np.bool_ in `passed`:
     # the CSV would print True for true and json.dumps would raise
     stat = np.float64(1e-3)
-    reports = [report("given", stat, 1e-2, 1, 0, passed=stat < 1e-2),
-               report("by p-value", stat, 1e-2, 1, 0, p_value=np.float64(0.5)),
-               report("by statistic", stat, 1e-2, 1, 0),
-               _converging("converging", [np.float64(0.1), stat], 0)]
+    reports = [report("given", stat, 1e-2, 1, passed=stat < 1e-2),
+               report("by p-value", stat, 1e-2, 1, p_value=np.float64(0.5)),
+               report("by statistic", stat, 1e-2, 1),
+               _converging("converging", [np.float64(0.1), stat])]
     for rep in reports:
         assert type(rep.passed) is bool and rep.passed, rep.name
         assert type(rep.statistic) is float
@@ -204,7 +203,6 @@ def test_lemma5_suite_reproducible_and_passing():
     for r1, r2 in zip(reps1, reps2):
         assert r1.statistic == r2.statistic  # bit-for-bit
         assert r1.p_value == r2.p_value
-        assert r1.seed == 1
     reps = _named(reps1, "T=8 M=2 N=4")
     assert len(reps) == 2
     assert all(r.passed for r in reps)
