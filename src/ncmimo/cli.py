@@ -77,16 +77,14 @@ def _cell(v) -> str:
 
 
 def _config_echo(args) -> dict:
-    cfg = {}
-    for key, val in vars(args).items():
-        if key.startswith("_") or key == "func":
-            continue
-        cfg[key] = val
+    cfg = {k: v for k, v in vars(args).items() if not k.startswith("_") and k != "func"}
     cfg["out"] = cfg.get("out") or "-"
     return cfg
 
 
 def _emit(args, columns, rows, warnings_list=()) -> None:
+    if args.out in (None, "-") and sys.stdout is None:  # started with descriptor 1 closed
+        raise OSError("stdout is closed")
     config = _config_echo(args)
     tool = f"ncmimo {__version__}"
     with (contextlib.nullcontext(sys.stdout) if args.out in (None, "-")

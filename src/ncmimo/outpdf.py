@@ -34,14 +34,14 @@ from .params import (
     check_decreasing,
     rho_from_db,
 )
-from .specfun import LOG_2, LOG_PI, log_gamma_range, log_stiefel_volume, log_vandermonde, special
+from .specfun import LOG_2, LOG_PI, log_gamma_range, log_stiefel_volume, log_vandermonde
 
 
 # The cached power arrays are shared by every caller: read-only.
 @lru_cache(maxsize=None)
 def _row_powers(T: int, M: int) -> np.ndarray:
-    # exponents T - i of the polynomial rows i = M+1..T
-    p = T - np.arange(M + 1, T + 1, dtype=float)
+    # exponents T - i of the polynomial rows i = M+1..T, as a column
+    p = T - np.arange(M + 1, T + 1, dtype=float)[:, None]
     p.flags.writeable = False
     return p
 
@@ -97,8 +97,15 @@ def _kernel_log(s2: np.ndarray, mu: np.ndarray, N: int) -> float:
     T, M = s2.size, mu.size
     logmag = np.empty((T, T))
     logmag[:M] = -mu[:, None] * s2
-    # xlogy keeps the power-0 row at 0 * ln 0 = 0 where a tiny s2 underflows
-    logmag[M:] = special().xlogy(_row_powers(T, M)[:, None], s2) - s2
+    if T > M:
+        rows = logmag[M:]
+        if s2[-1] > 0:
+            np.multiply(_row_powers(T, M), np.log(s2), out=rows)
+        else:  # s2 decreases, so only its last entry can have underflowed to 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.multiply(_row_powers(T, M), np.log(s2), out=rows)
+            rows[-1] = 0.0  # the power-0 row: 0 ln 0 = 0
+        rows -= s2
     return float(
         -N * T * LOG_PI
         + log_gamma_range(T - M + 1, T)

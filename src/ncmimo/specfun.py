@@ -2,31 +2,19 @@
 
 All values are natural logs (nats).  The multivariate gamma here is the
 complex one: Gamma_m(a) = pi^{m(m-1)/2} prod_{k=1}^m Gamma(a-k+1).
-
-scipy.special is imported by the first special-function evaluation, not
-with the package: the samplers evaluate none, so `sample` and
-sampling-only use of the library never load it.  special() hands out the
-module and is cached, and the functions here that call it are memoized,
-so only the first call pays for the import.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .params import DomainError
 
-LOG_PI = float(np.log(np.pi))
-LOG_2 = float(np.log(2.0))
-
-
-@lru_cache(maxsize=None)
-def special():
-    """The scipy.special module, imported on the first call."""
-    from scipy import special  # local: only special-function evaluations pay for it
-    return special
+LOG_PI = math.log(math.pi)
+LOG_2 = math.log(2.0)
 
 
 # The cached index arrays are shared by every caller: read-only.
@@ -50,7 +38,7 @@ def log_gamma_range(a: int, b: int) -> float:
     """sum_{i=a}^{b} ln Gamma(i) over integers, 0 for an empty range; a >= 1."""
     if a < 1:
         raise DomainError(f"log_gamma_range requires a >= 1, got a={a}")
-    return float(special().gammaln(np.arange(a, b + 1)).sum())
+    return math.fsum(map(math.lgamma, range(a, b + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -64,20 +52,26 @@ def log_multivariate_gamma(m: int, a: float) -> float:
     if not a > m - 1:
         raise DomainError(
             f"log_multivariate_gamma requires a > m-1: a={a}, m={m}")
-    ks = np.arange(1, m + 1)
-    return float(m * (m - 1) / 2 * LOG_PI + special().gammaln(a - ks + 1).sum())
+    return math.fsum([m * (m - 1) / 2 * LOG_PI, *(math.lgamma(a - k) for k in range(m))])
 
 
 @lru_cache(maxsize=None)
 def expected_logdet_wishart(M: int, N: int) -> float:
-    """E[ln det(H H^H)] for an M x N matrix H of iid CN(0,1) entries.
+    """E[ln det(H H^H)] for an M x N matrix H of iid CN(0,1) entries, 1 <= M <= N.
 
-    Equals sum_{i=1}^{M} psi(N-i+1); requires 1 <= M <= N.
+    Equals sum_{i=1}^{M} psi(N-i+1) = M psi(n) + sum_{k=n}^{N-1} (N-k)/k at
+    n = N-M+1, an O(M) sum at any N.  psi(n) is H_{n-1} - gamma below 64 and
+    its asymptotic series, truncated below 1e-17 relative, from 64 on.
     """
     if not 1 <= M <= N:
         raise DomainError(f"expected_logdet_wishart requires 1 <= M <= N, got M={M}, N={N}")
-    idx = np.arange(1, M + 1)
-    return float(special().digamma(N - idx + 1).sum())
+    n = N - M + 1
+    if n < 64:
+        psi = math.fsum([-np.euler_gamma, *(1.0 / k for k in range(1, n))])
+    else:
+        x2 = 1.0 / (n * n)
+        psi = math.log(n) - 0.5 / n - x2 * (1 / 12 - x2 * (1 / 120 - x2 / 252))
+    return math.fsum([M * psi, *((N - k) / k for k in range(n, N))])
 
 
 def log_stiefel_volume(n: int, m: int) -> float:

@@ -160,14 +160,14 @@ def test_sample_peak_memory_is_bounded(tmp_path, argv, limit_mb):
 
 
 _VALUES = {"T": "8", "M": "2", "N": "4", "m": "2", "p": "3", "n": "2"}
-# two calls that evaluate special functions, as source a fresh interpreter runs
-_SPECIAL_SETUP = ("import numpy as np; "
-                  "from ncmimo import ChannelDims, cond_pdf_y_given_d_log, derive, gain_ratio")
-_SPECIAL_CALLS = {
-    "cond_pdf": "cond_pdf_y_given_d_log(np.random.default_rng(0).standard_normal((4, 4)), "
-                "[2.0, 1.0], derive(ChannelDims(T=4, M=2, N=4)), 20.0)",
-    "gain_ratio": "gain_ratio(derive(ChannelDims(T=10, M=5, N=100)), 30.0)",
-}
+# density calls, as source a fresh interpreter runs
+_DENSITY_SETUP = "import numpy as np; from ncmimo import *; dp = derive(ChannelDims(T=4, M=2, N=4))"
+_COND_PDF = ("cond_pdf_y_given_d_log(np.random.default_rng(0).standard_normal((4, 4)), "
+             "[2.0, 1.0], dp, 20.0)")
+_SPECTRUM_PDFS = ("cond_sv_pdf_finite_log([2.0, 1.5, 1.0, 0.5], [2.0, 1.0], dp, 20.0); "
+                  "cond_sv_pdf_limit_log([2.0, 1.5, 1.0, 0.5], [2.0, 1.0], dp); "
+                  "first_sv_pdf_log([2.0, 1.0], dp, 20.0); tail_sv_pdf_log([1.0, 0.5], dp); "
+                  "beta_eig_pdf_log(2, 3, 2, [0.7, 0.2])")
 
 
 def _sample_script(kind):
@@ -178,39 +178,26 @@ def _sample_script(kind):
 @pytest.mark.parametrize("script, loaded", [
     ("import ncmimo", set()),
     ("from ncmimo import cli; cli.build_parser()", set()),
-    # the samplers evaluate no special function
     *[(_sample_script(kind), set()) for kind in cli._KINDS],
-    # the controls: a command that needs a package loads it, so the check can see a load
-    ("from ncmimo import cli; cli.main(['constants', '--T', '4', '--M', '2', '--N', '4'])",
-     {"scipy.special"}),
-    (f"{_SPECIAL_SETUP}; {_SPECIAL_CALLS['cond_pdf']}", {"scipy.special"}),
+    # the constants and densities are evaluated on math and numpy alone
+    ("from ncmimo import cli; cli.main(['constants', '--T', '4', '--M', '2', '--N', '4'])", set()),
+    ("from ncmimo import cli; cli.main(['gain-table', '--T-list', '4,10', '--N-list', '2,100'])",
+     set()),
+    (f"{_DENSITY_SETUP}; {_COND_PDF}", set()),
+    (f"{_DENSITY_SETUP}; {_SPECTRUM_PDFS}", set()),
+    # the controls: a suite that needs a package loads it, so the check can see a load
     ("from ncmimo import cli; cli.main(['validate', '--suite', 'lemma4', '--n', '200'])",
      {"scipy.stats"}),
     ("from ncmimo import cli; cli.main(['validate', '--suite', 'pdf-oracle', '--n', '1'])",
      {"scipy.integrate"}),
 ], ids=["package", "parser", *[f"sample-{kind}" for kind in cli._KINDS],
-        "constants", "cond-pdf", "lemma4", "pdf-oracle"])
+        "constants", "gain-table", "cond-pdf", "spectrum-pdfs", "lemma4", "pdf-oracle"])
 def test_heavy_scipy_loads_only_where_used(script, loaded):
     script += ("; import json, sys; "
                "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
     seen = set(json.loads(run_fresh_python(script).splitlines()[-1]))
     # a control may load more: scipy.stats imports scipy.integrate
     assert seen >= loaded if loaded else not seen
-
-
-@pytest.mark.parametrize("first", list(_SPECIAL_CALLS))
-def test_first_special_function_call_is_bit_identical(first):
-    # in a fresh interpreter the call that imports scipy.special returns what
-    # its repeats return, and what the same call returns here
-    order = [first, *(k for k in _SPECIAL_CALLS if k != first)]
-    calls = f"[{', '.join(_SPECIAL_CALLS[k] for k in order)}]"
-    script = (f"import json, sys; {_SPECIAL_SETUP}; "
-              "assert 'scipy.special' not in sys.modules; "
-              f"print(json.dumps([{calls} for _ in range(3)]))")
-    runs = json.loads(run_fresh_python(script))
-    namespace = {}
-    exec(_SPECIAL_SETUP, namespace)
-    assert runs == [eval(calls, namespace)] * 3
 
 
 def test_benchmark_binds_to_the_library():
@@ -517,6 +504,19 @@ def test_closed_stdout_is_usage_error(capsys, monkeypatch):
     code = cli.main(["constants", "--T", "4", "--M", "2", "--N", "4"])
     assert code == 1
     assert "ncmimo: error: [Errno 32] Broken pipe" in capsys.readouterr().err
+
+
+def test_stdout_closed_at_start_is_usage_error():
+    # with descriptor 1 closed Python starts with sys.stdout = None
+    src = str(Path(ncmimo.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m ncmimo.cli constants --T 4 --M 2 --N 4 >&-', sys.executable],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)))
+    assert proc.returncode == 1
+    assert "ncmimo: error: stdout is closed" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_validate_failure_exit_code(monkeypatch, capsys):

@@ -218,9 +218,10 @@ def test_check_decreasing_matches_reference_decisions():
 
 def test_every_raise_names_one_of_the_two_error_types():
     # a rejected input raises DomainError or ConfluenceError; the CLI's usage
-    # path (exit 1) is the one exception
+    # and output path (exit 1) is the one exception
     usage = {("cli.py", "error", "SystemExit"),
-             ("cli.py", "_int_list", "argparse.ArgumentTypeError")}
+             ("cli.py", "_int_list", "argparse.ArgumentTypeError"),
+             ("cli.py", "_emit", "OSError")}
     found = []
     for path in Path(ncmimo.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))

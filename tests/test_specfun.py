@@ -1,12 +1,13 @@
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import digamma, gammaln
 
 from ncmimo.params import DomainError
 from ncmimo.specfun import (
-    LOG_PI,
     expected_logdet_wishart,
     log_gamma_range,
     log_multivariate_gamma,
@@ -84,21 +85,47 @@ def test_stiefel_volume_domain():
         log_stiefel_volume(1, 2)
 
 
-def test_memoized_values_equal_their_scipy_expressions():
-    # bit for bit on a cache miss and on the hit after it
+def _close(got, want):
+    # within 1e-15 relative, about 4.5 ulp, of the 50-digit value (absolute near 0)
+    return abs(got - want) <= 1e-15 * max(1.0, abs(want))
+
+
+def _mp(expr):
+    with mpmath.workdps(50):
+        return expr()
+
+
+def test_memoized_values_match_mpmath():
+    # accurate on a cache miss, and the hit after it returns the same bits
     for f in (log_multivariate_gamma, expected_logdet_wishart, log_gamma_range):
         f.cache_clear()
     for m in range(1, 7):
-        ks = np.arange(1, m + 1)
         for a in (m, m + 0.5, m + 3, 40):
-            want = float(m * (m - 1) / 2 * LOG_PI + gammaln(a - ks + 1).sum())
-            assert log_multivariate_gamma(m, a) == log_multivariate_gamma(m, a) == want
-        for N in (m, m + 1, 100):
-            want = float(digamma(N - ks + 1).sum())
-            assert expected_logdet_wishart(m, N) == expected_logdet_wishart(m, N) == want
+            want = _mp(lambda: m * (m - 1) / 2 * mpmath.log(mpmath.pi) + mpmath.fsum(
+                mpmath.loggamma(mpmath.mpf(a) - k) for k in range(m)))
+            got = log_multivariate_gamma(m, a)
+            assert _close(got, want) and log_multivariate_gamma(m, a) == got
+        # psi(N - m + 1) is a harmonic sum up to 63 and an asymptotic series from 64
+        for N in (m, m + 1, m + 62, m + 63, 100, 10**6):
+            want = _mp(lambda: mpmath.fsum(mpmath.digamma(N - i) for i in range(m)))
+            got = expected_logdet_wishart(m, N)
+            assert _close(got, want) and expected_logdet_wishart(m, N) == got
         for b in (m - 1, m, m + 7):
-            want = float(gammaln(np.arange(m, b + 1)).sum())
-            assert log_gamma_range(m, b) == log_gamma_range(m, b) == want
+            want = _mp(lambda: mpmath.fsum(mpmath.loggamma(i) for i in range(m, b + 1)))
+            got = log_gamma_range(m, b)
+            assert _close(got, want) and log_gamma_range(m, b) == got
+
+
+def test_expected_logdet_at_large_n_is_accurate_and_fast():
+    # psi at N - 49 .. N: the cost must not grow with M N (a harmonic sum
+    # per psi takes seconds here); within 1e-15 relative of the 50-digit sum
+    expected_logdet_wishart.cache_clear()
+    t0 = time.perf_counter()
+    got = expected_logdet_wishart(50, 10**6)
+    elapsed = time.perf_counter() - t0
+    want = _mp(lambda: mpmath.fsum(mpmath.digamma(10**6 - i) for i in range(50)))
+    assert abs(got - want) <= 1e-15 * abs(want)
+    assert elapsed < 0.02
 
 
 def test_log_gamma_range():
