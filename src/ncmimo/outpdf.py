@@ -71,12 +71,17 @@ def _scaled_logdet(logmag: np.ndarray) -> float:
     return float(ld + c.sum())
 
 
+_TINY_SQUARE = 1.0 / np.finfo(float).max
+
+
 def _gain2(D, M: int) -> np.ndarray:
-    # check_decreasing keeps a last square that underflows to 0; no density takes it
+    # check_decreasing keeps a last square that underflows to 0 or is
+    # subnormal; no density takes one whose reciprocal overflows
     d = check_decreasing(D, M, "gain diagonal")
     d2 = d * d
-    if d2[-1] == 0.0:
-        raise DomainError("gain diagonal: squared entries must be positive")
+    if d2[-1] < _TINY_SQUARE:
+        raise DomainError(f"gain diagonal: squared entries must be at least "
+                          f"{_TINY_SQUARE:.3g}, got {d2[-1]:.3g}")
     return d2
 
 

@@ -2,9 +2,9 @@
 
 Every suite has the signature (n=None, seed=0) -> list[TestReport]; the
 CLI `validate` subcommand renders the rows as a table, with the seed in a
-last column, and fails the run when any row fails.  Quadrature checks
-integrate the closed-form densities over their support; Monte Carlo
-checks are chunked so memory stays flat at large dimensions.
+last column, and fails the run when any row fails.  Every quadrature
+goes through _integrate at one accuracy; Monte Carlo checks are chunked
+so memory stays flat at large dimensions.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .params import ChannelDims, ConfluenceError, DomainError, derive, rho_from_db
+from .params import ChannelDims, DomainError, derive, rho_from_db
 from .capacity import asymptotic_gain_constant, gain_limit_sequence
 from .randmat import RngHandle, beta_eig_pdf_log
 from .bstm import DRAW_CHUNK, sample_input
@@ -50,6 +50,22 @@ def run_power(n: int | None = None, seed: int = 0) -> list[TestReport]:
     return reports
 
 
+# One accuracy for every quadrature a suite takes, and one tolerance on
+# |mass - 1| + error estimate for every normalization row.
+QUAD_ACCURACY = {"epsabs": 1e-12, "epsrel": 1e-10}
+NORMALIZATION_TOL = 1e-9
+
+
+def _integrate(fun, a, b, lo=None, hi=None) -> tuple[float, float]:
+    """(value, error estimate) of the integral of fun(x) over (a, b) or,
+    given lo and hi, of fun(y, x) over a < x < b, lo(x) < y < hi(x).  An
+    exception the integrand raises propagates and fails the suite."""
+    from scipy import integrate  # local: only quadrature suites pay for it
+    if lo is None:
+        return integrate.quad(fun, a, b, limit=200, **QUAD_ACCURACY)
+    return integrate.dblquad(fun, a, b, lo, hi, **QUAD_ACCURACY)
+
+
 def stiefel_pdf_oracle(Y: np.ndarray, d: float, snr_db: float) -> float:
     """Brute-force ln f(Y | D) for T=2, M=1 by quadrature over the input.
 
@@ -57,7 +73,6 @@ def stiefel_pdf_oracle(Y: np.ndarray, d: float, snr_db: float) -> float:
     over the isotropic direction reduces (by unitary invariance) to a
     one-dimensional integral over the squared projection u in (0, 1).
     """
-    from scipy import integrate  # local: only quadrature suites pay for it
     Y = np.asarray(Y)
     T, N = Y.shape
     if T != 2:
@@ -65,9 +80,7 @@ def stiefel_pdf_oracle(Y: np.ndarray, d: float, snr_db: float) -> float:
     s2 = np.sort(np.linalg.svd(Y, compute_uv=False))[::-1] ** 2
     rt = rho_from_db(snr_db)  # rho/M with M=1
     lam = (rt * d * d) / (1.0 + rt * d * d)
-    val, _err = integrate.quad(
-        lambda u: math.exp(lam * (s2[0] * u + s2[1] * (1.0 - u))),
-        0.0, 1.0, epsabs=1e-13, epsrel=1e-11)
+    val, _ = _integrate(lambda u: math.exp(lam * (s2[0] * u + s2[1] * (1.0 - u))), 0.0, 1.0)
     return (-N * T * math.log(math.pi) - N * math.log1p(rt * d * d)
             - float(s2.sum()) + math.log(val))
 
@@ -89,71 +102,44 @@ def run_pdf_oracle(n: int | None = None, seed: int = 0) -> list[TestReport]:
     return [report("cond-pdf vs quadrature T=2 M=1 N=2", worst, 1e-5, n)]
 
 
-def _quad_mass(fun, lo, hi) -> float:
-    from scipy import integrate  # local: only quadrature suites pay for it
-    val, _ = integrate.quad(fun, lo, hi, limit=200)
-    return val
-
-
-def _zero_on_error(logpdf):
-    """exp(logpdf(*x)), read as 0 where the closed form raises
-    DomainError/ConfluenceError (off its support or confluent)."""
-    def pdf(*x):
-        try:
-            return math.exp(logpdf(*x))
-        except (DomainError, ConfluenceError):
-            return 0.0
-    return pdf
-
-
 def run_density_normalization(n: int | None = None, seed: int = 0) -> list[TestReport]:
     """Integrate each closed-form density over its support; mass must be 1.
 
-    1-D Gaussian-type spectra are held to 1e-8, 1-D beta densities to
-    1e-6, and the 2-D quadratures to 1e-3.
+    Every row's statistic is |mass - 1| plus the quadrature's own error
+    estimate, gated at NORMALIZATION_TOL.
     """
-    from scipy import integrate  # local: only quadrature suites pay for it
     suite_size(n, None)
-    masses = []  # (name, integrated mass, tolerance)
-
-    # matrix-Beta eigenvalue density, m = 1
-    mass = _quad_mass(lambda a: math.exp(beta_eig_pdf_log(1, 2, 3, np.array([a]))),
-                      0.0, 1.0)
-    masses.append(("normalization beta m=1 p=2 n=3", mass, 1e-6))
-
-    # singular matrix-Beta: m = 2, n = 1 leaves one free eigenvalue
-    mass = _quad_mass(lambda a: math.exp(beta_eig_pdf_log(2, 3, 1, np.array([a]))),
-                      0.0, 1.0)
-    masses.append(("normalization beta m=2 p=3 n=1 (singular)", mass, 1e-6))
-
-    # full 2-D ordered eigenvalue density, m = 2
-    beta2 = _zero_on_error(lambda a2, a1: beta_eig_pdf_log(2, 2, 2, np.array([a1, a2])))
-    mass, _ = integrate.dblquad(beta2, 0.0, 1.0, 0.0, lambda a1: a1)
-    masses.append(("normalization beta m=2 p=2 n=2", mass, 1e-3))
-
-    # leading-block spectrum density with a single value (M = 1)
-    dp = derive(ChannelDims(T=4, M=1, N=2))
-    mass = _quad_mass(lambda s: math.exp(first_sv_pdf_log(np.array([s]), dp, 10.0)),
-                      0.0, np.inf)
-    masses.append(("normalization first-sv T=4 M=1 N=2 @10dB", mass, 1e-8))
-
-    # trailing-block spectrum density with a single value
     dp = derive(ChannelDims(T=2, M=1, N=2))
-    mass = _quad_mass(lambda s: math.exp(tail_sv_pdf_log(np.array([s]), dp)),
-                      0.0, np.inf)
-    masses.append(("normalization tail-sv T=2 M=1 N=2", mass, 1e-8))
-
-    # finite-SNR conditional spectrum density over its full support (T = 2)
+    dp_first = derive(ChannelDims(T=4, M=1, N=2))
     snr_db = 10.0
     rt = rho_from_db(snr_db)
     dgain = np.array([1.3])
-    cond2 = _zero_on_error(
-        lambda s1, s2: cond_sv_pdf_finite_log(np.array([s1, s2]), dgain, dp, snr_db))
-    mass, _ = integrate.dblquad(cond2, 0.0, 10.0,
-                                lambda s2: s2 / math.sqrt(rt), 14.0,
-                                epsabs=1e-10, epsrel=1e-8)
-    masses.append(("normalization cond-sv T=2 M=1 N=2 @10dB", mass, 1e-3))
-    return [report(name, abs(mass - 1.0), tol, 1) for name, mass, tol in masses]
+    masses = {  # name: (value, error estimate)
+        # matrix-Beta eigenvalue density, m = 1
+        "normalization beta m=1 p=2 n=3": _integrate(
+            lambda a: math.exp(beta_eig_pdf_log(1, 2, 3, np.array([a]))), 0.0, 1.0),
+        # singular matrix-Beta: m = 2, n = 1 leaves one free eigenvalue
+        "normalization beta m=2 p=3 n=1 (singular)": _integrate(
+            lambda a: math.exp(beta_eig_pdf_log(2, 3, 1, np.array([a]))), 0.0, 1.0),
+        # full 2-D ordered eigenvalue density, m = 2, over a2 < a1
+        "normalization beta m=2 p=2 n=2": _integrate(
+            lambda a2, a1: math.exp(beta_eig_pdf_log(2, 2, 2, np.array([a1, a2]))),
+            0.0, 1.0, 0.0, lambda a1: a1),
+        # leading-block spectrum density with a single value (M = 1)
+        "normalization first-sv T=4 M=1 N=2 @10dB": _integrate(
+            lambda s: math.exp(first_sv_pdf_log(np.array([s]), dp_first, snr_db)),
+            0.0, np.inf),
+        # trailing-block spectrum density with a single value
+        "normalization tail-sv T=2 M=1 N=2": _integrate(
+            lambda s: math.exp(tail_sv_pdf_log(np.array([s]), dp)), 0.0, np.inf),
+        # finite-SNR conditional spectrum density over its full support (T = 2)
+        "normalization cond-sv T=2 M=1 N=2 @10dB": _integrate(
+            lambda s1, s2: math.exp(
+                cond_sv_pdf_finite_log(np.array([s1, s2]), dgain, dp, snr_db)),
+            0.0, 10.0, lambda s2: s2 / math.sqrt(rt), 14.0),
+    }
+    return [report(name, abs(mass - 1.0) + err, NORMALIZATION_TOL, 1)
+            for name, (mass, err) in masses.items()]
 
 
 def _converging(name: str, gaps: list[float]) -> TestReport:

@@ -249,10 +249,11 @@ def test_cond_pdf_rejects_non_finite_output(y):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("dims,d", [((2, 1, 2), (1e-170,)), ((4, 2, 4), (1.0, 1e-170))])
+@pytest.mark.parametrize("dims,d", [((2, 1, 2), (1e-170,)), ((4, 2, 4), (1.0, 1e-170)),
+                                    ((2, 1, 2), (1e-155,)), ((4, 2, 4), (1.0, 1e-155))])
 def test_densities_reject_a_gain_whose_square_underflows(dims, d):
-    # the spectrum validator keeps a last square that underflows to 0, but a
-    # zero squared gain would divide by zero or lose the determinant's sign
+    # the spectrum validator keeps a last square that underflows to 0 or is
+    # subnormal, but its reciprocal would overflow or lose the determinant's sign
     dp = _dp(*dims)
     d = np.array(d)
     svn = np.linspace(2.0, 0.5, dp.T)

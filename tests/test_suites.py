@@ -1,15 +1,17 @@
-"""Negative controls: each suite must reject a known-wrong sampler.
+"""Negative controls: each suite must reject a known-wrong sampler or density.
 
-The wrong sampler replaces the module global the suite looks up, so the
-suite code under test is the code `validate` runs.
+The wrong sampler or density replaces the module global the suite looks
+up, so the suite code under test is the code `validate` runs.
 """
 
 import inspect
+import math
 
 import numpy as np
 import pytest
 
-from ncmimo import bstm, randmat, statcheck, suites
+from ncmimo import bstm, cli, randmat, statcheck, suites
+from ncmimo.params import DomainError
 from ncmimo.suites import SUITES
 
 
@@ -68,9 +70,39 @@ def test_power_rejects_two_percent_gain(monkeypatch):
         assert min(abs(r.statistic - w) for w in want) < 1e-12
 
 
-def test_zero_on_error_reads_rejected_inputs_as_zero():
-    pdf = suites._zero_on_error(
-        lambda a2, a1: randmat.beta_eig_pdf_log(2, 2, 2, np.array([a1, a2])))
-    assert pdf(0.2, 0.6) > 0.0
-    assert pdf(0.6, 0.2) == 0.0  # increasing: DomainError
-    assert pdf(0.5 - 1e-12, 0.5) == 0.0  # confluent: ConfluenceError
+def test_density_normalization_rejects_mass_one_plus_1e_6(monkeypatch):
+    # each normalized density scaled by 1 + 1e-6: every row's mass is off by 1e-6
+    for name in ("beta_eig_pdf_log", "first_sv_pdf_log", "tail_sv_pdf_log",
+                 "cond_sv_pdf_finite_log"):
+        def scaled(*args, _log=getattr(suites, name)):
+            return _log(*args) + math.log1p(1e-6)
+        monkeypatch.setattr(suites, name, scaled)
+    reports = SUITES["density-normalization"]()
+    assert len(reports) == 6
+    assert not any(r.passed for r in reports)
+
+
+def test_density_normalization_gates_the_error_estimate(monkeypatch):
+    from scipy import integrate
+    for name in ("quad", "dblquad"):
+        monkeypatch.setattr(integrate, name, lambda *a, **k: (1.0, 1e-6))
+    reports = SUITES["density-normalization"]()
+    assert len(reports) == 6
+    assert all(r.statistic == 1e-6 for r in reports)
+    assert not any(r.passed for r in reports)
+
+
+def test_a_raising_integrand_fails_validate_with_exit_2(monkeypatch, capsys):
+    def rejects(*args):
+        raise DomainError("rejected node")
+
+    # a 2-D row: dblquad's nested quad must pass the raise through
+    monkeypatch.setattr(suites, "cond_sv_pdf_finite_log", rejects)
+    assert cli.main(["validate", "--suite", "density-normalization"]) == 2
+    assert "rejected node" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["density-normalization", "pdf-oracle"])
+def test_quadrature_suites_pass_without_warnings(name):
+    assert all(r.passed for r in SUITES[name]())
