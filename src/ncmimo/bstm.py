@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import DerivedParams, DomainError, check_nonnegative_int, rho_from_db
+from .params import DerivedParams, DomainError, check_int, rho_from_db
 from .randmat import (
     sample_bartlett_factor,
     sample_gaussian,
@@ -49,7 +49,7 @@ def sample_gain(dp: DerivedParams, rng: np.random.Generator, count: int,
     deterministic USTM diagonal is returned even when T < M+N, which is
     the suboptimal scheme the rate-gain comparisons are about.
     """
-    check_nonnegative_int(count, "count")
+    count = check_int(count, "count")
     T, M, N = dp.T, dp.M, dp.N
     if ustm or not dp.large_mimo:
         return np.full((count, M), np.sqrt(float(T)))
@@ -81,8 +81,7 @@ def simulate_channel(X: np.ndarray, N: int, snr_db: float,
     so a DomainError (any other rank of X included) leaves rng as it was.
     """
     X = np.asarray(X)
-    if N < 1:
-        raise DomainError(f"simulate_channel requires N >= 1, got N={N}")
+    N = check_int(N, "N", 1)
     if X.ndim != 3 or 0 in X.shape[1:]:
         raise DomainError(f"X must be a (count, T, M) stack of blocks, got shape {X.shape}")
     count, T, M = X.shape

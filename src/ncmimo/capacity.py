@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .params import ChannelDims, DerivedParams, DomainError, derive, rho_from_db
+from .params import ChannelDims, DerivedParams, DomainError, check_int, derive, rho_from_db
 from .specfun import expected_logdet_wishart, log_multivariate_gamma
 
 BSTM = "bstm"
@@ -146,9 +146,9 @@ def asymptotic_gain_constant(T: int, M: int) -> float:
               - (M/2T) [M ln(pi e) + ln 2].
     Requires 1 <= M <= floor(T/2).
     """
-    if not 1 <= M <= T // 2:
-        raise DomainError(
-            f"asymptotic_gain_constant requires 1 <= M <= floor(T/2): M={M}, T={T}")
+    T, M = check_int(T, "T", 1), check_int(M, "M", 1)
+    if M > T // 2:
+        raise DomainError(f"asymptotic_gain_constant requires M <= floor(T/2): M={M}, T={T}")
     return (
         log_multivariate_gamma(M, T - M) / T
         + M * (T - M) / T * (1.0 - math.log(T - M))

@@ -1,4 +1,4 @@
-"""Channel dimensions and the four derived coherence parameters.
+"""Channel dimensions, the four derived coherence parameters, the argument rules.
 
 A coherence block spans T symbols; the transmitter has M antennas and the
 receiver N.  Everything downstream assumes the standing constraint
@@ -31,12 +31,15 @@ REL_GAP_TOL = 1e-9
 _MAX_ROOT = float(np.sqrt(np.finfo(float).max))
 
 
-def check_nonnegative_int(value, name: str):
-    """value unchanged if it is a non-negative Python or numpy integer;
-    DomainError naming `name` otherwise (bool, float, str and None included)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise DomainError(f"{name} must be a non-negative integer, got {name}={value!r}")
-    return value
+def check_int(value, name: str, low: int = 0) -> int:
+    """value as a Python int if it is a Python or numpy integer >= low;
+    DomainError naming `name` otherwise (bool, float, str and None included).
+    The one rule for every seed, count and dimension."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        what = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            low, f"an integer >= {low}")
+        raise DomainError(f"{name} must be {what}, got {name}={value!r}")
+    return int(value)
 
 
 def check_decreasing(x, size: int, label: str) -> np.ndarray:
@@ -107,12 +110,7 @@ def derive(dims: ChannelDims) -> DerivedParams:
 
     Raises DomainError naming the violated constraint.
     """
-    T, M, N = dims.T, dims.M, dims.N
-    for label, v in (("T", T), ("M", M), ("N", N)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise DomainError(f"{label} must be a positive integer, got {v!r}")
-    if T < 2:
-        raise DomainError(f"T >= 2 required, got T={T}")
+    T, M, N = check_int(dims.T, "T", 1), check_int(dims.M, "M", 1), check_int(dims.N, "N", 1)
     if M > T // 2:
         raise DomainError(f"M <= floor(T/2) required: M={M}, floor(T/2)={T // 2}")
     if M > N:

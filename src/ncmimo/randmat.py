@@ -6,8 +6,9 @@ pseudo-Wishart), the complex matrix-variate Beta built from the Bartlett
 factors of two independent Wisharts, and isotropically distributed
 truncated unitaries (Haar on the Stiefel manifold).  Every sampler
 draws from a numpy Generator, such as RngHandle(seed), and is
-deterministic given its seed.  It takes a count, a non-negative integer
-checked (DomainError) before anything is drawn, and returns that many
+deterministic given its seed.  Its count (a non-negative integer) and
+its dimensions (positive integers) follow params.check_int and are
+checked (DomainError) before anything is drawn.  It returns count
 independent draws stacked along a leading axis, so Monte Carlo loops
 stay in compiled code.
 """
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import DomainError, check_decreasing, check_nonnegative_int
+from .params import DomainError, check_decreasing, check_int
 from .specfun import LOG_PI, log_multivariate_gamma, log_vandermonde
 
 # Generator recorded in output metadata; PCG64 has a documented,
@@ -30,15 +31,13 @@ def RngHandle(seed: int) -> np.random.Generator:
     """numpy's PCG64 Generator seeded through SeedSequence, the stream of
     np.random.default_rng(seed); DomainError for a seed that is not a
     non-negative Python or numpy integer (bool, float and str included)."""
-    return np.random.Generator(np.random.PCG64(check_nonnegative_int(seed, "seed")))
+    return np.random.Generator(np.random.PCG64(check_int(seed, "seed")))
 
 
 def sample_gaussian(m: int, n: int, variance: float, rng: np.random.Generator,
                     count: int) -> np.ndarray:
     """count x m x n stack of iid circularly-symmetric CN(0, variance) entries."""
-    check_nonnegative_int(count, "count")
-    if m < 1 or n < 1:
-        raise DomainError(f"sample_gaussian requires m, n >= 1, got m={m}, n={n}")
+    count, m, n = check_int(count, "count"), check_int(m, "m", 1), check_int(n, "n", 1)
     if not 0 < variance < np.inf:
         raise DomainError(f"sample_gaussian requires finite variance > 0, got {variance}")
     shape = (count, m, n)
@@ -68,9 +67,7 @@ def sample_bartlett_factor(m: int, n: int, scale: float, rng: np.random.Generato
     however large n is.  The diagonals of the whole stack are drawn
     first, then the entries below them in np.tril_indices order.
     """
-    check_nonnegative_int(count, "count")
-    if m < 1 or n < 1:
-        raise DomainError(f"sample_bartlett_factor requires m, n >= 1, got m={m}, n={n}")
+    count, m, n = check_int(count, "count"), check_int(m, "m", 1), check_int(n, "n", 1)
     if not 0 < scale < np.inf:
         raise DomainError(f"sample_bartlett_factor requires finite scale > 0, got {scale}")
     k = min(m, n)
@@ -112,10 +109,8 @@ def sample_matrix_beta(m: int, p: int, n: int, rng: np.random.Generator,
     Eigenvalues lie in [0, 1]; when n < m exactly m - n of them equal 1
     (the singular Beta).
     """
-    if not p >= m >= 1:
-        raise DomainError(f"sample_matrix_beta requires p >= m >= 1, got m={m}, p={p}")
-    if n < 1:
-        raise DomainError(f"sample_matrix_beta requires n >= 1, got n={n}")
+    m, n = check_int(m, "m", 1), check_int(n, "n", 1)
+    p = check_int(p, "p", m)
     ell_a = sample_bartlett_factor(m, p, 1.0, rng, count)
     ell_b = sample_bartlett_factor(m, n, 1.0, rng, count)
     try:
@@ -133,8 +128,8 @@ def sample_isotropic_unitary(T: int, M: int, rng: np.random.Generator,
     triangular factor has real positive diagonal; without that correction
     the factor is not Haar-uniform on the Stiefel manifold.
     """
-    if not T >= M >= 1:
-        raise DomainError(f"sample_isotropic_unitary requires T >= M >= 1, got T={T}, M={M}")
+    M = check_int(M, "M", 1)
+    T = check_int(T, "T", M)
     z = sample_gaussian(T, M, 1.0, rng, count)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
@@ -158,10 +153,8 @@ def beta_eig_pdf_log(m: int, p: int, n: int, a) -> float:
 
     The eigenvalues must decrease strictly inside (0, 1).
     """
-    if not p >= m >= 1:
-        raise DomainError(f"beta_eig_pdf_log requires p >= m >= 1, got m={m}, p={p}")
-    if n < 1:
-        raise DomainError(f"beta_eig_pdf_log requires n >= 1, got n={n}")
+    m, n = check_int(m, "m", 1), check_int(n, "n", 1)
+    p = check_int(p, "p", m)
     k = min(m, n)
     a = check_decreasing(a, k, "beta_eig_pdf_log eigenvalues")
     if a[0] >= 1:

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import DomainError
+from .params import DomainError, check_int
 
 LOG_PI = math.log(math.pi)
 LOG_2 = math.log(2.0)
@@ -33,29 +33,28 @@ def log_vandermonde(x: np.ndarray) -> float:
     return float(np.log(x[i] - x[j]).sum())
 
 
-@lru_cache(maxsize=None)
+# the integer-taking caches are typed: a hit on 2 must not answer for 2.0 or True
+@lru_cache(maxsize=None, typed=True)
 def log_gamma_range(a: int, b: int) -> float:
     """sum_{i=a}^{b} ln Gamma(i) over integers, 0 for an empty range; a >= 1."""
-    if a < 1:
-        raise DomainError(f"log_gamma_range requires a >= 1, got a={a}")
+    a, b = check_int(a, "a", 1), check_int(b, "b")
     return math.fsum(map(math.lgamma, range(a, b + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def log_multivariate_gamma(m: int, a: float) -> float:
     """ln Gamma_m(a), complex multivariate gamma of dimension m.
 
     Requires a > m - 1 so every factor Gamma(a-k+1) is in-domain.
     """
-    if m < 1:
-        raise DomainError(f"log_multivariate_gamma requires m >= 1, got m={m}")
+    m = check_int(m, "m", 1)
     if not a > m - 1:
         raise DomainError(
             f"log_multivariate_gamma requires a > m-1: a={a}, m={m}")
     return math.fsum([m * (m - 1) / 2 * LOG_PI, *(math.lgamma(a - k) for k in range(m))])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def expected_logdet_wishart(M: int, N: int) -> float:
     """E[ln det(H H^H)] for an M x N matrix H of iid CN(0,1) entries, 1 <= M <= N.
 
@@ -63,8 +62,8 @@ def expected_logdet_wishart(M: int, N: int) -> float:
     n = N-M+1, an O(M) sum at any N.  psi(n) is H_{n-1} - gamma below 64 and
     its asymptotic series, truncated below 1e-17 relative, from 64 on.
     """
-    if not 1 <= M <= N:
-        raise DomainError(f"expected_logdet_wishart requires 1 <= M <= N, got M={M}, N={N}")
+    M = check_int(M, "M", 1)
+    N = check_int(N, "N", M)
     n = N - M + 1
     if n < 64:
         psi = math.fsum([-np.euler_gamma, *(1.0 / k for k in range(1, n))])
@@ -77,6 +76,6 @@ def expected_logdet_wishart(M: int, N: int) -> float:
 def log_stiefel_volume(n: int, m: int) -> float:
     """ln of the volume of the Stiefel manifold S(n, m) of n x m matrices
     with orthonormal columns: |S(n,m)| = 2^m pi^{mn} / Gamma_m(n)."""
-    if m < 1 or m > n:
-        raise DomainError(f"log_stiefel_volume requires n >= m >= 1, got n={n}, m={m}")
+    m = check_int(m, "m", 1)
+    n = check_int(n, "n", m)
     return m * LOG_2 + m * n * LOG_PI - log_multivariate_gamma(m, n)

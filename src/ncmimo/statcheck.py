@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ChannelDims, DomainError, derive
+from .params import ChannelDims, DomainError, check_int, derive
 from .randmat import (
     RngHandle,
     sample_bartlett_factor,
@@ -57,14 +57,13 @@ def report(name: str, statistic: float, threshold: float, n: int,
 
 def suite_size(n: int | None, default: int | None) -> int | None:
     """A suite's sample or case count: n, or `default` when n is None.
-    DomainError for n < 1 and for any n given to a fixed-size suite."""
+    DomainError unless n is a positive integer, and for any n given to a
+    fixed-size suite."""
     if n is None:
         return default
     if default is None:
         raise DomainError(f"this suite has a fixed size and takes no n, got n={n}")
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got n={n}")
-    return n
+    return check_int(n, "n", 1)
 
 
 def ks_two_sample(a, b, name: str = "ks_two_sample") -> TestReport:

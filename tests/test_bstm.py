@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -11,9 +12,11 @@ from ncmimo.bstm import (
     sample_input,
     simulate_channel,
 )
+from ncmimo.capacity import asymptotic_gain_constant
 from ncmimo.params import ChannelDims, DomainError, derive
 from ncmimo.randmat import (
     RngHandle,
+    beta_eig_pdf_log,
     sample_bartlett_factor,
     sample_gaussian,
     sample_isotropic_unitary,
@@ -26,36 +29,77 @@ def _dp(T, M, N):
     return derive(ChannelDims(T=T, M=M, N=N))
 
 
-# every sampler, called with a count; (4, 2, 3) is large-MIMO, so the gain draws
-SAMPLERS = {
-    "gaussian": lambda rng, count: sample_gaussian(2, 3, 1.0, rng, count=count),
-    "bartlett": lambda rng, count: sample_bartlett_factor(3, 2, 1.0, rng, count=count),
-    "wishart": lambda rng, count: sample_wishart(2, 3, 1.0, rng, count=count),
-    "beta": lambda rng, count: sample_matrix_beta(2, 3, 2, rng, count=count),
-    "unitary": lambda rng, count: sample_isotropic_unitary(4, 2, rng, count=count),
-    "gain": lambda rng, count: sample_gain(_dp(4, 2, 3), rng, count=count),
-    "gain-ustm": lambda rng, count: sample_gain(_dp(4, 2, 3), rng, count=count, ustm=True),
-    "input": lambda rng, count: sample_input(_dp(4, 2, 3), rng, count=count),
-    "noiseless-sv": lambda rng, count: noiseless_sv_sample(_dp(4, 2, 3), rng, count=count),
+# every public function that takes a count or a dimension: its valid integer
+# arguments, and a call taking them by keyword after a Generator; (4, 2, 3)
+# is large-MIMO, so the gain draws
+CALLS = {
+    "gaussian": ({"count": 2, "m": 2, "n": 3},
+                 lambda rng, count, m, n: sample_gaussian(m, n, 1.0, rng, count)),
+    "bartlett": ({"count": 2, "m": 3, "n": 2},
+                 lambda rng, count, m, n: sample_bartlett_factor(m, n, 1.0, rng, count)),
+    "wishart": ({"count": 2, "m": 2, "n": 3},
+                lambda rng, count, m, n: sample_wishart(m, n, 1.0, rng, count)),
+    "beta": ({"count": 2, "m": 2, "p": 3, "n": 2},
+             lambda rng, count, m, p, n: sample_matrix_beta(m, p, n, rng, count)),
+    "unitary": ({"count": 2, "T": 4, "M": 2},
+                lambda rng, count, T, M: sample_isotropic_unitary(T, M, rng, count)),
+    "gain": ({"count": 2}, lambda rng, count: sample_gain(_dp(4, 2, 3), rng, count)),
+    "gain-ustm": ({"count": 2},
+                  lambda rng, count: sample_gain(_dp(4, 2, 3), rng, count, ustm=True)),
+    "input": ({"count": 2}, lambda rng, count: sample_input(_dp(4, 2, 3), rng, count)),
+    "noiseless-sv": ({"count": 2},
+                     lambda rng, count: noiseless_sv_sample(_dp(4, 2, 3), rng, count)),
+    "derive": ({"T": 4, "M": 2, "N": 3}, lambda rng, T, M, N: _dp(T, M, N)),
+    "beta-pdf": ({"m": 2, "p": 3, "n": 1},
+                 lambda rng, m, p, n: beta_eig_pdf_log(m, p, n, np.array([0.4]))),
+    "channel": ({"N": 3}, lambda rng, N: simulate_channel(np.eye(4, 2)[None], N, 10.0, rng)),
+    "gain-limit": ({"T": 4, "M": 2}, lambda rng, T, M: asymptotic_gain_constant(T, M)),
 }
 
+# lower bounds other than a count's 0 and a dimension's 1: p >= m, T >= M
+LOWS = {("beta", "p"): 2, ("beta-pdf", "p"): 2, ("unitary", "T"): 2}
 
-@pytest.mark.parametrize("count", [-1, 2.5, True, "3", None])
-@pytest.mark.parametrize("kind", sorted(SAMPLERS))
-def test_bad_count_is_domain_error_before_any_draw(kind, count):
+
+def _bad_arguments():
+    # one below the bound, then the non-integers; a count's ids are its value
+    for kind, (args, _) in CALLS.items():
+        for arg in args:
+            low = 0 if arg == "count" else LOWS.get((kind, arg), 1)
+            for bad in (low - 1, 2.5, 2.0, True, np.bool_(True), "3", None):
+                value = bad if isinstance(bad, str) else repr(bad)
+                yield pytest.param(kind, arg, low, bad, id=(
+                    f"{kind}-{value}" if arg == "count" else f"{kind}-{arg}={value}"))
+
+
+@pytest.mark.parametrize("kind, arg, low, bad", _bad_arguments())
+def test_bad_count_is_domain_error_before_any_draw(kind, arg, low, bad):
+    # counts and dimensions follow one rule, checked before the first draw
+    args, call = CALLS[kind]
     rng = RngHandle(4)
     state = rng.bit_generator.state
-    message = f"count must be a non-negative integer, got count={count!r}"
-    with pytest.raises(DomainError, match=re.escape(message)):
-        SAMPLERS[kind](rng, count)
+    words = {0: "a non-negative integer", 1: "a positive integer"}.get(low, f"an integer >= {low}")
+    message = f"{arg} must be {words}, got {arg}={bad!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(rng, **{**args, arg: bad})
     assert rng.bit_generator.state == state
 
 
-@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+def _typed(x):
+    # x's bits and types: an np.int64 field differs from an int one
+    if isinstance(x, np.ndarray):
+        return x.dtype, x.shape, x.tobytes()
+    if dataclasses.is_dataclass(x):
+        return [(type(v), v) for v in dataclasses.astuple(x)]
+    return type(x), x
+
+
+@pytest.mark.parametrize("kind", sorted(CALLS))
 def test_numpy_integer_count_draws_like_int(kind):
-    want = SAMPLERS[kind](RngHandle(4), 2)
-    for count in (np.int64(2), np.uint8(2)):
-        assert np.array_equal(SAMPLERS[kind](RngHandle(4), count), want)
+    # numpy integer counts and dimensions give what Python ints do, bit for bit
+    args, call = CALLS[kind]
+    want = _typed(call(RngHandle(4), **args))
+    for np_int in (np.int64, np.uint8):
+        assert _typed(call(RngHandle(4), **{k: np_int(v) for k, v in args.items()})) == want
 
 
 def test_gain_diagonal_validation():
@@ -169,7 +213,7 @@ def test_simulate_channel_shapes():
             simulate_channel(bad, 3, 10.0, rng)
     with pytest.raises(DomainError):
         simulate_channel(np.zeros((1, 4, 0)), 3, 10.0, rng)  # no transmit antenna
-    with pytest.raises(DomainError, match="N >= 1"):
+    with pytest.raises(DomainError, match="N must be a positive integer, got N=0"):
         simulate_channel(x, 0, 10.0, rng)  # no receive antenna
     assert rng.bit_generator.state == state
 

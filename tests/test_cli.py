@@ -108,7 +108,7 @@ def test_sample_unitary_domain_error_exit_code(capsys):
     code, out, err = run_cli(capsys, ["sample", "--kind", "unitary", "--T", "2", "--M", "3"])
     assert code == 2
     assert out == ""
-    assert "T >= M >= 1" in err
+    assert "T must be an integer >= 3, got T=2" in err
 
 
 def test_sample_wishart_domain_error_exit_code(capsys, tmp_path):

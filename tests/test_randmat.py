@@ -324,7 +324,7 @@ def test_beta_eig_pdf_domain():
         beta_eig_pdf_log(2, 3, 2, np.array([0.5]))  # wrong length
     with pytest.raises(DomainError):
         beta_eig_pdf_log(2, 2, 1, np.array([0.3, 0.2]))  # singular case takes n values
-    with pytest.raises(DomainError, match="p >= m >= 1"):
+    with pytest.raises(DomainError, match="p must be an integer >= 3, got p=2"):
         beta_eig_pdf_log(3, 2, 2, np.array([0.5, 0.2]))  # p < m
-    with pytest.raises(DomainError, match="n >= 1"):
+    with pytest.raises(DomainError, match="n must be a positive integer, got n=0"):
         beta_eig_pdf_log(2, 3, 0, np.array([0.5, 0.2]))  # n < 1

@@ -85,6 +85,18 @@ def test_stiefel_volume_domain():
         log_stiefel_volume(1, 2)
 
 
+@pytest.mark.parametrize("f, good, bad", [
+    (log_gamma_range, (2, 4), (2.0, 4)),
+    (log_multivariate_gamma, (1, 3), (True, 3)),
+    (expected_logdet_wishart, (2, 3), (np.float64(2.0), 3)),
+])
+def test_a_cache_hit_does_not_answer_for_a_non_integer(f, good, bad):
+    # 2.0 and True hash like the ints a hit was cached under
+    f(*good)
+    with pytest.raises(DomainError, match="must be a positive integer"):
+        f(*bad)
+
+
 def _close(got, want):
     # within 1e-15 relative, about 4.5 ulp, of the 50-digit value (absolute near 0)
     return abs(got - want) <= 1e-15 * max(1.0, abs(want))

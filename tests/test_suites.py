@@ -6,6 +6,7 @@ up, so the suite code under test is the code `validate` runs.
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,18 @@ def test_every_suite_has_the_registry_signature():
     for fn in SUITES.values():
         params = inspect.signature(fn).parameters.values()
         assert [(p.name, p.default) for p in params] == [("n", None), ("seed", 0)]
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3", 0])
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_n_follows_the_integer_rule(name, n):
+    # a sized suite's n is a positive integer; a fixed-size suite takes none
+    if name in ("density-normalization", "convergence"):
+        message = f"this suite has a fixed size and takes no n, got n={n}"
+    else:
+        message = f"n must be a positive integer, got n={n!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        SUITES[name](n=n)
 
 
 @pytest.mark.parametrize("name", ["lemma4", "lemma5"])
