@@ -119,9 +119,14 @@ def capacity_approx(dp: DerivedParams, snr_db: float, scheme: str = BSTM) -> flo
 def constant_gap(dp: DerivedParams) -> float:
     """c* - c_U, the constant the optimal input gains over USTM; exactly 0.0
     when T >= M+N, where subtracting the two equal constants leaves round-off."""
+    return _gap(dp)
+
+
+def _gap(dp: DerivedParams, cu: CapacityBreakdown | None = None) -> float:
+    # constant_gap, reusing c_U's breakdown when the caller already has it
     if not dp.large_mimo:
         return 0.0
-    return bstm_constant(dp).constant - ustm_constant(dp).constant
+    return bstm_constant(dp).constant - (cu if cu is not None else ustm_constant(dp)).constant
 
 
 def gain_ratio(dp: DerivedParams, snr_db: float) -> float:
@@ -136,7 +141,7 @@ def gain_ratio(dp: DerivedParams, snr_db: float) -> float:
         raise DomainError(
             f"USTM expansion is nonpositive ({denom:.3g} nats) at {snr_db} dB; "
             "the high-SNR approximation is out of range, gain ratio undefined")
-    return constant_gap(dp) / denom
+    return _gap(dp, cu) / denom
 
 
 def asymptotic_gain_constant(T: int, M: int) -> float:

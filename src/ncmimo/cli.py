@@ -76,6 +76,11 @@ def _cell(v) -> str:
     return str(v)
 
 
+# a flat row's items on their own lines at depth 3 of json.dump(indent=2);
+# without `indent` the encoder runs in C
+_JSON_ROW = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
 def _config_echo(args) -> dict:
     cfg = {k: v for k, v in vars(args).items() if not k.startswith("_") and k != "func"}
     cfg["out"] = cfg.get("out") or "-"
@@ -90,10 +95,18 @@ def _emit(args, columns, rows, warnings_list=()) -> None:
     with (contextlib.nullcontext(sys.stdout) if args.out in (None, "-")
           else open(args.out, "w", encoding="utf-8", newline="")) as fh:
         if args.format == "json":
-            json.dump({"meta": {"tool": tool, "rng": RNG_ALGORITHM, "config": config,
-                                "columns": list(columns), "warnings": list(warnings_list)},
-                       "rows": rows}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            # the bytes of json.dump(..., indent=2, sort_keys=True), each row
+            # through json's C encoder; "rows" sorts last, so head ends '[]\n}'
+            head = json.dumps({"meta": {"tool": tool, "rng": RNG_ALGORITHM, "config": config,
+                                        "columns": list(columns),
+                                        "warnings": list(warnings_list)},
+                               "rows": []}, indent=2, sort_keys=True)
+            fh.write(head[:-4])
+            sep = "["
+            for row in rows:
+                fh.write(f"{sep}\n    [\n      {_JSON_ROW.encode(row)[1:-1]}\n    ]")
+                sep = ","
+            fh.write("[]\n}\n" if sep == "[" else "\n  ]\n}\n")
         else:
             fh.write(f"# tool: {tool}\n# rng: {RNG_ALGORITHM}\n"
                      f"# config: {json.dumps(config, sort_keys=True)}\n{','.join(columns)}\n")
@@ -155,7 +168,28 @@ _KINDS = {
 }
 
 
-def _table(draws: np.ndarray, prefix: str | None) -> tuple[list[str], list[list]]:
+_CHUNK_VALUES = 1 << 17  # about 4 MB of Python floats
+
+
+class _Rows:
+    """The rows of a 2-D array, one per draw: its index, then its entries as
+    Python numbers, converted a chunk of about _CHUNK_VALUES values at a
+    time, so the stack is never held whole a second time as Python floats."""
+
+    def __init__(self, flat: np.ndarray):
+        self._flat = flat
+
+    def __len__(self) -> int:
+        return len(self._flat)
+
+    def __iter__(self):
+        step = max(1, _CHUNK_VALUES // self._flat.shape[1])
+        for start in range(0, len(self._flat), step):
+            for i, row in enumerate(self._flat[start:start + step].tolist(), start):
+                yield [i, *row]
+
+
+def _table(draws: np.ndarray, prefix: str | None) -> tuple[list[str], _Rows]:
     """Columns and rows of a stacked draw, one row per draw: its index, then
     a real vector's entries as prefix1, prefix2, ... or a complex matrix's
     as re_i_j, im_i_j in row-major order."""
@@ -166,7 +200,7 @@ def _table(draws: np.ndarray, prefix: str | None) -> tuple[list[str], list[list]
         flat = flat.view(flat.real.dtype)
     else:
         columns = [f"{prefix}{i + 1}" for i in range(flat.shape[1])]
-    return ["draw"] + columns, [[i] + row for i, row in enumerate(flat.tolist())]
+    return ["draw"] + columns, _Rows(flat)
 
 
 def cmd_sample(args) -> int:

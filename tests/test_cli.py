@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -16,6 +17,7 @@ from ncmimo.capacity import bstm_constant, gain_ratio, ustm_constant
 from ncmimo.bstm import noiseless_sv_sample, sample_gain, sample_input
 from ncmimo.params import ChannelDims, derive
 from ncmimo.randmat import (
+    RNG_ALGORITHM,
     RngHandle,
     sample_isotropic_unitary,
     sample_matrix_beta,
@@ -139,12 +141,15 @@ def test_negative_seed_is_domain_error(capsys, argv):
     # one unchunked stack of full 5 x n Gaussians peaks at about 1,700 MB
     (["sample", "--kind", "gain", "--T", "10", "--M", "5", "--N", "100",
       "--count", "100000"], 400),
-    # a 44 MB JSON export; joining the encoder's chunks into one payload
-    # string before writing peaks at about 335 MB, writing them as they
-    # come at about 160 MB
+    # a 44 MB JSON export; converting the whole stack to Python floats
+    # before writing peaks at about 138 MB, a chunk at a time at about 94 MB
     (["sample", "--kind", "input", "--T", "8", "--M", "2", "--N", "4",
-      "--count", "50000", "--format", "json"], 300),
-], ids=["gain", "input-json"])
+      "--count", "50000", "--format", "json"], 110),
+    # a 40 MB CSV export of wide draws: about 164 MB for the whole stack as
+    # Python floats, 111 MB a chunk at a time (the unchunked draw is most of it)
+    (["sample", "--kind", "input", "--T", "10", "--M", "5", "--N", "100",
+      "--count", "20000"], 125),
+], ids=["gain", "input-json", "input-csv-wide"])
 def test_sample_peak_memory_is_bounded(tmp_path, argv, limit_mb):
     # a fresh interpreter reports its own peak RSS, VmHWM in KiB; a bare
     # import peaks at about 30 MB.  ru_maxrss would not do: Linux carries
@@ -443,6 +448,109 @@ def test_out_file_matches_stdout(tmp_path, capsys):
             # re-running to the same path is byte-identical
             run_cli(capsys, argv_fmt + ["--out", str(path)])
             assert path.read_bytes() == data
+
+
+def _whole_list_payload(args, columns, rows, warnings_list=()):
+    """The bytes of the whole-list encoding: json.dump's indenting encoder
+    over every row at once, or each row's _cell join."""
+    config = cli._config_echo(args)
+    meta = {"tool": f"ncmimo {ncmimo.__version__}", "rng": RNG_ALGORITHM, "config": config,
+            "columns": list(columns), "warnings": list(warnings_list)}
+    if args.format == "json":
+        return json.dumps({"meta": meta, "rows": list(rows)}, indent=2, sort_keys=True) + "\n"
+    lines = [f"# tool: {meta['tool']}", f"# rng: {RNG_ALGORITHM}",
+             f"# config: {json.dumps(config, sort_keys=True)}", ",".join(columns),
+             *(",".join(map(cli._cell, row)) for row in rows),
+             *(f"# warning: {w}" for w in warnings_list)]
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_text(got, want):
+    # a short report: pytest's own diff of two multi-megabyte payloads takes minutes
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        pytest.fail(f"{len(got)} against {len(want)} characters, first difference at {at}: "
+                    f"{got[max(0, at - 60):at + 60]!r} against {want[max(0, at - 60):at + 60]!r}")
+
+
+def _whole_stack_rows(args):
+    # the sampled stack at once, complex entries split as (re, im) pairs
+    x = cli._KINDS[args.kind][2](args, RngHandle(args.seed))
+    flat = x.reshape(len(x), -1)
+    if np.iscomplexobj(flat):
+        flat = np.stack([flat.real, flat.imag], axis=-1).reshape(len(x), -1)
+    return [[i] + row for i, row in enumerate(flat.tolist())]
+
+
+def run_cli_with_oracle(capsys, monkeypatch, argv, rows_of=None):
+    """Exit code and stdout of `argv`, and the whole-list encoding of what it
+    emitted, with rows_of(args) in place of the emitted rows when given."""
+    oracle = []
+    emit = cli._emit
+
+    def spy(args, columns, rows, warnings_list=()):
+        oracle.append(_whole_list_payload(args, columns, rows if rows_of is None
+                                          else rows_of(args), warnings_list))
+        emit(args, columns, rows, warnings_list)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    code, out, _ = run_cli(capsys, argv)
+    assert len(oracle) == 1
+    return code, out, oracle[0]
+
+
+# kind, options, count, values a row: every kind, then two counts that
+# cross a chunk of rows
+_BYTE_CASES = [(kind, _ROUND_TRIP[kind][0], 7, None) for kind in cli._KINDS] + [
+    ("wishart", ["--m", "100", "--n", "100"], 13, 20_000),
+    ("input", ["--T", "8", "--M", "2", "--N", "4"], 5000, 32),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind, options, count, width", _BYTE_CASES,
+                         ids=[f"{k}-{c}" for k, _, c, _ in _BYTE_CASES])
+def test_sample_bytes_match_whole_stack_encoding(capsys, monkeypatch, kind, options, count,
+                                                 width, fmt):
+    assert width is None or count * width > cli._CHUNK_VALUES
+    code, out, want = run_cli_with_oracle(
+        capsys, monkeypatch, ["sample", "--kind", kind, *options, "--count", str(count),
+                              "--seed", "3", "--format", fmt], rows_of=_whole_stack_rows)
+    assert code == 0
+    assert_same_text(out, want)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, marks", [
+    (["constants", "--T", "10", "--M", "5", "--N", "100"], {"csv": [], "json": []}),
+    # M=3 is rejected at T=4: a null or an empty CSV cell, and a warning line
+    (["gain-table", "--T-list", "4,10", "--N-list", "5", "--M", "3"],
+     {"csv": ["\n4,5,3,\n", "\n# warning: T=4 N=5 M=3: "],
+      "json": ["      null\n", '"T=4 N=5 M=3: ']}),
+    # an empty grid: the header alone, an empty JSON list
+    (["gain-table", "--T-list", ",", "--N-list", "2"],
+     {"csv": ["}\nT,N,M,gain\n"], "json": ['"rows": []\n}\n']}),
+    (["validate", "--suite", "pdf-oracle", "--n", "2"], {"csv": [], "json": []}),
+], ids=["constants", "gain-table-rejected-cell", "gain-table-empty", "validate"])
+def test_list_rows_bytes_match_whole_list_encoding(capsys, monkeypatch, argv, marks, fmt):
+    code, out, want = run_cli_with_oracle(capsys, monkeypatch, argv + ["--format", fmt])
+    assert code == 0
+    assert_same_text(out, want)
+    assert all(mark in out for mark in marks[fmt])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [
+    [[0, float("nan"), float("inf"), -float("inf"), None, True, False, -0.0, 5e-324,
+      1.7976931348623157e308, 2**70, 'quote " back \\ newline \n tab \t \u00e9 \u2028 \U0001f600']],
+    [],
+], ids=["special-values", "no-rows"])
+def test_emit_matches_whole_list_encoding(capsys, rows, fmt):
+    args = argparse.Namespace(format=fmt, out=None, seed=0)
+    cli._emit(args, ["draw", "a"], rows, ["a \"warning\""])
+    assert_same_text(capsys.readouterr().out,
+                     _whole_list_payload(args, ["draw", "a"], rows, ["a \"warning\""]))
 
 
 def test_validate_suite_passes(capsys):
