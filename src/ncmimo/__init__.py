@@ -44,8 +44,7 @@ from .outpdf import (
     first_sv_pdf_log,
     tail_sv_pdf_log,
 )
-from .statcheck import TestReport, ks_two_sample
-from .suites import SUITES
+from .statcheck import SUITES, TestReport, ks_two_sample
 
 __version__ = "0.1.0"
 

@@ -43,8 +43,7 @@ from .randmat import (
     sample_wishart,
 )
 from .bstm import noiseless_sv_sample, sample_gain, sample_input
-from .statcheck import TestReport
-from .suites import SUITES
+from .statcheck import SUITES, TestReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1

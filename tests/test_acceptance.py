@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma, gammaln
 
-from ncmimo import cli, suites
+from ncmimo import cli, statcheck
 from ncmimo.capacity import (
     asymptotic_gain_constant,
     bstm_constant,
@@ -97,7 +97,7 @@ def test_criterion_3_gain_limit_convergence(capsys):
 
 def test_criterion_4_noiseless_spectrum_identity(capsys):
     t0 = time.perf_counter()
-    reports = suites.SUITES["lemma5"](n=10_000, seed=KS_SEED)
+    reports = statcheck.SUITES["lemma5"](n=10_000, seed=KS_SEED)
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in reports) and elapsed < 60.0
     worst = min(r.p_value for r in reports)
@@ -107,7 +107,7 @@ def test_criterion_4_noiseless_spectrum_identity(capsys):
 
 def test_criterion_5_beta_whitening_identity(capsys):
     t0 = time.perf_counter()
-    reports = suites.SUITES["lemma4"](n=10_000, seed=KS_SEED)
+    reports = statcheck.SUITES["lemma4"](n=10_000, seed=KS_SEED)
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in reports) and elapsed < 60.0
     worst = min(r.p_value for r in reports)
@@ -117,7 +117,7 @@ def test_criterion_5_beta_whitening_identity(capsys):
 
 def test_criterion_6_power_constraint(capsys):
     t0 = time.perf_counter()
-    reports = suites.SUITES["power"](n=100_000, seed=0)
+    reports = statcheck.SUITES["power"](n=100_000, seed=0)
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in reports) and elapsed < 30.0
     worst = max(r.statistic for r in reports)
@@ -128,7 +128,7 @@ def test_criterion_6_power_constraint(capsys):
 
 def test_criterion_7_conditional_pdf_oracle(capsys):
     t0 = time.perf_counter()
-    reports = suites.SUITES["pdf-oracle"](n=20, seed=0)
+    reports = statcheck.SUITES["pdf-oracle"](n=20, seed=0)
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in reports) and elapsed < 60.0
     _verdict(capsys, 7, "closed-form conditional pdf vs quadrature", ok,
@@ -138,7 +138,7 @@ def test_criterion_7_conditional_pdf_oracle(capsys):
 
 def test_criterion_8_density_normalizations(capsys):
     t0 = time.perf_counter()
-    reports = suites.SUITES["density-normalization"]()
+    reports = statcheck.SUITES["density-normalization"]()
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in reports) and elapsed < 120.0
     worst = max(r.statistic / r.threshold for r in reports)
@@ -149,7 +149,7 @@ def test_criterion_8_density_normalizations(capsys):
 
 def test_criterion_9_conditional_density_limit(capsys):
     t0 = time.perf_counter()
-    reports = [r for r in suites.SUITES["convergence"]()
+    reports = [r for r in statcheck.SUITES["convergence"]()
                if r.name.startswith("finite-vs-limit")]
     elapsed = time.perf_counter() - t0
     ok = len(reports) == 1 and reports[0].passed and elapsed < 5.0

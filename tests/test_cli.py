@@ -216,6 +216,17 @@ def test_benchmark_binds_to_the_library():
     assert run_fresh_python(script, bench).split() == ["True", "True", "True"]
 
 
+def test_one_module_defines_the_suites():
+    # every suite lives in statcheck; ncmimo.suites only re-exports the
+    # registry that perfbench/worker.py patches, and the CLI never loads it
+    from ncmimo import statcheck, suites
+    assert {fn.__module__ for fn in statcheck.SUITES.values()} == {"ncmimo.statcheck"}
+    assert suites.SUITES is statcheck.SUITES
+    assert [name for name in vars(suites) if not name.startswith("_")] == ["SUITES"]
+    script = "import sys, ncmimo.cli; print('ncmimo.suites' in sys.modules)"
+    assert run_fresh_python(script).split() == ["False"]
+
+
 def test_readme_python_examples_run(capsys):
     # README's python blocks run in order in one namespace; each print
     # shows the value in the comment beside it
@@ -628,14 +639,14 @@ def test_stdout_closed_at_start_is_usage_error():
 
 
 def test_validate_failure_exit_code(monkeypatch, capsys):
-    from ncmimo import suites as suites_mod
+    from ncmimo import statcheck
     from ncmimo.statcheck import TestReport
 
     def forced_fail(n=None, seed=0):
         return [TestReport(name="forced", statistic=1.0, threshold=0.1,
                            p_value=None, passed=False, n_samples=1)]
 
-    monkeypatch.setitem(suites_mod.SUITES, "forced-fail", forced_fail)
+    monkeypatch.setitem(statcheck.SUITES, "forced-fail", forced_fail)
     code, out, _ = run_cli(capsys, ["validate", "--suite", "forced-fail"])
     assert code == 3
     header, rows = parse_csv(out)

@@ -23,7 +23,7 @@ from ncmimo.params import (
 )
 from ncmimo.randmat import RngHandle, sample_isotropic_unitary
 from ncmimo.specfun import log_stiefel_volume
-from ncmimo.suites import stiefel_pdf_oracle
+from ncmimo.statcheck import stiefel_pdf_oracle
 
 # Reference values computed independently at 50-digit precision.
 JAC_SINGLE = 3.4657359027997265      # sv=[2], rmax=3, rmin=1: 5 ln 2

@@ -6,13 +6,13 @@ from ncmimo.params import DomainError
 from ncmimo.statcheck import (
     P_THRESHOLD,
     TestReport as Report,
+    _converging,
     holm,
     ks_two_sample,
     lemma4_suite,
     lemma5_suite,
     report,
 )
-from ncmimo.suites import _converging
 
 
 def _named(reports, case):

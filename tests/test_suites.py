@@ -11,9 +11,9 @@ import re
 import numpy as np
 import pytest
 
-from ncmimo import bstm, cli, randmat, statcheck, suites
+from ncmimo import bstm, cli, randmat, statcheck
 from ncmimo.params import DomainError
-from ncmimo.suites import SUITES
+from ncmimo.statcheck import SUITES
 
 
 def test_every_suite_has_the_registry_signature():
@@ -74,7 +74,7 @@ def test_power_rejects_two_percent_gain(monkeypatch):
         return 1.02 * bstm.sample_input(dp, rng, count=count, ustm=ustm)
 
     plain = SUITES["power"](n=10_000)
-    monkeypatch.setattr(suites, "sample_input", loud)
+    monkeypatch.setattr(statcheck, "sample_input", loud)
     reports = SUITES["power"](n=10_000)
     assert len(reports) == 3
     assert not any(r.passed for r in reports)
@@ -83,13 +83,49 @@ def test_power_rejects_two_percent_gain(monkeypatch):
         assert min(abs(r.statistic - w) for w in want) < 1e-12
 
 
+def test_power_rejects_half_percent_power_at_default_n(monkeypatch):
+    # gains scaled by sqrt(1.005): the mean power is off by 0.5%, about 8 to
+    # 9 standard errors at n = 10^5, and the constant USTM gain of (8, 2, 4)
+    # is off by far more than the round-off allowance
+    def loud(dp, rng, count, ustm=False, _gain=bstm.sample_gain):
+        return math.sqrt(1.005) * _gain(dp, rng, count, ustm)
+
+    monkeypatch.setattr(bstm, "sample_gain", loud)
+    reports = SUITES["power"]()
+    assert len(reports) == 3
+    assert not any(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_power_gate_holds_at_small_n(seed):
+    # the threshold scales with the standard error, so a small n passes
+    reports = SUITES["power"](n=300, seed=seed)
+    assert all(r.passed for r in reports)
+    assert all(r.threshold > statcheck.POWER_ROUNDOFF for r in reports)
+
+
+def test_power_needs_two_draws():
+    # one draw has no sample standard deviation
+    with pytest.raises(DomainError, match=r"^n must be an integer >= 2, got n=1$"):
+        SUITES["power"](n=1)
+
+
+def test_pdf_oracle_rejects_nan_density(monkeypatch):
+    # a NaN error must fail the row, not be dropped by the running maximum
+    monkeypatch.setattr(statcheck, "cond_pdf_y_given_d_log", lambda *args: math.nan)
+    reports = SUITES["pdf-oracle"]()
+    assert len(reports) == 1
+    assert math.isnan(reports[0].statistic)
+    assert not reports[0].passed
+
+
 def test_density_normalization_rejects_mass_one_plus_1e_6(monkeypatch):
     # each normalized density scaled by 1 + 1e-6: every row's mass is off by 1e-6
     for name in ("beta_eig_pdf_log", "first_sv_pdf_log", "tail_sv_pdf_log",
                  "cond_sv_pdf_finite_log"):
-        def scaled(*args, _log=getattr(suites, name)):
+        def scaled(*args, _log=getattr(statcheck, name)):
             return _log(*args) + math.log1p(1e-6)
-        monkeypatch.setattr(suites, name, scaled)
+        monkeypatch.setattr(statcheck, name, scaled)
     reports = SUITES["density-normalization"]()
     assert len(reports) == 6
     assert not any(r.passed for r in reports)
@@ -110,7 +146,7 @@ def test_a_raising_integrand_fails_validate_with_exit_2(monkeypatch, capsys):
         raise DomainError("rejected node")
 
     # a 2-D row: dblquad's nested quad must pass the raise through
-    monkeypatch.setattr(suites, "cond_sv_pdf_finite_log", rejects)
+    monkeypatch.setattr(statcheck, "cond_sv_pdf_finite_log", rejects)
     assert cli.main(["validate", "--suite", "density-normalization"]) == 2
     assert "rejected node" in capsys.readouterr().err
 
