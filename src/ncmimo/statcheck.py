@@ -7,9 +7,9 @@ when any row fails.  Every check, statistical or numerical, reports
 through `report`.  The KS suites draw from two constructions that
 should share a law and compare them index by index with a
 Kolmogorov-Smirnov test; a suite's indices form one family, gated by
-`holm` at family-wise level P_THRESHOLD.  Every quadrature goes through
-_integrate at one accuracy; Monte Carlo checks are chunked so memory
-stays flat at large dimensions.
+`holm` at family-wise level P_THRESHOLD.  Every integral goes through
+_integrate, one fixed Gauss-Legendre rule on numpy at QUAD_NODES; Monte
+Carlo checks are chunked so memory stays flat at large dimensions.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .randmat import (
     beta_eig_pdf_log,
     sample_bartlett_factor,
     sample_gaussian,
+    sample_isotropic_unitary,
     sample_matrix_beta,
     sample_wishart,
 )
@@ -43,6 +44,7 @@ KS_DEFAULT_N = 10_000
 
 LEMMA5_DEFAULT_DIMS = ((8, 2, 4), (10, 5, 100), (4, 2, 3))
 LEMMA4_DEFAULT_CASES = ((2, 3, 2), (2, 2, 1), (3, 4, 2))
+UNITARY_DEFAULT_DIMS = ((2, 1), (4, 2), (10, 5))
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,29 @@ def lemma4_suite(n: int | None = None, seed: int = 0) -> list[TestReport]:
     return holm(reports)
 
 
+def run_unitary(n: int | None = None, seed: int = 0) -> list[TestReport]:
+    """First entry of the isotropic unitary vs its Haar law.
+
+    For each (T, M), arg Phi_11 is compared with uniform(-pi, pi) draws and
+    |Phi_11|^2 with Beta(1, T - 1) draws, both from a sibling stream.  The
+    phase row is the one that sees QR without the phase fix; the modulus
+    is the same with or without it.
+    """
+    n = suite_size(n, KS_DEFAULT_N)
+    rng = RngHandle(seed)
+    reports: list[TestReport] = []
+    for (T, M) in UNITARY_DEFAULT_DIMS:
+        rng_q, rng_ref = rng.spawn(2)
+        phi11 = sample_isotropic_unitary(T, M, rng_q, count=n)[:, 0, 0]
+        reports += [
+            ks_two_sample(np.angle(phi11), rng_ref.uniform(-np.pi, np.pi, n),
+                          name=f"unitary T={T} M={M} arg phi11"),
+            ks_two_sample(np.abs(phi11) ** 2, rng_ref.beta(1, T - 1, n),
+                          name=f"unitary T={T} M={M} |phi11|^2"),
+        ]
+    return holm(reports)
+
+
 # The power gate, stated before the run: with a normal mean, a row
 # false-alarms with probability 2 (1 - Phi(POWER_Z)) = 5.7e-7.
 POWER_Z = 5.0
@@ -204,20 +229,30 @@ def run_power(n: int | None = None, seed: int = 0) -> list[TestReport]:
     return reports
 
 
-# One accuracy for every quadrature a suite takes, and one tolerance on
-# |mass - 1| + error estimate for every normalization row.
-QUAD_ACCURACY = {"epsabs": 1e-12, "epsrel": 1e-10}
+# One Gauss-Legendre node count for every integral a suite takes, and one
+# tolerance on |mass - 1| + error estimate for every normalization row.
+QUAD_NODES = 48
 NORMALIZATION_TOL = 1e-9
 
 
 def _integrate(fun, a, b, lo=None, hi=None) -> tuple[float, float]:
-    """(value, error estimate) of the integral of fun(x) over (a, b) or,
-    given lo and hi, of fun(y, x) over a < x < b, lo(x) < y < hi(x).  An
-    exception the integrand raises propagates and fails the suite."""
-    from scipy import integrate  # local: only quadrature suites pay for it
-    if lo is None:
-        return integrate.quad(fun, a, b, limit=200, **QUAD_ACCURACY)
-    return integrate.dblquad(fun, a, b, lo, hi, **QUAD_ACCURACY)
+    """(value, error estimate) of the integral of fun(x) over (a, b) or, given
+    callables lo and hi, of fun(y, x) over a < x < b, lo(x) < y < hi(x): the
+    Gauss-Legendre rule at 2 QUAD_NODES nodes per axis, and its change from the
+    rule at QUAD_NODES.  An exception the integrand raises fails the suite."""
+    from numpy.polynomial.legendre import leggauss  # local: only quadrature suites load it
+
+    def rule(nodes):
+        x, w = (v.tolist() for v in leggauss(nodes))
+
+        def on(f, a, b):
+            half, mid = (b - a) / 2, (a + b) / 2
+            return half * math.fsum(wi * f(mid + half * xi) for xi, wi in zip(x, w))
+        return on(fun, a, b) if lo is None else on(
+            lambda t: on(lambda y: fun(y, t), lo(t), hi(t)), a, b)
+
+    value = rule(2 * QUAD_NODES)
+    return value, abs(value - rule(QUAD_NODES))
 
 
 def stiefel_pdf_oracle(Y: np.ndarray, d: float, snr_db: float) -> float:
@@ -231,7 +266,7 @@ def stiefel_pdf_oracle(Y: np.ndarray, d: float, snr_db: float) -> float:
     T, N = Y.shape
     if T != 2:
         raise DomainError("stiefel_pdf_oracle is specialized to T=2, M=1")
-    s2 = np.sort(np.linalg.svd(Y, compute_uv=False))[::-1] ** 2
+    s2 = np.linalg.svd(Y, compute_uv=False) ** 2  # descending
     rt = rho_from_db(snr_db)  # rho/M with M=1
     lam = (rt * d * d) / (1.0 + rt * d * d)
     val, _ = _integrate(lambda u: math.exp(lam * (s2[0] * u + s2[1] * (1.0 - u))), 0.0, 1.0)
@@ -279,19 +314,19 @@ def run_density_normalization(n: int | None = None, seed: int = 0) -> list[TestR
         # full 2-D ordered eigenvalue density, m = 2, over a2 < a1
         "normalization beta m=2 p=2 n=2": _integrate(
             lambda a2, a1: math.exp(beta_eig_pdf_log(2, 2, 2, np.array([a1, a2]))),
-            0.0, 1.0, 0.0, lambda a1: a1),
-        # leading-block spectrum density with a single value (M = 1)
+            0.0, 1.0, lambda a1: 0.0, lambda a1: a1),
+        # leading-block spectrum density, one value (M = 1); the tail beyond 60 is about e^-85
         "normalization first-sv T=4 M=1 N=2 @10dB": _integrate(
             lambda s: math.exp(first_sv_pdf_log(np.array([s]), dp_first, snr_db)),
-            0.0, np.inf),
-        # trailing-block spectrum density with a single value
+            0.0, 60.0),
+        # trailing-block spectrum density, one value; the tail beyond 10 is about e^-100
         "normalization tail-sv T=2 M=1 N=2": _integrate(
-            lambda s: math.exp(tail_sv_pdf_log(np.array([s]), dp)), 0.0, np.inf),
+            lambda s: math.exp(tail_sv_pdf_log(np.array([s]), dp)), 0.0, 10.0),
         # finite-SNR conditional spectrum density over its full support (T = 2)
         "normalization cond-sv T=2 M=1 N=2 @10dB": _integrate(
             lambda s1, s2: math.exp(
                 cond_sv_pdf_finite_log(np.array([s1, s2]), dgain, dp, snr_db)),
-            0.0, 10.0, lambda s2: s2 / math.sqrt(rt), 14.0),
+            0.0, 10.0, lambda s2: s2 / math.sqrt(rt), lambda s2: 14.0),
     }
     return [report(name, abs(mass - 1.0) + err, NORMALIZATION_TOL, 1)
             for name, (mass, err) in masses.items()]
@@ -326,6 +361,7 @@ def run_convergence(n: int | None = None, seed: int = 0) -> list[TestReport]:
 SUITES = {
     "lemma4": lemma4_suite,
     "lemma5": lemma5_suite,
+    "unitary": run_unitary,
     "power": run_power,
     "density-normalization": run_density_normalization,
     "pdf-oracle": run_pdf_oracle,

@@ -190,19 +190,30 @@ def _sample_script(kind):
      set()),
     (f"{_DENSITY_SETUP}; {_COND_PDF}", set()),
     (f"{_DENSITY_SETUP}; {_SPECTRUM_PDFS}", set()),
-    # the controls: a suite that needs a package loads it, so the check can see a load
+    # the quadrature suites integrate on numpy alone
+    ("from ncmimo import cli; cli.main(['validate', '--suite', 'pdf-oracle', '--n', '1'])",
+     set()),
+    ("from ncmimo import cli; cli.main(['validate', '--suite', 'density-normalization'])",
+     set()),
+    # the control: a suite that needs a package loads it, so the check can see a load
     ("from ncmimo import cli; cli.main(['validate', '--suite', 'lemma4', '--n', '200'])",
      {"scipy.stats"}),
-    ("from ncmimo import cli; cli.main(['validate', '--suite', 'pdf-oracle', '--n', '1'])",
-     {"scipy.integrate"}),
 ], ids=["package", "parser", *[f"sample-{kind}" for kind in cli._KINDS],
-        "constants", "gain-table", "cond-pdf", "spectrum-pdfs", "lemma4", "pdf-oracle"])
+        "constants", "gain-table", "cond-pdf", "spectrum-pdfs", "pdf-oracle",
+        "density-normalization", "lemma4"])
 def test_heavy_scipy_loads_only_where_used(script, loaded):
     script += ("; import json, sys; "
                "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
     seen = set(json.loads(run_fresh_python(script).splitlines()[-1]))
     # a control may load more: scipy.stats imports scipy.integrate
     assert seen >= loaded if loaded else not seen
+
+
+def test_parser_loads_no_quadrature_rule():
+    # the Gauss-Legendre nodes load with the first integral, not with the CLI
+    script = ("import sys; from ncmimo import cli; cli.build_parser(); "
+              "print('numpy.polynomial' in sys.modules)")
+    assert run_fresh_python(script).split() == ["False"]
 
 
 def test_benchmark_binds_to_the_library():

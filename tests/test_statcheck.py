@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
+from ncmimo import statcheck
 from ncmimo.params import DomainError
 from ncmimo.statcheck import (
+    NORMALIZATION_TOL,
     P_THRESHOLD,
     TestReport as Report,
     _converging,
@@ -229,3 +233,61 @@ def test_lemma4_singular_case_included():
     reps = _named(lemma4_suite(n=4_000, seed=1), "m=2 p=2 n=1")
     assert len(reps) == 2
     assert all(r.passed for r in reps)
+
+
+def _integrals(monkeypatch, suite):
+    """The (args, (value, estimate)) of every _integrate call the suite makes."""
+    calls = []
+
+    def recorded(*args, _rule=statcheck._integrate):
+        calls.append((args, _rule(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(statcheck, "_integrate", recorded)
+    reports = statcheck.SUITES[suite]()
+    assert all(r.passed for r in reports)
+    return calls
+
+
+def _scipy(fun, a, b, lo=None, hi=None):
+    # the independent oracle: scipy's adaptive rules on the same integrand
+    opts = {"epsabs": 1e-14, "epsrel": 1e-13}
+    if lo is None:
+        return integrate.quad(fun, a, b, limit=200, **opts)[0]
+    return integrate.dblquad(fun, a, b, lo, hi, **opts)[0]
+
+
+def test_integrate_matches_scipy_on_the_normalization_integrands(monkeypatch):
+    calls = _integrals(monkeypatch, "density-normalization")
+    assert len(calls) == 6
+    for args, (value, estimate) in calls:
+        assert abs(value - _scipy(*args)) <= 1e-12
+        assert estimate <= 1e-11
+    # the first-sv and tail-sv rows integrate (0, 60) and (0, 10), not (0, inf)
+    cut = [args for args, _ in calls if len(args) == 3 and args[2] > 1.0]
+    assert [args[2] for args in cut] == [60.0, 10.0]
+    for fun, _, b in cut:
+        assert integrate.quad(fun, b, np.inf)[0] < 1e-30
+
+
+def test_integrate_matches_scipy_on_the_stiefel_integrand(monkeypatch):
+    # pdf-oracle's 20 seed-0 cases
+    calls = _integrals(monkeypatch, "pdf-oracle")
+    assert len(calls) == 20
+    for args, (value, _) in calls:
+        assert value == pytest.approx(_scipy(*args), rel=1e-12)
+
+
+def test_integrate_estimate_flags_an_unresolved_bump():
+    # a Gaussian of width 1e-2 on (0, 1) falls between the coarse rule's
+    # nodes: the fine rule reads a mass near 1, and the doubling estimate
+    # alone fails the row.  (A bump far narrower than the fine rule's node
+    # spacing can be missed by both rules; |mass - 1| catches that one.)
+    width = 1e-2
+    mass, estimate = statcheck._integrate(
+        lambda x: math.exp(-0.5 * ((x - 0.5) / width) ** 2) / (width * math.sqrt(2 * math.pi)),
+        0.0, 1.0)
+    assert abs(mass - 1.0) < 1e-2
+    assert estimate > NORMALIZATION_TOL
+    assert not report("bump", abs(mass - 1.0) + estimate, NORMALIZATION_TOL, 1).passed
+

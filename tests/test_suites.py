@@ -34,7 +34,7 @@ def test_suite_n_follows_the_integer_rule(name, n):
         SUITES[name](n=n)
 
 
-@pytest.mark.parametrize("name", ["lemma4", "lemma5"])
+@pytest.mark.parametrize("name", ["lemma4", "lemma5", "unitary"])
 def test_ks_suites_pass_at_default_seed(name):
     # seed 0's smallest lemma5 p-value, 0.0031, fails a per-index 0.01 gate
     # but passes the family's Holm level 0.01/9
@@ -65,6 +65,19 @@ def test_lemma5_rejects_ustm_gain(monkeypatch):
     reports = [r for r in SUITES["lemma5"]() if "T=8 M=2 N=4" not in r.name]
     assert len(reports) == 7
     assert not any(r.passed for r in reports)
+
+
+def test_unitary_rejects_qr_without_the_phase_fix(monkeypatch):
+    # plain QR leaves Re Phi_11 < 0, so every phase row fails; the modulus
+    # is the same with or without the fix, so those rows cannot tell
+    def plain_qr(T, M, rng, count):
+        return np.linalg.qr(randmat.sample_gaussian(T, M, 1.0, rng, count))[0]
+
+    monkeypatch.setattr(statcheck, "sample_isotropic_unitary", plain_qr)
+    reports = SUITES["unitary"]()
+    assert len(reports) == 6
+    assert not any(r.passed for r in reports if "arg" in r.name)
+    assert all(r.passed for r in reports if "|phi11|" in r.name)
 
 
 def test_power_rejects_two_percent_gain(monkeypatch):
@@ -132,9 +145,7 @@ def test_density_normalization_rejects_mass_one_plus_1e_6(monkeypatch):
 
 
 def test_density_normalization_gates_the_error_estimate(monkeypatch):
-    from scipy import integrate
-    for name in ("quad", "dblquad"):
-        monkeypatch.setattr(integrate, name, lambda *a, **k: (1.0, 1e-6))
+    monkeypatch.setattr(statcheck, "_integrate", lambda *args: (1.0, 1e-6))
     reports = SUITES["density-normalization"]()
     assert len(reports) == 6
     assert all(r.statistic == 1e-6 for r in reports)
@@ -145,7 +156,7 @@ def test_a_raising_integrand_fails_validate_with_exit_2(monkeypatch, capsys):
     def rejects(*args):
         raise DomainError("rejected node")
 
-    # a 2-D row: dblquad's nested quad must pass the raise through
+    # a 2-D row: the nested rule must pass the raise through
     monkeypatch.setattr(statcheck, "cond_sv_pdf_finite_log", rejects)
     assert cli.main(["validate", "--suite", "density-normalization"]) == 2
     assert "rejected node" in capsys.readouterr().err
