@@ -6,7 +6,8 @@ written to its sink as it is formatted, with bytes fixed by the
 invocation; timing goes to stderr only.  Every `sample` kind is one
 `_KINDS` entry: its required options, the column prefix of a real vector
 draw and its stacked draw.  An SNR whose linear value is not a positive
-finite float is a domain error.
+finite float is a domain error.  The parser is built once per process:
+every in-process `main` call after the first reuses it.
 
 Exit codes: 0 success, 1 usage error or an --out or stdout that cannot
 be written, 2 rejected input (DomainError or ConfluenceError), 3
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -231,7 +233,10 @@ def _add_common(sub) -> None:
                      help="output path; '-' or omitted writes to stdout")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every later
+    call in the process; callers must not modify it."""
     parser = _Parser(prog="ncmimo",
                      description="High-SNR noncoherent block-fading MIMO toolkit")
     parser.add_argument("--version", action="version", version=f"ncmimo {__version__}")
@@ -273,7 +278,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sample)
 
     p = subs.add_parser("validate", help="run a statistical or numerical check suite")
-    p.add_argument("--suite", required=True, choices=sorted(SUITES))
+    # the live registry: a suite registered after the parser is built is accepted
+    p.add_argument("--suite", required=True, choices=SUITES.keys())
     p.add_argument("--n", type=int, default=None,
                    help="sample or case count, >= 1 (suite-specific default; "
                         "fixed-size suites take none)")

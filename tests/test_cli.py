@@ -31,14 +31,18 @@ def run_cli(capsys, argv):
     return code, cap.out, cap.err
 
 
-def run_fresh_python(script, *paths):
-    """stdout of `script` run in a fresh interpreter that imports ncmimo from
-    this checkout, with `paths` also on its import path."""
+def _fresh_env(*paths):
+    """The environment of a fresh interpreter that imports ncmimo from this
+    checkout, with `paths` also on its import path."""
     src = str(Path(ncmimo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, *paths, os.environ.get("PYTHONPATH")) if p))
+
+
+def run_fresh_python(script, *paths):
+    """stdout of `script` run in a fresh interpreter (see _fresh_env)."""
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120, check=True).stdout
+                          env=_fresh_env(*paths), timeout=120, check=True).stdout
 
 
 def parse_csv(out):
@@ -663,6 +667,67 @@ def test_validate_failure_exit_code(monkeypatch, capsys):
     header, rows = parse_csv(out)
     assert rows[0][5] == "false"
     assert rows[0][4] == ""  # p_value None renders empty
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _without_clock(err):
+    return "".join(ln for ln in err.splitlines(keepends=True)
+                   if not ln.startswith("[ncmimo] wall clock"))
+
+
+def _main_in_process(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    cap = capsys.readouterr()
+    return code, cap.out, _without_clock(cap.err)
+
+
+def _main_fresh(argv):
+    proc = subprocess.run([sys.executable, "-m", "ncmimo.cli", *argv], capture_output=True,
+                          text=True, env=_fresh_env(), timeout=120)
+    return proc.returncode, proc.stdout, _without_clock(proc.stderr)
+
+
+_INPUT = ["sample", "--kind", "input", "--T", "4", "--M", "2", "--N", "4", "--count", "2"]
+_GAIN = ["sample", "--kind", "gain", "--T", "6", "--M", "3", "--N", "4", "--count", "3"]
+_TABLE = ["gain-table", "--T-list", "4,6,10", "--N-list", "3,5"]
+
+
+@pytest.mark.parametrize("first, code, then", [
+    (_INPUT + ["--format", "json"], cli.EXIT_OK, _INPUT),
+    (_GAIN + ["--ustm"], cli.EXIT_OK, _GAIN),
+    (_TABLE + ["--M", "3"], cli.EXIT_OK, _TABLE),
+    (_GAIN[:-1] + ["0"], cli.EXIT_USAGE, _GAIN),
+    (["validate", "--suite", "pdf-oracle", "--n", "2"], cli.EXIT_OK,
+     ["validate", "--suite", "pdf-oracle"]),
+], ids=["format", "ustm", "gain-table-M", "usage-error", "validate-n"])
+def test_reused_parser_leaks_no_state(capsys, monkeypatch, first, code, then):
+    # every call of one process shares the parser; each must print what the
+    # same command prints from a fresh interpreter: exit code, payload and
+    # stderr (a usage message is wrapped at $COLUMNS, so both sides fix it)
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _main_in_process(capsys, first)
+    assert got[0] == code
+    assert got == _main_fresh(first)
+    assert _main_in_process(capsys, then) == _main_fresh(then)
+
+
+def test_suite_registered_after_the_parser_is_built_runs(monkeypatch, capsys):
+    from ncmimo import statcheck
+    from ncmimo.statcheck import report
+
+    run_cli(capsys, ["constants", "--T", "4", "--M", "2", "--N", "4"])
+    monkeypatch.setitem(statcheck.SUITES, "late",
+                        lambda n=None, seed=0: [report("late row", 0.0, 1.0, 1)])
+    code, out, _ = run_cli(capsys, ["validate", "--suite", "late"])
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert rows == [["late", "late row", "0.0", "1.0", "", "true", "1", "0"]]
 
 
 def test_version_flag(capsys):

@@ -12,6 +12,7 @@ from ncmimo.statcheck import (
     TestReport as Report,
     _converging,
     holm,
+    ks_columns,
     ks_two_sample,
     lemma4_suite,
     lemma5_suite,
@@ -174,6 +175,50 @@ def test_ks_matches_scipy_on_each_kolmogn_branch(size, shift, low, high):
     n = round(size / 2)
     assert low < n * rep.statistic ** 2 <= high
     assert 1 < n * rep.statistic < n - 1 and rep.statistic < 0.5
+
+
+@pytest.mark.parametrize("suite", ["lemma4", "lemma5", "unitary"])
+def test_ks_family_takes_one_tail_call_with_per_row_bits(monkeypatch, suite):
+    # at 100 draws the effective size is 50, where kstwo.sf runs both the
+    # Durbin (n d^2 <= 0.754693) and the Pomeranz (<= 4) branch; the one
+    # vectorized call must give every row the bits of a per-row call
+    columns, tail_calls = [], []
+
+    def recorded(a, b, names, _ks=statcheck.ks_columns):
+        columns.append((a, b))
+        return _ks(a, b, names)
+
+    def counted(*args, _sf=stats.kstwo.sf):
+        tail_calls.append(args)
+        return _sf(*args)
+
+    monkeypatch.setattr(statcheck, "ks_columns", recorded)
+    monkeypatch.setattr(stats.kstwo, "sf", counted)
+    reports = statcheck.SUITES[suite](n=100, seed=0)
+    assert len(columns) == len(tail_calls) == 1
+    monkeypatch.undo()
+    (a, b), = columns
+    assert a.shape == b.shape == (100, len(reports))
+    for i, rep in enumerate(reports):
+        assert _same_bits(rep.p_value, np.clip(stats.kstwo.sf(rep.statistic, 50), 0, 1))
+        d, p = _ks_2samp_oracle(a[:, i], b[:, i])
+        assert _same_bits(rep.statistic, d) and _same_bits(rep.p_value, p), rep.name
+    nd2 = np.array([50 * rep.statistic ** 2 for rep in reports])
+    assert (nd2 <= 0.754693).any() and ((0.754693 < nd2) & (nd2 <= 4)).any()
+
+
+@pytest.mark.parametrize("where", ["a", "b"])
+def test_ks_nan_column_fails_only_its_row(where):
+    gen = np.random.Generator(np.random.PCG64(79))
+    a, b = gen.standard_normal((300, 4)), gen.standard_normal((200, 4))
+    names = [f"index{i}" for i in range(4)]
+    clean = ks_columns(a, b, names)
+    (a if where == "a" else b)[17, 2] = np.nan
+    rows = ks_columns(a, b, names)
+    assert np.isnan(rows[2].statistic) and np.isnan(rows[2].p_value) and not rows[2].passed
+    for rep, ref in zip(rows[:2] + rows[3:], clean[:2] + clean[3:]):
+        assert _same_bits(rep.statistic, ref.statistic) and _same_bits(rep.p_value, ref.p_value)
+    assert [r.passed for r in holm(rows)] == [True, True, False, True]
 
 
 def test_ks_rejects_tiny_samples():
