@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import DerivedParams, DomainError, check_int, rho_from_db
+from .params import DerivedParams, DomainError, _real, check_int, rho_from_db
 from .randmat import (
     sample_bartlett_factor,
     sample_gaussian,
@@ -26,9 +26,9 @@ DRAW_CHUNK = 10_000
 
 def GainDiagonal(d) -> np.ndarray:
     """d, the diagonal of the gain D, checked and returned as a read-only
-    float copy.  DomainError unless it is a nonempty 1-D vector of finite,
-    nonnegative, nonincreasing entries."""
-    d = np.array(d, dtype=float)
+    float copy.  DomainError unless it is a nonempty 1-D real vector of
+    finite, nonnegative, nonincreasing entries."""
+    d = np.array(_real(d, "GainDiagonal"))
     d.flags.writeable = False
     if d.ndim != 1 or d.size < 1:
         raise DomainError(f"GainDiagonal needs a 1-D vector, got shape {d.shape}")

@@ -9,12 +9,15 @@ exponentially large or small entries are computed by factoring the
 largest exponent out of every row before a pivoted factorization, which
 keeps every intermediate bounded at any SNR.
 
-Every matrix density here is a Gaussian or one determinant core,
-_kernel_log: the Haar-averaged complex Wishart kernel
-det[exp(-mu_i s2_j)] / (Delta(s2) Delta(-mu)) over the nodes mu.  f(Y | D)
-takes the nodes mu = 1/(1 + rho~ d^2) and T - M unit nodes; the leading
-block of the high-SNR limit takes mu = 1/d^2 at T = M.  Every spectrum
-density is a matrix density times one SVD change of variables, _sv_log.
+Every matrix density here is a Gaussian or one determinant core, the
+Haar-averaged complex Wishart kernel det[exp(-mu_i s2_j)] / (Delta(s2)
+Delta(-mu)) over the nodes mu.  f(Y | D) takes the nodes
+mu = 1/(1 + rho~ d^2) and T - M unit nodes; the leading block of the
+high-SNR limit takes mu = 1/d^2 at T = M.  The core's node side, _nodes,
+is all that depends on the gain, SNR and dimensions only, cached by the
+gain's value; its Y side, _y_log, is det[exp(-mu_i s2_j)] and
+ln Delta(s2).  Every spectrum density is a matrix density times one SVD
+change of variables, _sv_log, which shares s2 and ln Delta(s2).
 
 Raw singular values are called sv; svn denotes the normalized vector
 whose first M entries are scaled by sqrt(M/rho).  The scaling is always
@@ -31,6 +34,7 @@ from .params import (
     ConfluenceError,
     DerivedParams,
     DomainError,
+    _real,
     check_decreasing,
     rho_from_db,
 )
@@ -61,34 +65,65 @@ def _scaled_logdet(logmag: np.ndarray) -> float:
     is their correct limit.  The determinant must be positive: a sign the
     pivoted factorization cannot keep raises ConfluenceError.
     """
-    c = logmag.max(axis=1)
+    # ufunc reduces skip ndarray.max/.sum's Python wrappers, with the same bits
+    c = np.maximum.reduce(logmag, axis=1)
     c[c == -np.inf] = 0.0  # a row of zeros stays zero
     sign, ld = np.linalg.slogdet(np.exp(logmag - c[:, None]))
     if sign <= 0:
         raise ConfluenceError(
             "determinant lost its sign; inputs are too close to confluent "
             "for a stable evaluation")
-    return float(ld + c.sum())
+    return float(ld + np.add.reduce(c))
 
 
 _TINY_SQUARE = 1.0 / np.finfo(float).max
 
+# Node records kept, least recently used out first; each is a few small arrays.
+_NODE_CACHE = 4096
 
-def _gain2(D, M: int) -> np.ndarray:
+
+@lru_cache(maxsize=_NODE_CACHE)
+def _nodes(dtype: np.dtype, shape: tuple, buf: bytes, T: int, M: int, N: int,
+           rt: float | None) -> tuple:
+    """The node side of the kernel for the gain with this dtype, shape and
+    bytes: (-mu as a read-only column, head, ln Delta(-mu), tail), head =
+    -NT ln pi + ln prod Gamma + N sum ln mu.  At an SNR, mu = 1/(1 + rt d^2)
+    at rt = rho/M and tail = (T - M) sum ln(1 - mu); mu and 1 - mu =
+    rt d^2 mu are both formed directly: mu as 1 - lambda would lose its
+    digits at high SNR, 1 - mu by subtraction at low SNR.  At rt None (the
+    high-SNR limit's leading block, T = M), mu = 1/d^2 and tail = 0.  A
+    raise is not cached."""
     # check_decreasing keeps a last square that underflows to 0 or is
     # subnormal; no density takes one whose reciprocal overflows
-    d = check_decreasing(D, M, "gain diagonal")
+    d = check_decreasing(np.frombuffer(buf, dtype).reshape(shape), M, "gain diagonal")
     d2 = d * d
     if d2[-1] < _TINY_SQUARE:
         raise DomainError(f"gain diagonal: squared entries must be at least "
                           f"{_TINY_SQUARE:.3g}, got {d2[-1]:.3g}")
-    return d2
+    if rt is None:
+        mu, tail = 1.0 / d2, 0.0
+    else:
+        mu = 1.0 / (1.0 + rt * d2)
+        tail = (T - M) * float(np.log(rt * d2 * mu).sum())
+    head = -N * T * LOG_PI + log_gamma_range(T - M + 1, T) + N * np.log(mu).sum()
+    nmu = -mu[:, None]
+    nmu.flags.writeable = False
+    return nmu, head, log_vandermonde(-mu), tail
 
 
-def _kernel_log(s2: np.ndarray, mu: np.ndarray, N: int) -> float:
-    """ln of the Haar-averaged complex Wishart kernel at the decreasing
-    squared singular values s2 of a T x N matrix, over the increasing nodes
-    mu (M = mu.size <= T) and T - M unit nodes:
+def _node_record(D, T: int, M: int, N: int, rt: float | None = None) -> tuple:
+    # keyed by value, never by identity: an array mutated in place is a new key
+    a = np.asarray(D)
+    if a.dtype.hasobject:  # object entries have no by-value bytes
+        a = a.astype(float)
+    return _nodes(a.dtype, a.shape, a.tobytes(), T, M, N, rt)
+
+
+def _y_log(s2: np.ndarray, lv: float, nodes: tuple) -> float:
+    """The Y side: ln of the Haar-averaged complex Wishart kernel at the
+    decreasing squared singular values s2 of a T x N matrix, lv = ln
+    Delta(s2), over the increasing nodes mu of the node record (M <= T) and
+    T - M unit nodes, times prod (1 - mu_i)^{M-T}:
 
         pi^{-NT} prod_{i=T-M+1}^{T} Gamma(i) prod mu_i^N
         det(K) / [prod_{i<j}(s2_i - s2_j) prod_{i<j}(mu_j - mu_i)]
@@ -96,12 +131,12 @@ def _kernel_log(s2: np.ndarray, mu: np.ndarray, N: int) -> float:
     with K_{ij} = exp(-mu_i s2_j) on the first M rows and, the confluent
     limit of the unit nodes, s2_j^{T-i} exp(-s2_j) below.  At T = M this is
     the density of U diag(mu)^{-1/2} G with U Haar and G an M x N standard
-    Gaussian; for T > M the unit nodes leave a factor prod (1 - mu_i)^{M-T}
-    to the caller.
+    Gaussian.  Only det(K) and lv depend on s2.
     """
-    T, M = s2.size, mu.size
+    nmu, head, lvmu, tail = nodes
+    T, M = s2.size, nmu.size
     logmag = np.empty((T, T))
-    logmag[:M] = -mu[:, None] * s2
+    np.multiply(nmu, s2, out=logmag[:M])
     if T > M:
         rows = logmag[M:]
         if s2[-1] > 0:
@@ -111,46 +146,30 @@ def _kernel_log(s2: np.ndarray, mu: np.ndarray, N: int) -> float:
                 np.multiply(_row_powers(T, M), np.log(s2), out=rows)
             rows[-1] = 0.0  # the power-0 row: 0 ln 0 = 0
         rows -= s2
-    return float(
-        -N * T * LOG_PI
-        + log_gamma_range(T - M + 1, T)
-        + N * np.log(mu).sum()
-        + _scaled_logdet(logmag)
-        - log_vandermonde(s2)
-        - log_vandermonde(-mu)
-    )
+    return float(head + _scaled_logdet(logmag) - lv - lvmu) - tail
 
 
-def _cond_log(s2: np.ndarray, d2: np.ndarray, rt: float, N: int) -> float:
-    """ln f(Y | D) from the decreasing squared singular values s2 of Y.
-
-    The kernel at mu_i = 1/(1 + rt d2_i) times prod (1 - mu_i)^{M-T}.  mu
-    and 1 - mu = rt d2 mu are both formed directly: mu as 1 - lambda would
-    lose its digits at high SNR, 1 - mu by subtraction at low SNR.
-    """
-    mu = 1.0 / (1.0 + rt * d2)
-    return _kernel_log(s2, mu, N) - (s2.size - d2.size) * float(np.log(rt * d2 * mu).sum())
+def _jacobian_log(sv: np.ndarray, n: int, lv: float | None = None) -> float:
+    # the SVD volume Jacobian of an n x sv.size spectrum; lv = ln Delta(sv^2)
+    if lv is None:
+        lv = log_vandermonde(sv * sv)
+    return float((2 * (n - sv.size) + 1) * np.log(sv).sum() + 2.0 * lv)
 
 
-def _jacobian_log(sv: np.ndarray, n: int) -> float:
-    # the SVD volume Jacobian of an n x sv.size spectrum
-    return float((2 * (n - sv.size) + 1) * np.log(sv).sum()
-                 + 2.0 * log_vandermonde(sv * sv))
-
-
-def _sv_log(matrix_log: float, sv: np.ndarray, n: int) -> float:
+def _sv_log(matrix_log: float, sv: np.ndarray, n: int, lv: float) -> float:
     """ln of the joint density of the decreasing singular values sv of an
     m x n matrix (m = sv.size <= n) whose unitarily invariant density is
-    exp(matrix_log) at them: the SVD Jacobian and the volumes of the
-    singular-vector manifolds the change of variables integrates out."""
-    return float(matrix_log + _jacobian_log(sv, n) + _spectrum_volumes(sv.size, n))
+    exp(matrix_log) at them: the SVD Jacobian, given lv = ln Delta(sv^2),
+    and the volumes of the singular-vector manifolds the change of
+    variables integrates out."""
+    return float(matrix_log + _jacobian_log(sv, n, lv) + _spectrum_volumes(sv.size, n))
 
 
 def cond_pdf_y_given_d_log(Y: np.ndarray, D, dp: DerivedParams,
                            snr_db: float) -> float:
     """ln f(Y | D) for the block-fading channel output, T <= N only.
 
-    Uses the determinant closed form of _cond_log with the Gaussian factor
+    Uses the determinant closed form of _y_log with the Gaussian factor
     exp(-tr(Y^H Y)) absorbed column-wise into the determinant, so the
     evaluation stays finite at any SNR.
     """
@@ -161,19 +180,22 @@ def cond_pdf_y_given_d_log(Y: np.ndarray, D, dp: DerivedParams,
     Y = np.asarray(Y)
     if Y.shape != (T, N):
         raise DomainError(f"Y must be T x N = {T} x {N}, got {Y.shape}")
-    d2 = _gain2(D, M)
+    nodes = _node_record(D, T, M, N, rho_from_db(snr_db) / M)
     try:
         sv = np.linalg.svd(Y, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # a NaN in Y; an inf fails the check below
         raise DomainError(f"singular values of Y: {exc}") from None
     sv = check_decreasing(sv, T, "singular values of Y")
-    return _cond_log(sv * sv, d2, rho_from_db(snr_db) / M, N)
+    s2 = sv * sv
+    return _y_log(s2, log_vandermonde(s2), nodes)
 
 
 def _gaussian_sv_log(sv: np.ndarray, n: int, var: float) -> float:
     """ln of the joint density of the singular values sv of an m x n complex
     Gaussian matrix with iid CN(0, var) entries, m = sv.size <= n."""
-    return _sv_log(-sv.size * n * (LOG_PI + np.log(var)) - (sv * sv).sum() / var, sv, n)
+    s2 = sv * sv
+    return _sv_log(-sv.size * n * (LOG_PI + np.log(var)) - s2.sum() / var, sv, n,
+                   log_vandermonde(s2))
 
 
 def first_sv_pdf_log(sv, dp: DerivedParams, snr_db: float) -> float:
@@ -212,12 +234,14 @@ def cond_sv_pdf_finite_log(svn, D, dp: DerivedParams,
     if T > N:
         raise DomainError(
             f"closed-form conditional sv pdf requires T <= N, got T={T}, N={N}")
-    d2 = _gain2(D, M)
     rt = rho_from_db(snr_db) / M
-    raw = np.array(svn, dtype=float, ndmin=1)
+    nodes = _node_record(D, T, M, N, rt)
+    raw = np.array(_real(svn, "svn"), ndmin=1)
     raw[:M] *= np.sqrt(rt)
     raw = check_decreasing(raw, T, "raw spectrum (leading block times sqrt(rho/M))")
-    return _sv_log(_cond_log(raw * raw, d2, rt, N) + 0.5 * M * np.log(rt), raw, N)
+    s2 = raw * raw
+    lv = log_vandermonde(s2)
+    return _sv_log(_y_log(s2, lv, nodes) + 0.5 * M * np.log(rt), raw, N, lv)
 
 
 def cond_sv_pdf_limit_log(svn, D, dp: DerivedParams) -> float:
@@ -231,9 +255,11 @@ def cond_sv_pdf_limit_log(svn, D, dp: DerivedParams) -> float:
     remains in the limit, and neither block needs T <= N.
     """
     M, N = dp.M, dp.N
-    svn = np.atleast_1d(np.asarray(svn, dtype=float))
+    svn = np.atleast_1d(_real(svn, "svn"))
     if svn.size != dp.rmin:
         raise DomainError(f"normalized spectrum must have {dp.rmin} entries, got {svn.size}")
     head = check_decreasing(svn[:M], M, "svn leading block")
-    head_log = _sv_log(_kernel_log(head * head, 1.0 / _gain2(D, M), N), head, N)
+    s2 = head * head
+    lv = log_vandermonde(s2)
+    head_log = _sv_log(_y_log(s2, lv, _node_record(D, M, M, N)), head, N, lv)
     return float(head_log + tail_sv_pdf_log(svn[M:], dp))

@@ -42,13 +42,22 @@ def check_int(value, name: str, low: int = 0) -> int:
     return int(value)
 
 
+def _real(x, label: str) -> np.ndarray:
+    """x as a float array; DomainError naming `label` for a complex dtype,
+    whose imaginary part a cast to float would drop."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise DomainError(f"{label}: entries must be real, got dtype {x.dtype}")
+    return np.asarray(x, dtype=float)
+
+
 def check_decreasing(x, size: int, label: str) -> np.ndarray:
     """x as a float vector of `size` strictly decreasing positive entries.
 
     The checks run in this order, and the first that fails raises:
-    DomainError for a shape other than (size,), for an entry that is not
-    > 0 (NaN and -0.0 included), for entries that do not strictly
-    decrease, and for a first entry whose square overflows; then
+    DomainError for a complex dtype, for a shape other than (size,), for an
+    entry that is not > 0 (NaN and -0.0 included), for entries that do not
+    strictly decrease, and for a first entry whose square overflows; then
     ConfluenceError when adjacent squared entries p >= q have
     (p - q) / p < REL_GAP_TOL.  Two adjacent squares that both underflow
     to 0 are equal, so they are confluent; a single trailing square that
@@ -57,16 +66,21 @@ def check_decreasing(x, size: int, label: str) -> np.ndarray:
     The entries are few, so the checks run on Python floats; the decisions
     are those of the same IEEE comparisons on the array.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(_real(x, label))
     if x.shape != (size,):
         raise DomainError(f"{label}: expected {size} entries, got shape {x.shape}")
     v = x.tolist()
+    # one pass accepts a valid vector (a NaN fails a comparison, a 0.0 square is falsy)
+    if not v or (0 < v[-1] and v[0] <= _MAX_ROOT and all(
+            a > b and (p := a * a) and (p - b * b) / p >= REL_GAP_TOL
+            for a, b in zip(v, v[1:]))):
+        return x
     if not all(a > 0 for a in v):
         raise DomainError(f"{label}: entries must be strictly positive")
     pairs = list(zip(v, v[1:]))
     if not all(a > b for a, b in pairs):
         raise DomainError(f"{label}: entries must be strictly decreasing")
-    if v and v[0] > _MAX_ROOT:
+    if v[0] > _MAX_ROOT:
         raise DomainError(f"{label}: squared entries must be finite")
     for a, b in pairs:
         p = a * a

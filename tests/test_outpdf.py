@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from ncmimo.bstm import GainDiagonal, simulate_channel
+from ncmimo import outpdf
+from ncmimo.bstm import GainDiagonal, sample_gain, simulate_channel
 from ncmimo.outpdf import (
     _jacobian_log,
     cond_pdf_y_given_d_log,
@@ -478,6 +479,99 @@ def test_conditional_densities_take_a_plain_gain_vector():
                     lambda D: cond_sv_pdf_finite_log(svn, D, dp, 20.0),
                     lambda D: cond_sv_pdf_limit_log(svn, D, dp)):
         assert density(d) == density(GainDiagonal(d))
+
+
+# ------------------------------------------------------ the node-record cache
+
+def _conditional_densities(y, svn, dp, snr_db):
+    return (lambda D: cond_pdf_y_given_d_log(y, D, dp, snr_db),
+            lambda D: cond_sv_pdf_finite_log(svn, D, dp, snr_db),
+            lambda D: cond_sv_pdf_limit_log(svn, D, dp))
+
+
+def _bits(density, D):
+    # the value's bits, or the raise's type and message
+    try:
+        return float(density(D)).hex()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("dims", [(2, 1, 2), (4, 2, 4), (6, 3, 7)])
+def test_node_cache_hit_equals_a_fresh_evaluation(dims):
+    # matched pairs (Y made with D) and cross pairs (Y made with another
+    # draw): a value read through a cached node record has the bits of the
+    # same value after cache_clear
+    T, M, N = dims
+    dp = _dp(T, M, N)
+    rng = RngHandle(11)
+    gains = sample_gain(dp, rng, 6)
+    y = simulate_channel(sample_isotropic_unitary(T, M, rng, count=6) * gains[:, None, :],
+                         N, 30.0, rng)
+    cases = []
+    for snr_db in (0.0, 30.0, 120.0):
+        rt = rho_from_db(snr_db) / M
+        for k in range(6):
+            sv = np.linalg.svd(y[k], compute_uv=False)
+            svn = sv * np.where(np.arange(T) < M, 1.0 / math.sqrt(rt), 1.0)
+            for D in (gains[k], gains[(k + 1) % 6]):
+                cases += [(f, D) for f in _conditional_densities(y[k], svn, dp, snr_db)]
+    outpdf._nodes.cache_clear()
+    first = [_bits(f, D) for f, D in cases]
+    assert outpdf._nodes.cache_info().hits > 0
+    hits = [_bits(f, D) for f, D in cases]
+    outpdf._nodes.cache_clear()
+    assert hits == first == [_bits(f, D) for f, D in cases]
+    assert any(isinstance(b, str) for b in first)
+
+
+def test_node_cache_sees_a_gain_mutated_in_place():
+    dp = _dp(4, 2, 6)
+    y = simulate_channel(np.eye(4, 2)[None] * np.array([2.1, 1.3]), 6, 20.0, RngHandle(5))[0]
+    svn = np.array([2.4, 1.2, 0.9, 0.4])
+    for density in _conditional_densities(y, svn, dp, 20.0):
+        d = np.array([2.1, 1.3])
+        old = density(d)
+        d[0] = 2.5
+        assert density(d) == density(np.array([2.5, 1.3])) != old
+
+
+def test_node_cache_keys_on_values_not_containers():
+    dp = _dp(4, 2, 6)
+    y = simulate_channel(np.eye(4, 2)[None] * np.array([2.1, 1.3]), 6, 20.0, RngHandle(5))[0]
+    svn = np.array([2.4, 1.2, 0.9, 0.4])
+    for density in _conditional_densities(y, svn, dp, 20.0):
+        got = {_bits(density, D) for D in ([2.1, 1.3], (2.1, 1.3), np.array([2.1, 1.3]),
+                                           GainDiagonal([2.1, 1.3]),
+                                           np.array([2.1, 1.3], dtype=object))}
+        assert len(got) == 1
+
+
+def test_node_cache_never_keeps_an_invalid_gain():
+    dp = _dp(4, 2, 4)
+    y = np.diag([2.0, 1.5, 0.8, 0.3]).astype(complex)
+    svn = np.array([2.0, 1.5, 0.8, 0.3])
+    size = outpdf._nodes.cache_info().currsize
+    for D in (np.full(2, 2.0), np.array([1.0, np.nan]), np.array([1.0, 1e-170])):
+        for density in _conditional_densities(y, svn, dp, 20.0):
+            for _ in range(3):
+                with pytest.raises(DomainError, match="gain diagonal"):
+                    density(D)
+    assert outpdf._nodes.cache_info().currsize == size
+
+
+def test_node_cache_is_bounded_and_its_nodes_read_only():
+    dp = _dp(4, 2, 4)
+    y = np.diag([2.0, 1.5, 0.8, 0.3]).astype(complex)
+    outpdf._nodes.cache_clear()
+    for k in range(10_000):
+        cond_pdf_y_given_d_log(y, np.array([2.0 + 1e-4 * k, 1.0]), dp, 20.0)
+    info = outpdf._nodes.cache_info()
+    assert info.maxsize == outpdf._NODE_CACHE
+    assert info.currsize <= outpdf._NODE_CACHE
+    nodes = outpdf._node_record(np.array([2.0, 1.0]), 4, 2, 4, rho_from_db(20.0) / 2)[0]
+    with pytest.raises(ValueError, match="read-only"):
+        nodes[0] = -0.5
 
 
 def test_every_density_returns_a_python_float():

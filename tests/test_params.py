@@ -138,6 +138,10 @@ def _decision(check, x, size):
 
 
 def _reference_decision(x, size):
+    if np.iscomplexobj(x):
+        # the reference's float cast drops the imaginary part behind a
+        # ComplexWarning; check_decreasing rejects a complex dtype first
+        return DomainError, f"x: entries must be real, got dtype {np.asarray(x).dtype}"
     with np.errstate(invalid="ignore"):
         want = _decision(_check_decreasing_reference, x, size)
     if isinstance(want[0], np.dtype) and np.any(np.square(np.frombuffer(want[2])[:-1]) == 0):
@@ -169,6 +173,9 @@ def _edge_inputs():
     yield [3, 2, 1], 3  # integers convert
     yield [1.0, 1e-170], 2  # one trailing square underflows: valid
     yield [1.0, 1e-170, 1e-171], 3  # two underflow: confluent
+    yield [2.0 + 0.5j, 1.0], 2  # complex: rejected, not truncated
+    yield np.array([2.0, 1.0], dtype=complex), 2  # even with a zero imaginary part
+    yield np.array([1.0], dtype=np.complex64), 3  # the dtype is checked before the size
 
 
 def _gap_inputs():
@@ -210,10 +217,42 @@ def test_check_decreasing_matches_reference_decisions():
         "x: entries must be strictly decreasing",
         "x: squared entries must be finite",
         "x: relative gap below #e-##, inputs are numerically confluent",
+        "x: entries must be real, got dtype complex###",
+        "x: entries must be real, got dtype complex##",
     }
     # the gap inputs fall on both sides of the tolerance
     assert {_decision(check_decreasing, x, 2)[0] for x, _ in _gap_inputs()} == {
         np.dtype(float), ConfluenceError}
+
+
+def _complex_calls():
+    # each entry point that takes a real vector, with that vector complex, and
+    # the label its DomainError names; a cast to float keeps 1.3 of 1.3+0.5j
+    dp = derive(ChannelDims(T=2, M=1, N=2))
+    y = np.diag([2.0, 0.7]).astype(complex)
+    svn = np.array([1.1, 0.6]) + 0.5j
+    z = np.array([1.3 + 0.5j])
+    return {
+        "cond_pdf_y_given_d_log": (
+            "gain diagonal", lambda: ncmimo.cond_pdf_y_given_d_log(y, z, dp, 10.0)),
+        "GainDiagonal": ("GainDiagonal", lambda: ncmimo.GainDiagonal(z)),
+        "cond_sv_pdf_finite_log": (
+            "svn", lambda: ncmimo.cond_sv_pdf_finite_log(svn, [1.3], dp, 10.0)),
+        "cond_sv_pdf_limit_log": ("svn", lambda: ncmimo.cond_sv_pdf_limit_log(svn, [1.3], dp)),
+        "first_sv_pdf_log": (
+            "first_sv_pdf_log sv", lambda: ncmimo.first_sv_pdf_log(z, dp, 10.0)),
+        "tail_sv_pdf_log": ("tail_sv_pdf_log sv", lambda: ncmimo.tail_sv_pdf_log(z, dp)),
+        "beta_eig_pdf_log": (
+            "beta_eig_pdf_log eigenvalues", lambda: ncmimo.beta_eig_pdf_log(1, 2, 3, z / 3)),
+    }
+
+
+@pytest.mark.filterwarnings("error")  # a ComplexWarning fails the test too
+@pytest.mark.parametrize("entry", list(_complex_calls()))
+def test_complex_vectors_are_rejected_not_truncated(entry):
+    label, call = _complex_calls()[entry]
+    with pytest.raises(DomainError, match=f"^{label}: entries must be real, got dtype complex128$"):
+        call()
 
 
 def test_every_raise_names_one_of_the_two_error_types():
