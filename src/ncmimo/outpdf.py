@@ -78,8 +78,23 @@ def _scaled_logdet(logmag: np.ndarray) -> float:
 
 _TINY_SQUARE = 1.0 / np.finfo(float).max
 
-# Node records kept, least recently used out first; each is a few small arrays.
-_NODE_CACHE = 4096
+
+def _gain2(D, M: int) -> np.ndarray:
+    # check_decreasing keeps a last square that underflows to 0 or is
+    # subnormal; no density takes one whose reciprocal overflows
+    d = check_decreasing(D, M, "gain diagonal")
+    d2 = d * d
+    if d2[-1] < _TINY_SQUARE:
+        raise DomainError(f"gain diagonal: squared entries must be at least "
+                          f"{_TINY_SQUARE:.3g}, got {d2[-1]:.3g}")
+    return d2
+
+
+# Node records kept, least recently used out first, about 0.5 kB each.  A
+# log-mean-exp over K gain draws held across Ys hits on every draw after the
+# first Y while K fits; cycled past the bound it never hits.  This bound
+# holds K = 10^4, the largest mixture the roadmap plans.
+_NODE_CACHE = 16384
 
 
 @lru_cache(maxsize=_NODE_CACHE)
@@ -93,13 +108,7 @@ def _nodes(dtype: np.dtype, shape: tuple, buf: bytes, T: int, M: int, N: int,
     digits at high SNR, 1 - mu by subtraction at low SNR.  At rt None (the
     high-SNR limit's leading block, T = M), mu = 1/d^2 and tail = 0.  A
     raise is not cached."""
-    # check_decreasing keeps a last square that underflows to 0 or is
-    # subnormal; no density takes one whose reciprocal overflows
-    d = check_decreasing(np.frombuffer(buf, dtype).reshape(shape), M, "gain diagonal")
-    d2 = d * d
-    if d2[-1] < _TINY_SQUARE:
-        raise DomainError(f"gain diagonal: squared entries must be at least "
-                          f"{_TINY_SQUARE:.3g}, got {d2[-1]:.3g}")
+    d2 = _gain2(np.ndarray(shape, dtype, buf), M)
     if rt is None:
         mu, tail = 1.0 / d2, 0.0
     else:
@@ -149,10 +158,8 @@ def _y_log(s2: np.ndarray, lv: float, nodes: tuple) -> float:
     return float(head + _scaled_logdet(logmag) - lv - lvmu) - tail
 
 
-def _jacobian_log(sv: np.ndarray, n: int, lv: float | None = None) -> float:
+def _jacobian_log(sv: np.ndarray, n: int, lv: float) -> float:
     # the SVD volume Jacobian of an n x sv.size spectrum; lv = ln Delta(sv^2)
-    if lv is None:
-        lv = log_vandermonde(sv * sv)
     return float((2 * (n - sv.size) + 1) * np.log(sv).sum() + 2.0 * lv)
 
 
@@ -163,6 +170,14 @@ def _sv_log(matrix_log: float, sv: np.ndarray, n: int, lv: float) -> float:
     and the volumes of the singular-vector manifolds the change of
     variables integrates out."""
     return float(matrix_log + _jacobian_log(sv, n, lv) + _spectrum_volumes(sv.size, n))
+
+
+def _y_sv(Y: np.ndarray, T: int) -> np.ndarray:
+    try:
+        sv = np.linalg.svd(Y, compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # a NaN in Y; an inf fails the check below
+        raise DomainError(f"singular values of Y: {exc}") from None
+    return check_decreasing(sv, T, "singular values of Y")
 
 
 def cond_pdf_y_given_d_log(Y: np.ndarray, D, dp: DerivedParams,
@@ -180,12 +195,14 @@ def cond_pdf_y_given_d_log(Y: np.ndarray, D, dp: DerivedParams,
     Y = np.asarray(Y)
     if Y.shape != (T, N):
         raise DomainError(f"Y must be T x N = {T} x {N}, got {Y.shape}")
-    nodes = _node_record(D, T, M, N, rho_from_db(snr_db) / M)
     try:
-        sv = np.linalg.svd(Y, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # a NaN in Y; an inf fails the check below
-        raise DomainError(f"singular values of Y: {exc}") from None
-    sv = check_decreasing(sv, T, "singular values of Y")
+        rt = rho_from_db(snr_db) / M
+    except (TypeError, ValueError):  # the gain's and then Y's own errors come first
+        _gain2(D, M)
+        _y_sv(Y, T)
+        rho_from_db(snr_db)
+    nodes = _node_record(D, T, M, N, rt)
+    sv = _y_sv(Y, T)
     s2 = sv * sv
     return _y_log(s2, log_vandermonde(s2), nodes)
 
@@ -234,7 +251,11 @@ def cond_sv_pdf_finite_log(svn, D, dp: DerivedParams,
     if T > N:
         raise DomainError(
             f"closed-form conditional sv pdf requires T <= N, got T={T}, N={N}")
-    rt = rho_from_db(snr_db) / M
+    try:
+        rt = rho_from_db(snr_db) / M
+    except (TypeError, ValueError):  # the gain's own errors come first
+        _gain2(D, M)
+        rho_from_db(snr_db)
     nodes = _node_record(D, T, M, N, rt)
     raw = np.array(_real(svn, "svn"), ndmin=1)
     raw[:M] *= np.sqrt(rt)

@@ -23,7 +23,7 @@ from ncmimo.params import (
     rho_from_db,
 )
 from ncmimo.randmat import RngHandle, sample_isotropic_unitary
-from ncmimo.specfun import log_stiefel_volume
+from ncmimo.specfun import log_stiefel_volume, log_vandermonde
 from ncmimo.statcheck import stiefel_pdf_oracle
 
 # Reference values computed independently at 50-digit precision.
@@ -38,11 +38,15 @@ def _dp(T, M, N):
     return derive(ChannelDims(T=T, M=M, N=N))
 
 
+def _jac(sv, n):
+    return _jacobian_log(sv, n, log_vandermonde(sv * sv))
+
+
 # ---------------------------------------------------------------- jacobian
 
 def test_svd_jacobian_values():
-    assert _jacobian_log(np.array([2.0]), 3) == pytest.approx(JAC_SINGLE, abs=1e-13)
-    assert _jacobian_log(np.array([2.0, 1.0]), 2) == pytest.approx(JAC_PAIR, abs=1e-13)
+    assert _jac(np.array([2.0]), 3) == pytest.approx(JAC_SINGLE, abs=1e-13)
+    assert _jac(np.array([2.0, 1.0]), 2) == pytest.approx(JAC_PAIR, abs=1e-13)
 
 
 def test_svd_jacobian_confluence():
@@ -402,7 +406,7 @@ def test_cond_sv_finite_consistent_with_matrix_pdf():
         raw = np.array([math.sqrt(rt) * s1, s2])
         lhs = cond_sv_pdf_finite_log(svn, dgain, dp, snr_db)
         rhs = (cond_pdf_y_given_d_log(np.diag(raw).astype(complex), dgain, dp, snr_db)
-               + _jacobian_log(raw, dp.rmax))
+               + _jac(raw, dp.rmax))
         consts.append(lhs - rhs)
     assert np.std(consts) < 1e-9
 
@@ -560,18 +564,45 @@ def test_node_cache_never_keeps_an_invalid_gain():
     assert outpdf._nodes.cache_info().currsize == size
 
 
-def test_node_cache_is_bounded_and_its_nodes_read_only():
-    dp = _dp(4, 2, 4)
-    y = np.diag([2.0, 1.5, 0.8, 0.3]).astype(complex)
+def test_node_cache_holds_ten_thousand_held_gains_and_stays_bounded():
+    # a log-mean-exp over K = 10^4 gain draws held across Ys (ROADMAP items
+    # 3 and 8) hits on every draw after the first Y; past the bound the
+    # least recently used records go
+    rt = rho_from_db(20.0) / 2
+    gains = [np.array([2.0 + 1e-4 * k, 1.0]) for k in range(outpdf._NODE_CACHE + 100)]
     outpdf._nodes.cache_clear()
-    for k in range(10_000):
-        cond_pdf_y_given_d_log(y, np.array([2.0 + 1e-4 * k, 1.0]), dp, 20.0)
+    for _ in range(2):
+        for d in gains[:10_000]:
+            outpdf._node_record(d, 4, 2, 4, rt)
     info = outpdf._nodes.cache_info()
-    assert info.maxsize == outpdf._NODE_CACHE
-    assert info.currsize <= outpdf._NODE_CACHE
-    nodes = outpdf._node_record(np.array([2.0, 1.0]), 4, 2, 4, rho_from_db(20.0) / 2)[0]
+    assert (info.hits, info.misses) == (10_000, 10_000)
+    for d in gains:
+        outpdf._node_record(d, 4, 2, 4, rt)
+    info = outpdf._nodes.cache_info()
+    assert info.currsize == info.maxsize == outpdf._NODE_CACHE
+    nodes = outpdf._node_record(gains[-1], 4, 2, 4, rt)[0]
     with pytest.raises(ValueError, match="read-only"):
         nodes[0] = -0.5
+
+
+def test_an_invalid_snr_raises_after_the_gain_and_y_checks():
+    # f(Y | D) checks the gain, then Y, then the SNR; the finite-SNR
+    # spectrum density the gain, then the SNR, then the spectrum
+    dp = _dp(4, 2, 4)
+    y = np.diag([2.0, 1.5, 0.8, 0.3]).astype(complex)
+    svn = np.array([2.0, 1.5, 0.8, 0.3])
+    bad_gain, gain = np.full(2, 2.0), np.array([2.0, 1.0])
+    for snr_db in (math.nan, 4000.0):
+        with pytest.raises(DomainError, match="gain diagonal"):
+            cond_pdf_y_given_d_log(np.full((4, 4), np.nan), bad_gain, dp, snr_db)
+        with pytest.raises(DomainError, match="singular values of Y"):
+            cond_pdf_y_given_d_log(np.full((4, 4), np.nan), gain, dp, snr_db)
+        with pytest.raises(DomainError, match="snr_db"):
+            cond_pdf_y_given_d_log(y, gain, dp, snr_db)
+        with pytest.raises(DomainError, match="gain diagonal"):
+            cond_sv_pdf_finite_log(-svn, bad_gain, dp, snr_db)
+        with pytest.raises(DomainError, match="snr_db"):
+            cond_sv_pdf_finite_log(-svn, gain, dp, snr_db)
 
 
 def test_every_density_returns_a_python_float():
@@ -586,7 +617,7 @@ def test_every_density_returns_a_python_float():
         first_sv_pdf_log(svn[:2], dp, 20.0),
         tail_sv_pdf_log(svn[2:], dp),
         tail_sv_pdf_log(np.array([]), _dp(2, 1, 1)),
-        _jacobian_log(svn, 6),
+        _jac(svn, 6),
     )
     for v in values:
         assert type(v) is float and math.isfinite(v)
