@@ -14,9 +14,10 @@ Haar-averaged complex Wishart kernel det[exp(-mu_i s2_j)] / (Delta(s2)
 Delta(-mu)) over the nodes mu.  f(Y | D) takes the nodes
 mu = 1/(1 + rho~ d^2) and T - M unit nodes; the leading block of the
 high-SNR limit takes mu = 1/d^2 at T = M.  The core's node side, _nodes,
-is all that depends on the gain, SNR and dimensions only, cached by the
-gain's value; its Y side, _y_log, is det[exp(-mu_i s2_j)] and
-ln Delta(s2).  Every spectrum density is a matrix density times one SVD
+is all that depends on the gain, SNR and dimensions only, cached on the
+checked gain's floats: each density checks all its inputs, in the order its
+docstring states, before the lookup.  Its Y side, _y_log, is
+det[exp(-mu_i s2_j)] and ln Delta(s2).  Every spectrum density is a matrix density times one SVD
 change of variables, _sv_log, which shares s2 and ln Delta(s2).
 
 Raw singular values are called sv; svn denotes the normalized vector
@@ -79,15 +80,14 @@ def _scaled_logdet(logmag: np.ndarray) -> float:
 _TINY_SQUARE = 1.0 / np.finfo(float).max
 
 
-def _gain2(D, M: int) -> np.ndarray:
-    # check_decreasing keeps a last square that underflows to 0 or is
-    # subnormal; no density takes one whose reciprocal overflows
-    d = check_decreasing(D, M, "gain diagonal")
-    d2 = d * d
-    if d2[-1] < _TINY_SQUARE:
+def _gain(D, M: int) -> tuple:
+    # the checked gain as Python floats, the node key; no density takes a last
+    # square whose reciprocal overflows, which check_decreasing keeps
+    d = check_decreasing(D, M, "gain diagonal").tolist()
+    if d[-1] * d[-1] < _TINY_SQUARE:
         raise DomainError(f"gain diagonal: squared entries must be at least "
-                          f"{_TINY_SQUARE:.3g}, got {d2[-1]:.3g}")
-    return d2
+                          f"{_TINY_SQUARE:.3g}, got {d[-1] * d[-1]:.3g}")
+    return tuple(d)
 
 
 # Node records kept, least recently used out first, about 0.5 kB each.  A
@@ -98,17 +98,16 @@ _NODE_CACHE = 16384
 
 
 @lru_cache(maxsize=_NODE_CACHE)
-def _nodes(dtype: np.dtype, shape: tuple, buf: bytes, T: int, M: int, N: int,
-           rt: float | None) -> tuple:
-    """The node side of the kernel for the gain with this dtype, shape and
-    bytes: (-mu as a read-only column, head, ln Delta(-mu), tail), head =
+def _nodes(d: tuple, T: int, M: int, N: int, rt: float | None) -> tuple:
+    """The node side of the kernel for the checked gain d = _gain(D, M):
+    (-mu as a read-only column, head, ln Delta(-mu), tail), head =
     -NT ln pi + ln prod Gamma + N sum ln mu.  At an SNR, mu = 1/(1 + rt d^2)
     at rt = rho/M and tail = (T - M) sum ln(1 - mu); mu and 1 - mu =
     rt d^2 mu are both formed directly: mu as 1 - lambda would lose its
     digits at high SNR, 1 - mu by subtraction at low SNR.  At rt None (the
-    high-SNR limit's leading block, T = M), mu = 1/d^2 and tail = 0.  A
-    raise is not cached."""
-    d2 = _gain2(np.ndarray(shape, dtype, buf), M)
+    high-SNR limit's leading block, T = M), mu = 1/d^2 and tail = 0.  The
+    callers check d and rt before the lookup, so no invalid input is a key."""
+    d2 = np.square(d)
     if rt is None:
         mu, tail = 1.0 / d2, 0.0
     else:
@@ -118,14 +117,6 @@ def _nodes(dtype: np.dtype, shape: tuple, buf: bytes, T: int, M: int, N: int,
     nmu = -mu[:, None]
     nmu.flags.writeable = False
     return nmu, head, log_vandermonde(-mu), tail
-
-
-def _node_record(D, T: int, M: int, N: int, rt: float | None = None) -> tuple:
-    # keyed by value, never by identity: an array mutated in place is a new key
-    a = np.asarray(D)
-    if a.dtype.hasobject:  # object entries have no by-value bytes
-        a = a.astype(float)
-    return _nodes(a.dtype, a.shape, a.tobytes(), T, M, N, rt)
 
 
 def _y_log(s2: np.ndarray, lv: float, nodes: tuple) -> float:
@@ -172,21 +163,14 @@ def _sv_log(matrix_log: float, sv: np.ndarray, n: int, lv: float) -> float:
     return float(matrix_log + _jacobian_log(sv, n, lv) + _spectrum_volumes(sv.size, n))
 
 
-def _y_sv(Y: np.ndarray, T: int) -> np.ndarray:
-    try:
-        sv = np.linalg.svd(Y, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # a NaN in Y; an inf fails the check below
-        raise DomainError(f"singular values of Y: {exc}") from None
-    return check_decreasing(sv, T, "singular values of Y")
-
-
 def cond_pdf_y_given_d_log(Y: np.ndarray, D, dp: DerivedParams,
                            snr_db: float) -> float:
     """ln f(Y | D) for the block-fading channel output, T <= N only.
 
     Uses the determinant closed form of _y_log with the Gaussian factor
     exp(-tr(Y^H Y)) absorbed column-wise into the determinant, so the
-    evaluation stays finite at any SNR.
+    evaluation stays finite at any SNR.  Checked in order: Y's shape, the
+    gain, Y's singular values, the SNR.
     """
     T, M, N = dp.T, dp.M, dp.N
     if T > N:
@@ -195,14 +179,13 @@ def cond_pdf_y_given_d_log(Y: np.ndarray, D, dp: DerivedParams,
     Y = np.asarray(Y)
     if Y.shape != (T, N):
         raise DomainError(f"Y must be T x N = {T} x {N}, got {Y.shape}")
+    d = _gain(D, M)
     try:
-        rt = rho_from_db(snr_db) / M
-    except (TypeError, ValueError):  # the gain's and then Y's own errors come first
-        _gain2(D, M)
-        _y_sv(Y, T)
-        rho_from_db(snr_db)
-    nodes = _node_record(D, T, M, N, rt)
-    sv = _y_sv(Y, T)
+        sv = np.linalg.svd(Y, compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # a NaN in Y; an inf fails the check below
+        raise DomainError(f"singular values of Y: {exc}") from None
+    sv = check_decreasing(sv, T, "singular values of Y")
+    nodes = _nodes(d, T, M, N, rho_from_db(snr_db) / M)
     s2 = sv * sv
     return _y_log(s2, log_vandermonde(s2), nodes)
 
@@ -245,21 +228,19 @@ def cond_sv_pdf_finite_log(svn, D, dp: DerivedParams,
     the raw values (leading block times sqrt(rho/M)) decrease strictly,
     which is wider than svn decreasing and is what the normalization
     integral runs over.  The density is the spectrum density of ln f(Y | D)
-    times (rho/M)^{M/2} for the scaling of the leading block.
+    times (rho/M)^{M/2} for the scaling of the leading block.  Checked in
+    order: the gain, the SNR, the spectrum.
     """
     T, M, N = dp.T, dp.M, dp.N
     if T > N:
         raise DomainError(
             f"closed-form conditional sv pdf requires T <= N, got T={T}, N={N}")
-    try:
-        rt = rho_from_db(snr_db) / M
-    except (TypeError, ValueError):  # the gain's own errors come first
-        _gain2(D, M)
-        rho_from_db(snr_db)
-    nodes = _node_record(D, T, M, N, rt)
+    d = _gain(D, M)
+    rt = rho_from_db(snr_db) / M
     raw = np.array(_real(svn, "svn"), ndmin=1)
     raw[:M] *= np.sqrt(rt)
     raw = check_decreasing(raw, T, "raw spectrum (leading block times sqrt(rho/M))")
+    nodes = _nodes(d, T, M, N, rt)
     s2 = raw * raw
     lv = log_vandermonde(s2)
     return _sv_log(_y_log(s2, lv, nodes) + 0.5 * M * np.log(rt), raw, N, lv)
@@ -273,14 +254,16 @@ def cond_sv_pdf_limit_log(svn, D, dp: DerivedParams) -> float:
     singular values of D H (H an M x N Gaussian), the spectrum density of
     the kernel at T = M with nodes 1/d^2; the trailing rmin - M follow the
     pure-noise law of tail_sv_pdf_log.  No cross-block ordering constraint
-    remains in the limit, and neither block needs T <= N.
+    remains in the limit, and neither block needs T <= N.  Checked in order:
+    the spectrum's size, its leading block, the gain, its trailing block.
     """
     M, N = dp.M, dp.N
     svn = np.atleast_1d(_real(svn, "svn"))
     if svn.size != dp.rmin:
         raise DomainError(f"normalized spectrum must have {dp.rmin} entries, got {svn.size}")
     head = check_decreasing(svn[:M], M, "svn leading block")
+    nodes = _nodes(_gain(D, M), M, M, N, None)
     s2 = head * head
     lv = log_vandermonde(s2)
-    head_log = _sv_log(_y_log(s2, lv, _node_record(D, M, M, N)), head, N, lv)
+    head_log = _sv_log(_y_log(s2, lv, nodes), head, N, lv)
     return float(head_log + tail_sv_pdf_log(svn[M:], dp))

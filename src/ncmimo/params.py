@@ -140,11 +140,13 @@ def derive(dims: ChannelDims) -> DerivedParams:
 
 
 def rho_from_db(snr_db: float) -> float:
-    """Linear SNR rho = 10^(snr_db/10) from its dB value.
+    """Linear SNR rho = 10^(snr_db/10) from its dB value, a real number.
 
-    Raises DomainError unless rho is a positive finite float: for NaN,
-    for +-inf, and where 10^(snr_db/10) overflows or underflows to zero.
+    Raises DomainError for a bool, str or complex snr_db, for NaN, for
+    +-inf, and where 10^(snr_db/10) overflows or underflows to zero.
     """
+    if np.asarray(snr_db).dtype.kind not in "iuf":
+        raise DomainError(f"snr_db must be a real number, got snr_db={snr_db!r}")
     try:
         rho = 10.0 ** (float(snr_db) / 10.0)
     except OverflowError:

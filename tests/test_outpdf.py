@@ -541,27 +541,37 @@ def test_node_cache_sees_a_gain_mutated_in_place():
 
 
 def test_node_cache_keys_on_values_not_containers():
+    # every container and dtype of one value gives the same bits, and every
+    # lookup after the first of that value hits
     dp = _dp(4, 2, 6)
     y = simulate_channel(np.eye(4, 2)[None] * np.array([2.1, 1.3]), 6, 20.0, RngHandle(5))[0]
     svn = np.array([2.4, 1.2, 0.9, 0.4])
+    same_values = (
+        ([2.1, 1.3], (2.1, 1.3), np.array([2.1, 1.3]), GainDiagonal([2.1, 1.3]),
+         np.array([2.1, 1.3], dtype=object)),
+        ([2.0, 1.0], np.array([2, 1], dtype=np.int64), np.array([2.0, 1.0], dtype=np.float32)))
     for density in _conditional_densities(y, svn, dp, 20.0):
-        got = {_bits(density, D) for D in ([2.1, 1.3], (2.1, 1.3), np.array([2.1, 1.3]),
-                                           GainDiagonal([2.1, 1.3]),
-                                           np.array([2.1, 1.3], dtype=object))}
-        assert len(got) == 1
+        for gains in same_values:
+            got = set()
+            for k, D in enumerate(gains):
+                hits = outpdf._nodes.cache_info().hits
+                got.add(_bits(density, D))
+                assert k == 0 or outpdf._nodes.cache_info().hits == hits + 1
+            assert len(got) == 1
 
 
 def test_node_cache_never_keeps_an_invalid_gain():
     dp = _dp(4, 2, 4)
     y = np.diag([2.0, 1.5, 0.8, 0.3]).astype(complex)
     svn = np.array([2.0, 1.5, 0.8, 0.3])
-    size = outpdf._nodes.cache_info().currsize
+    # checked before the lookup: an invalid gain is neither a hit nor a miss
+    info = outpdf._nodes.cache_info()
     for D in (np.full(2, 2.0), np.array([1.0, np.nan]), np.array([1.0, 1e-170])):
         for density in _conditional_densities(y, svn, dp, 20.0):
             for _ in range(3):
                 with pytest.raises(DomainError, match="gain diagonal"):
                     density(D)
-    assert outpdf._nodes.cache_info().currsize == size
+    assert outpdf._nodes.cache_info() == info
 
 
 def test_node_cache_holds_ten_thousand_held_gains_and_stays_bounded():
@@ -573,26 +583,36 @@ def test_node_cache_holds_ten_thousand_held_gains_and_stays_bounded():
     outpdf._nodes.cache_clear()
     for _ in range(2):
         for d in gains[:10_000]:
-            outpdf._node_record(d, 4, 2, 4, rt)
+            outpdf._nodes(outpdf._gain(d, 2), 4, 2, 4, rt)
     info = outpdf._nodes.cache_info()
     assert (info.hits, info.misses) == (10_000, 10_000)
     for d in gains:
-        outpdf._node_record(d, 4, 2, 4, rt)
+        outpdf._nodes(outpdf._gain(d, 2), 4, 2, 4, rt)
     info = outpdf._nodes.cache_info()
     assert info.currsize == info.maxsize == outpdf._NODE_CACHE
-    nodes = outpdf._node_record(gains[-1], 4, 2, 4, rt)[0]
+    nodes = outpdf._nodes(outpdf._gain(gains[-1], 2), 4, 2, 4, rt)[0]
     with pytest.raises(ValueError, match="read-only"):
         nodes[0] = -0.5
 
 
 def test_an_invalid_snr_raises_after_the_gain_and_y_checks():
-    # f(Y | D) checks the gain, then Y, then the SNR; the finite-SNR
-    # spectrum density the gain, then the SNR, then the spectrum
+    # f(Y | D) checks Y's shape, the gain, Y's singular values, then the
+    # SNR; the finite-SNR spectrum density the gain, then the SNR, then the
+    # spectrum; the limit the spectrum's size and leading block, then the
+    # gain, then the trailing block
     dp = _dp(4, 2, 4)
     y = np.diag([2.0, 1.5, 0.8, 0.3]).astype(complex)
     svn = np.array([2.0, 1.5, 0.8, 0.3])
     bad_gain, gain = np.full(2, 2.0), np.array([2.0, 1.0])
-    for snr_db in (math.nan, 4000.0):
+    with pytest.raises(DomainError, match="normalized spectrum must have 4 entries"):
+        cond_sv_pdf_limit_log(-svn[:3], bad_gain, dp)
+    with pytest.raises(DomainError, match="svn leading block"):
+        cond_sv_pdf_limit_log(-svn, bad_gain, dp)
+    with pytest.raises(DomainError, match="gain diagonal"):
+        cond_sv_pdf_limit_log(svn * [1, 1, 1, -1], bad_gain, dp)
+    for snr_db in (math.nan, 4000.0, "10", True):
+        with pytest.raises(DomainError, match="Y must be T x N"):
+            cond_pdf_y_given_d_log(np.full((4, 3), np.nan), bad_gain, dp, snr_db)
         with pytest.raises(DomainError, match="gain diagonal"):
             cond_pdf_y_given_d_log(np.full((4, 4), np.nan), bad_gain, dp, snr_db)
         with pytest.raises(DomainError, match="singular values of Y"):

@@ -84,10 +84,16 @@ def test_rho_from_db():
     assert rho_from_db(-10.0) == pytest.approx(0.1, rel=1e-15)
     assert rho_from_db(30.0) == pytest.approx(1000.0, rel=1e-15)
     # 10^(x/10) must be a positive finite float: overflow, underflow to 0,
-    # infinities and NaN are all out of the domain
-    for bad in (4000.0, -4000.0, math.inf, -math.inf, math.nan):
+    # infinities and NaN are all out of the domain; a bool, a str (never
+    # parsed), bytes, None and a complex value are not dB values
+    for bad in (4000.0, -4000.0, math.inf, -math.inf, math.nan,
+                True, False, np.True_, np.array(True), "10", b"10", None,
+                1 + 0j, np.complex128(10.0), np.array(10.0 + 1j)):
         with pytest.raises(DomainError, match="snr_db"):
             rho_from_db(bad)
+    # numbers and 0-d real arrays are dB values
+    for good in (10, np.int64(10), np.float32(10.0), np.float64(10.0), np.array(10.0)):
+        assert rho_from_db(good) == pytest.approx(10.0, rel=1e-15)
 
 
 def test_check_decreasing():
