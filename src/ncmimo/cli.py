@@ -219,9 +219,10 @@ def cmd_sample(args) -> int:
 
 def cmd_validate(args) -> int:
     reports = SUITES[args.suite](n=args.n, seed=args.seed)
-    columns = ["suite"] + [f.name for f in dataclasses.fields(TestReport)] + ["seed"]
-    rows = [[args.suite, *dataclasses.astuple(r), args.seed] for r in reports]
-    _emit(args, columns, rows)
+    fields = [f.name for f in dataclasses.fields(TestReport)]
+    # the fields are scalars: read them, without astuple's deep copy
+    rows = [[args.suite, *(getattr(r, f) for f in fields), args.seed] for r in reports]
+    _emit(args, ["suite", *fields, "seed"], rows)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VALIDATION
 
 

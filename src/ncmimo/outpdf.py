@@ -16,9 +16,11 @@ mu = 1/(1 + rho~ d^2) and T - M unit nodes; the leading block of the
 high-SNR limit takes mu = 1/d^2 at T = M.  The core's node side, _nodes,
 is all that depends on the gain, SNR and dimensions only, cached on the
 checked gain's floats: each density checks all its inputs, in the order its
-docstring states, before the lookup.  Its Y side, _y_log, is
-det[exp(-mu_i s2_j)] and ln Delta(s2).  Every spectrum density is a matrix density times one SVD
-change of variables, _sv_log, which shares s2 and ln Delta(s2).
+docstring states, before the lookup.  Its Y side, _y_log, broadcasts the
+record's two coefficient columns over s2 into one row-scaled determinant.
+Every spectrum density is a matrix density times one SVD change of
+variables, _sv_log, which shares ln Delta(s2); such per-spectrum sums run
+with math on Python floats.
 
 Raw singular values are called sv; svn denotes the normalized vector
 whose first M entries are scaled by sqrt(M/rho).  The scaling is always
@@ -27,6 +29,7 @@ applied by the caller.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -42,39 +45,11 @@ from .params import (
 from .specfun import LOG_2, LOG_PI, log_gamma_range, log_stiefel_volume, log_vandermonde
 
 
-# The cached power arrays are shared by every caller: read-only.
-@lru_cache(maxsize=None)
-def _row_powers(T: int, M: int) -> np.ndarray:
-    # exponents T - i of the polynomial rows i = M+1..T, as a column
-    p = T - np.arange(M + 1, T + 1, dtype=float)[:, None]
-    p.flags.writeable = False
-    return p
-
-
 @lru_cache(maxsize=None)
 def _spectrum_volumes(m: int, n: int) -> float:
     # ln of the U(m)/phase and S(n, m) volumes the SVD integrates out; the
     # quotient by the m phases divides |U(m)| = |S(m, m)| by (2 pi)^m
     return log_stiefel_volume(m, m) - m * (LOG_2 + LOG_PI) + log_stiefel_volume(n, m)
-
-
-def _scaled_logdet(logmag: np.ndarray) -> float:
-    """ln det of the matrix with entrywise log-magnitudes logmag.
-
-    Row maxima are factored out first so that exp never overflows; entries
-    that underflow relative to their row maximum become exact zeros, which
-    is their correct limit.  The determinant must be positive: a sign the
-    pivoted factorization cannot keep raises ConfluenceError.
-    """
-    # ufunc reduces skip ndarray.max/.sum's Python wrappers, with the same bits
-    c = np.maximum.reduce(logmag, axis=1)
-    c[c == -np.inf] = 0.0  # a row of zeros stays zero
-    sign, ld = np.linalg.slogdet(np.exp(logmag - c[:, None]))
-    if sign <= 0:
-        raise ConfluenceError(
-            "determinant lost its sign; inputs are too close to confluent "
-            "for a stable evaluation")
-    return float(ld + np.add.reduce(c))
 
 
 _TINY_SQUARE = 1.0 / np.finfo(float).max
@@ -90,7 +65,7 @@ def _gain(D, M: int) -> tuple:
     return tuple(d)
 
 
-# Node records kept, least recently used out first, about 0.5 kB each.  A
+# Node records kept, least recently used out first, about 0.6 kB each.  A
 # log-mean-exp over K gain draws held across Ys hits on every draw after the
 # first Y while K fits; cycled past the bound it never hits.  This bound
 # holds K = 10^4, the largest mixture the roadmap plans.
@@ -100,30 +75,46 @@ _NODE_CACHE = 16384
 @lru_cache(maxsize=_NODE_CACHE)
 def _nodes(d: tuple, T: int, M: int, N: int, rt: float | None) -> tuple:
     """The node side of the kernel for the checked gain d = _gain(D, M):
-    (-mu as a read-only column, head, ln Delta(-mu), tail), head =
-    -NT ln pi + ln prod Gamma + N sum ln mu.  At an SNR, mu = 1/(1 + rt d^2)
-    at rt = rho/M and tail = (T - M) sum ln(1 - mu); mu and 1 - mu =
-    rt d^2 mu are both formed directly: mu as 1 - lambda would lose its
-    digits at high SNR, 1 - mu by subtraction at low SNR.  At rt None (the
-    high-SNR limit's leading block, T = M), mu = 1/d^2 and tail = 0.  The
-    callers check d and rt before the lookup, so no invalid input is a key."""
-    d2 = np.square(d)
-    if rt is None:
-        mu, tail = 1.0 / d2, 0.0
-    else:
-        mu = 1.0 / (1.0 + rt * d2)
-        tail = (T - M) * float(np.log(rt * d2 * mu).sum())
-    head = -N * T * LOG_PI + log_gamma_range(T - M + 1, T) + N * np.log(mu).sum()
-    nmu = -mu[:, None]
-    nmu.flags.writeable = False
-    return nmu, head, log_vandermonde(-mu), tail
+    read-only T x 1 columns a, b with ln K_ij = a_i s2_j + b_i ln s2_j (a is
+    -mu, then -1 on the T - M unit-node rows i = M+1..T; b is 0, then T - i)
+    and const = head - ln Delta(-mu) - tail, head = -NT ln pi +
+    ln prod Gamma + N sum ln mu.  At an SNR, mu = 1/(1 + rt d^2) at
+    rt = rho/M and tail = (T - M) sum ln(1 - mu); mu and 1 - mu = rt d^2 mu
+    are both formed directly: mu as 1 - lambda would lose its digits at
+    high SNR, 1 - mu by subtraction at low SNR.  At rt None (the high-SNR
+    limit's leading block, T = M), mu = 1/d^2 and tail = 0.  The callers
+    check d and rt before the lookup, so no invalid input is a key; nodes
+    that round to 0 or 1 (rho d^2 overflows or underflows) or together
+    raise ConfluenceError."""
+    try:  # math.log(0) raises ValueError
+        if rt is None:
+            mu, tail = [1.0 / (x * x) for x in d], 0.0
+        else:
+            g = [rt * (x * x) for x in d]
+            mu = [1.0 / (1.0 + x) for x in g]
+            tail = (T - M) * math.fsum([math.log(x * m) for x, m in zip(g, mu)])
+        head = (-N * T * LOG_PI + log_gamma_range(T - M + 1, T)
+                + N * math.fsum(map(math.log, mu)))
+        lvmu = log_vandermonde([-x for x in mu])
+    except ValueError:
+        raise ConfluenceError("kernel nodes mu round to 0, to 1 or together") from None
+    # T x 1 columns, copied so that the record keeps no 1-D base array
+    a = np.array([-x for x in mu] + [-1.0] * (T - M))[:, None].copy()
+    b = np.array([0.0] * M + [float(T - i) for i in range(M + 1, T + 1)])[:, None].copy()
+    a.flags.writeable = b.flags.writeable = False
+    return a, b, head - lvmu - tail
+
+
+# ln 0 in the kernel's powers: finite, so that 0 ln 0 = 0, and small enough
+# that any power p >= 1 (p < 10^8) gives an entry exp takes to exactly 0
+_LN_ZERO = -1e300
 
 
 def _y_log(s2: np.ndarray, lv: float, nodes: tuple) -> float:
     """The Y side: ln of the Haar-averaged complex Wishart kernel at the
-    decreasing squared singular values s2 of a T x N matrix, lv = ln
-    Delta(s2), over the increasing nodes mu of the node record (M <= T) and
-    T - M unit nodes, times prod (1 - mu_i)^{M-T}:
+    decreasing squared singular values s2 of a T x N matrix, lv =
+    ln Delta(s2), over the increasing nodes mu of the node record
+    (M <= T) and T - M unit nodes, times prod (1 - mu_i)^{M-T}:
 
         pi^{-NT} prod_{i=T-M+1}^{T} Gamma(i) prod mu_i^N
         det(K) / [prod_{i<j}(s2_i - s2_j) prod_{i<j}(mu_j - mu_i)]
@@ -131,36 +122,36 @@ def _y_log(s2: np.ndarray, lv: float, nodes: tuple) -> float:
     with K_{ij} = exp(-mu_i s2_j) on the first M rows and, the confluent
     limit of the unit nodes, s2_j^{T-i} exp(-s2_j) below.  At T = M this is
     the density of U diag(mu)^{-1/2} G with U Haar and G an M x N standard
-    Gaussian.  Only det(K) and lv depend on s2.
+    Gaussian.  Only the last s2 can have underflowed to 0 (s2 decreases);
+    its ln reads _LN_ZERO.  An entry that underflows relative to its row
+    maximum is an exact zero, its correct limit; a determinant that is not
+    positive, or a log that is not finite, raises ConfluenceError.
     """
-    nmu, head, lvmu, tail = nodes
-    T, M = s2.size, nmu.size
-    logmag = np.empty((T, T))
-    np.multiply(nmu, s2, out=logmag[:M])
-    if T > M:
-        rows = logmag[M:]
-        if s2[-1] > 0:
-            np.multiply(_row_powers(T, M), np.log(s2), out=rows)
-        else:  # s2 decreases, so only its last entry can have underflowed to 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.multiply(_row_powers(T, M), np.log(s2), out=rows)
-            rows[-1] = 0.0  # the power-0 row: 0 ln 0 = 0
-        rows -= s2
-    return float(head + _scaled_logdet(logmag) - lv - lvmu) - tail
+    a, b, const = nodes
+    ls = np.log(s2) if s2[-1] else np.append(np.log(s2[:-1]), _LN_ZERO)
+    logmag = a * s2 + b * ls
+    c = np.maximum.reduce(logmag, axis=1)
+    sign, ld = np.linalg.slogdet(np.exp(logmag - c[:, None]))
+    value = const + float(ld) + sum(c.tolist()) - lv
+    if not (sign > 0 and math.isfinite(value)):
+        raise ConfluenceError(
+            "determinant lost its sign; inputs are too close to confluent "
+            "for a stable evaluation")
+    return value
 
 
-def _jacobian_log(sv: np.ndarray, n: int, lv: float) -> float:
-    # the SVD volume Jacobian of an n x sv.size spectrum; lv = ln Delta(sv^2)
-    return float((2 * (n - sv.size) + 1) * np.log(sv).sum() + 2.0 * lv)
+def _jacobian_log(sv, n: int, lv: float) -> float:
+    # the SVD volume Jacobian of an n x len(sv) spectrum; lv = ln Delta(sv^2)
+    return (2 * (n - len(sv)) + 1) * math.fsum(map(math.log, sv)) + 2.0 * lv
 
 
-def _sv_log(matrix_log: float, sv: np.ndarray, n: int, lv: float) -> float:
-    """ln of the joint density of the decreasing singular values sv of an
-    m x n matrix (m = sv.size <= n) whose unitarily invariant density is
-    exp(matrix_log) at them: the SVD Jacobian, given lv = ln Delta(sv^2),
-    and the volumes of the singular-vector manifolds the change of
-    variables integrates out."""
-    return float(matrix_log + _jacobian_log(sv, n, lv) + _spectrum_volumes(sv.size, n))
+def _sv_log(matrix_log: float, sv, n: int, lv: float) -> float:
+    """ln of the joint density of the decreasing singular values sv (Python
+    floats) of an m x n matrix (m = len(sv) <= n) whose unitarily invariant
+    density is exp(matrix_log) at them: the SVD Jacobian, given
+    lv = ln Delta(sv^2), and the volumes of the singular-vector manifolds
+    the change of variables integrates out."""
+    return matrix_log + _jacobian_log(sv, n, lv) + _spectrum_volumes(len(sv), n)
 
 
 def cond_pdf_y_given_d_log(Y: np.ndarray, D, dp: DerivedParams,
@@ -187,14 +178,15 @@ def cond_pdf_y_given_d_log(Y: np.ndarray, D, dp: DerivedParams,
     sv = check_decreasing(sv, T, "singular values of Y")
     nodes = _nodes(d, T, M, N, rho_from_db(snr_db) / M)
     s2 = sv * sv
-    return _y_log(s2, log_vandermonde(s2), nodes)
+    return _y_log(s2, log_vandermonde(s2.tolist()), nodes)
 
 
-def _gaussian_sv_log(sv: np.ndarray, n: int, var: float) -> float:
-    """ln of the joint density of the singular values sv of an m x n complex
-    Gaussian matrix with iid CN(0, var) entries, m = sv.size <= n."""
-    s2 = sv * sv
-    return _sv_log(-sv.size * n * (LOG_PI + np.log(var)) - s2.sum() / var, sv, n,
+def _gaussian_sv_log(sv, n: int, var: float) -> float:
+    """ln of the joint density of the singular values sv (Python floats) of
+    an m x n complex Gaussian matrix with iid CN(0, var) entries,
+    m = len(sv) <= n."""
+    s2 = [x * x for x in sv]
+    return _sv_log(-len(sv) * n * (LOG_PI + math.log(var)) - math.fsum(s2) / var, sv, n,
                    log_vandermonde(s2))
 
 
@@ -204,7 +196,7 @@ def first_sv_pdf_log(sv, dp: DerivedParams, snr_db: float) -> float:
     This is the singular-value law of an M x Q complex Gaussian matrix
     with per-entry variance lambda_bar = N T rho / (M Q).
     """
-    sv = check_decreasing(sv, dp.M, "first_sv_pdf_log sv")
+    sv = check_decreasing(sv, dp.M, "first_sv_pdf_log sv").tolist()
     return _gaussian_sv_log(sv, dp.Q, dp.N * dp.T * rho_from_db(snr_db) / (dp.M * dp.Q))
 
 
@@ -215,7 +207,7 @@ def tail_sv_pdf_log(sv, dp: DerivedParams) -> float:
     Gaussian.  An empty vector (rmin = M) returns 0.
     """
     R = dp.rmin - dp.M
-    sv = check_decreasing(sv, R, "tail_sv_pdf_log sv")
+    sv = check_decreasing(sv, R, "tail_sv_pdf_log sv").tolist()
     return _gaussian_sv_log(sv, dp.rmax - dp.M, 1.0) if R else 0.0
 
 
@@ -238,12 +230,12 @@ def cond_sv_pdf_finite_log(svn, D, dp: DerivedParams,
     d = _gain(D, M)
     rt = rho_from_db(snr_db) / M
     raw = np.array(_real(svn, "svn"), ndmin=1)
-    raw[:M] *= np.sqrt(rt)
+    raw[:M] *= math.sqrt(rt)
     raw = check_decreasing(raw, T, "raw spectrum (leading block times sqrt(rho/M))")
     nodes = _nodes(d, T, M, N, rt)
     s2 = raw * raw
-    lv = log_vandermonde(s2)
-    return _sv_log(_y_log(s2, lv, nodes) + 0.5 * M * np.log(rt), raw, N, lv)
+    lv = log_vandermonde(s2.tolist())
+    return _sv_log(_y_log(s2, lv, nodes) + 0.5 * M * math.log(rt), raw.tolist(), N, lv)
 
 
 def cond_sv_pdf_limit_log(svn, D, dp: DerivedParams) -> float:
@@ -256,14 +248,21 @@ def cond_sv_pdf_limit_log(svn, D, dp: DerivedParams) -> float:
     pure-noise law of tail_sv_pdf_log.  No cross-block ordering constraint
     remains in the limit, and neither block needs T <= N.  Checked in order:
     the spectrum's size, its leading block, the gain, its trailing block.
+    A leading block whose largest exponent mu s^2 = (s/d)^2 overflows (a
+    gain near 0) raises ConfluenceError before the trailing block's check.
     """
     M, N = dp.M, dp.N
     svn = np.atleast_1d(_real(svn, "svn"))
     if svn.size != dp.rmin:
         raise DomainError(f"normalized spectrum must have {dp.rmin} entries, got {svn.size}")
     head = check_decreasing(svn[:M], M, "svn leading block")
-    nodes = _nodes(_gain(D, M), M, M, N, None)
+    d = _gain(D, M)
+    v = head.tolist()
+    # the largest entry of the broadcast a * s2, in the same IEEE operations
+    if 1.0 / (d[-1] * d[-1]) * (v[0] * v[0]) == math.inf:
+        raise ConfluenceError(f"svn leading block: mu s^2 = (s/d)^2 overflows at "
+                              f"s = {v[0]:.3g}, d = {d[-1]:.3g}")
+    nodes = _nodes(d, M, M, N, None)
     s2 = head * head
-    lv = log_vandermonde(s2)
-    head_log = _sv_log(_y_log(s2, lv, nodes), head, N, lv)
-    return float(head_log + tail_sv_pdf_log(svn[M:], dp))
+    lv = log_vandermonde(s2.tolist())
+    return _sv_log(_y_log(s2, lv, nodes), v, N, lv) + tail_sv_pdf_log(svn[M:], dp)

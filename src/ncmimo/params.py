@@ -30,6 +30,9 @@ REL_GAP_TOL = 1e-9
 # largest float whose square is finite
 _MAX_ROOT = float(np.sqrt(np.finfo(float).max))
 
+# native float64; a vector of this dtype skips the conversions in check_decreasing
+_F64 = np.dtype(float)
+
 
 def check_int(value, name: str, low: int = 0) -> int:
     """value as a Python int if it is a Python or numpy integer >= low;
@@ -64,9 +67,12 @@ def check_decreasing(x, size: int, label: str) -> np.ndarray:
     underflows to 0 is valid.
 
     The entries are few, so the checks run on Python floats; the decisions
-    are those of the same IEEE comparisons on the array.
+    are those of the same IEEE comparisons on the array.  A 1-D native
+    float64 array is checked and returned as it is, which is what the
+    conversions would give.
     """
-    x = np.atleast_1d(_real(x, label))
+    if not (type(x) is np.ndarray and x.dtype is _F64 and x.ndim == 1):
+        x = np.atleast_1d(_real(x, label))
     if x.shape != (size,):
         raise DomainError(f"{label}: expected {size} entries, got shape {x.shape}")
     v = x.tolist()

@@ -164,4 +164,4 @@ def beta_eig_pdf_log(m: int, p: int, n: int, a) -> float:
     log_c = (k * (k - 1) * LOG_PI - log_multivariate_gamma(k, k) + log_multivariate_gamma(k, p + n)
              - log_multivariate_gamma(k, b) - log_multivariate_gamma(k, c))
     return float(log_c + (p - m) * np.log(a).sum() + abs(n - m) * np.log1p(-a).sum()
-                 + 2.0 * log_vandermonde(a))
+                 + 2.0 * log_vandermonde(a.tolist()))

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations, starmap
+from operator import sub
 
 import numpy as np
 
@@ -17,20 +19,11 @@ LOG_PI = math.log(math.pi)
 LOG_2 = math.log(2.0)
 
 
-# The cached index arrays are shared by every caller: read-only.
-@lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    i, j = np.triu_indices(n, k=1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
-def log_vandermonde(x: np.ndarray) -> float:
-    """sum_{i<j} ln(x_i - x_j) for a strictly decreasing vector x."""
-    if x.size < 2:
-        return 0.0
-    i, j = _pairs(x.size)
-    return float(np.log(x[i] - x[j]).sum())
+def log_vandermonde(x) -> float:
+    """sum_{i<j} ln(x_i - x_j) for a strictly decreasing sequence x, 0 for
+    fewer than two entries.  The entries are few: pass Python floats (a
+    list from tolist()), which math takes without numpy's per-call cost."""
+    return math.fsum(map(math.log, starmap(sub, combinations(x, 2))))
 
 
 # the integer-taking caches are typed: a hit on 2 must not answer for 2.0 or True

@@ -19,11 +19,12 @@ from ncmimo.params import (
     ChannelDims,
     ConfluenceError,
     DomainError,
+    check_decreasing,
     derive,
     rho_from_db,
 )
 from ncmimo.randmat import RngHandle, sample_isotropic_unitary
-from ncmimo.specfun import log_stiefel_volume, log_vandermonde
+from ncmimo.specfun import LOG_PI, log_gamma_range, log_stiefel_volume, log_vandermonde
 from ncmimo.statcheck import stiefel_pdf_oracle
 
 # Reference values computed independently at 50-digit precision.
@@ -317,6 +318,60 @@ def test_two_underflowing_squares_are_confluent():
                 call()
 
 
+_FP_RAISE = dict(over="raise", invalid="raise", divide="raise")
+
+
+@pytest.mark.parametrize("dims,d,svn", [((2, 1, 2), [1e-154], [2.0, 0.6]),
+                                        ((4, 2, 4), [1.0, 1e-154], [3.0, 2.0, 0.6, 0.5])])
+def test_limit_raises_where_its_exponent_overflows(dims, d, svn):
+    # mu s^2 = (s/d)^2 overflows on the whole row of the smallest gain, whose
+    # kernel entries are exact zeros: ConfluenceError, raised before any
+    # product overflows, so no floating-point warning is emitted either
+    with np.errstate(**_FP_RAISE), pytest.raises(ConfluenceError, match="overflows"):
+        cond_sv_pdf_limit_log(np.array(svn), np.array(d), _dp(*dims))
+
+
+@pytest.mark.parametrize("d,snr_db", [((1e150, 1e-6), 100.0), ((1e-150, 1e-151), -300.0)])
+def test_a_density_raises_rather_than_return_a_non_finite_value(d, snr_db):
+    # rho d^2 overflows (mu = 0) or underflows (mu = 1): the node constant
+    # is not finite, while the determinant keeps its sign
+    dp, d = _dp(4, 2, 4), np.array(d)
+    svn = np.array([2.0, 1.5, 0.8, 0.3])
+    raw = svn * np.where(np.arange(4) < 2, math.sqrt(2.0 / rho_from_db(snr_db)), 1.0)
+    with np.errstate(**_FP_RAISE):
+        for call in (lambda: cond_pdf_y_given_d_log(np.diag(svn), d, dp, snr_db),
+                     lambda: cond_sv_pdf_finite_log(raw, d, dp, snr_db)):
+            with pytest.raises(ConfluenceError, match="nodes"):
+                call()
+
+
+def test_nodes_that_round_together_are_confluent():
+    # at -170 dB both nodes mu = 1/(1 + rho d^2 / M) round to 1
+    y = np.diag([2.0, 1.5, 0.8, 0.3])
+    with np.errstate(**_FP_RAISE), pytest.raises(ConfluenceError, match="nodes"):
+        cond_pdf_y_given_d_log(y, np.array([2.0, 1.0]), _dp(4, 2, 4), -170.0)
+
+
+def test_an_underflowing_last_square_is_the_continuous_limit():
+    # s = 1e-170 squares to 0; the rows of power 0 read s^0 = 1 there, the
+    # others s^p, so each value is the limit of those at small s > 0.  The
+    # limit's leading block (T = M) moves only by its Jacobian,
+    # s^{2(N-M)+1}: 100 ln 10 from 1e-150 to 1e-170
+    dp, d = _dp(4, 2, 4), np.array([1.3, 0.9])
+    with np.errstate(**_FP_RAISE):
+        tiny = cond_sv_pdf_limit_log(np.array([1.1, 1e-170, 0.5, 0.3]), d, dp)
+        small = cond_sv_pdf_limit_log(np.array([1.1, 1e-150, 0.5, 0.3]), d, dp)
+    assert small - tiny == pytest.approx(100 * math.log(10.0), rel=1e-13)
+    # f(Y | D) at (2, 1, 3): the unit-node row has power 0, and Y's
+    # trailing value enters only through s^2 ~ 0
+    for s in (1e-170, 1e-150):
+        y = np.zeros((2, 3))
+        y[0, 0], y[1, 1] = 1.2, s
+        with np.errstate(**_FP_RAISE):
+            v = cond_pdf_y_given_d_log(y, np.array([1.3]), _dp(2, 1, 3), 10.0)
+        assert v == pytest.approx(-16.20714154538045, rel=1e-14)
+
+
 # -------------------------------------------------------- spectrum factors
 
 def test_first_sv_value_and_gamma_identity():
@@ -590,9 +645,139 @@ def test_node_cache_holds_ten_thousand_held_gains_and_stays_bounded():
         outpdf._nodes(outpdf._gain(d, 2), 4, 2, 4, rt)
     info = outpdf._nodes.cache_info()
     assert info.currsize == info.maxsize == outpdf._NODE_CACHE
-    nodes = outpdf._nodes(outpdf._gain(gains[-1], 2), 4, 2, 4, rt)[0]
-    with pytest.raises(ValueError, match="read-only"):
-        nodes[0] = -0.5
+    arrays = [x for x in outpdf._nodes(outpdf._gain(gains[-1], 2), 4, 2, 4, rt)
+              if isinstance(x, np.ndarray)]
+    assert arrays
+    for x in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = -0.5
+
+
+# ------------------------------------- reference Y side (numpy, row-scaled)
+# The density core as it was before the coefficient-column record: the Y
+# side in numpy with an explicit power-rows branch, the log-Vandermonde by
+# fancy indexing and the node side as (-mu, head, ln Delta(-mu), tail).  The
+# densities must give the same outcome as these on the seeded corpus below.
+
+def _ref_log_vandermonde(x):
+    i, j = np.triu_indices(x.size, k=1)
+    return float(np.log(x[i] - x[j]).sum())
+
+
+def _ref_nodes(d, T, M, N, rt):
+    d2 = np.square(d)
+    if rt is None:
+        mu, tail = 1.0 / d2, 0.0
+    else:
+        mu = 1.0 / (1.0 + rt * d2)
+        tail = (T - M) * float(np.log(rt * d2 * mu).sum())
+    head = -N * T * LOG_PI + log_gamma_range(T - M + 1, T) + N * np.log(mu).sum()
+    return -mu[:, None], head, _ref_log_vandermonde(-mu), tail
+
+
+def _ref_scaled_logdet(logmag):
+    c = logmag.max(axis=1)
+    c[c == -np.inf] = 0.0  # a row of zeros stays zero
+    sign, ld = np.linalg.slogdet(np.exp(logmag - c[:, None]))
+    if sign <= 0:
+        raise ConfluenceError("determinant lost its sign")
+    return float(ld + c.sum())
+
+
+def _ref_y_log(s2, lv, nodes):
+    nmu, head, lvmu, tail = nodes
+    T, M = s2.size, nmu.size
+    logmag = np.empty((T, T))
+    logmag[:M] = nmu * s2
+    if T > M:
+        powers = T - np.arange(M + 1, T + 1, dtype=float)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logmag[M:] = powers * np.log(s2)
+        if s2[-1] == 0:
+            logmag[-1, -1] = 0.0  # the power-0 row: 0 ln 0 = 0
+        logmag[M:] -= s2
+    return float(head + _ref_scaled_logdet(logmag) - lv - lvmu) - tail
+
+
+def _ref_sv_log(matrix_log, sv, n, lv):
+    jacobian = float((2 * (n - sv.size) + 1) * np.log(sv).sum() + 2.0 * lv)
+    return float(matrix_log + jacobian + outpdf._spectrum_volumes(sv.size, n))
+
+
+def _ref_cond_pdf(y, D, dp, snr_db):
+    d = np.array(outpdf._gain(D, dp.M))
+    sv = check_decreasing(np.linalg.svd(y, compute_uv=False), dp.T, "singular values of Y")
+    s2 = sv * sv
+    return _ref_y_log(s2, _ref_log_vandermonde(s2),
+                      _ref_nodes(d, dp.T, dp.M, dp.N, rho_from_db(snr_db) / dp.M))
+
+
+def _ref_finite(svn, D, dp, snr_db):
+    d = np.array(outpdf._gain(D, dp.M))
+    rt = rho_from_db(snr_db) / dp.M
+    raw = np.array(svn, dtype=float)
+    raw[:dp.M] *= np.sqrt(rt)
+    raw = check_decreasing(raw, dp.T, "raw spectrum")
+    s2 = raw * raw
+    lv = _ref_log_vandermonde(s2)
+    matrix_log = _ref_y_log(s2, lv, _ref_nodes(d, dp.T, dp.M, dp.N, rt)) + 0.5 * dp.M * np.log(rt)
+    return _ref_sv_log(matrix_log, raw, dp.N, lv)
+
+
+def _ref_limit(svn, D, dp):
+    M = dp.M
+    head = check_decreasing(svn[:M], M, "svn leading block")
+    d = np.array(outpdf._gain(D, M))
+    s2 = head * head
+    lv = _ref_log_vandermonde(s2)
+    head_log = _ref_sv_log(_ref_y_log(s2, lv, _ref_nodes(d, M, M, dp.N, None)), head, dp.N, lv)
+    tail = check_decreasing(svn[M:], dp.rmin - M, "tail")
+    if tail.size:
+        t2 = tail * tail
+        n = dp.rmax - M
+        head_log += _ref_sv_log(-tail.size * n * (LOG_PI + np.log(1.0)) - t2.sum() / 1.0, tail,
+                                n, _ref_log_vandermonde(t2))
+    return float(head_log)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("dims", [(2, 1, 2), (3, 1, 4), (4, 1, 4), (4, 2, 4), (6, 3, 7),
+                                  (10, 5, 100)])
+def test_densities_match_the_reference_y_side(dims):
+    # a seeded corpus of matched pairs (Y made with D) and cross pairs (Y
+    # made with the next draw) from 0 to 160 dB: the same outcome, a value
+    # within 1e-11 max(1, |v|) or the same exception type, and every value
+    # a finite Python float
+    T, M, N = dims
+    dp = _dp(T, M, N)
+    rng = RngHandle(2024 + T + M)
+    K = 12
+    gains = sample_gain(dp, rng, K)
+    phi = sample_isotropic_unitary(T, M, rng, count=K) * gains[:, None, :]
+    for snr_db in range(0, 161, 20):
+        y = simulate_channel(phi, N, float(snr_db), rng)
+        rt = rho_from_db(snr_db) / M
+        svn = np.linalg.svd(y, compute_uv=False) * np.where(np.arange(T) < M,
+                                                            1.0 / math.sqrt(rt), 1.0)
+        for k in range(K):
+            for D in (gains[k], gains[(k + 1) % K]):
+                for f, ref, args in (
+                        (cond_pdf_y_given_d_log, _ref_cond_pdf, (y[k], D, dp, snr_db)),
+                        (cond_sv_pdf_finite_log, _ref_finite, (svn[k], D, dp, snr_db)),
+                        (cond_sv_pdf_limit_log, _ref_limit, (svn[k], D, dp))):
+                    got, want = _outcome(f, *args), _outcome(ref, *args)
+                    if isinstance(want, type):
+                        assert got is want, (f.__name__, snr_db, k)
+                    else:
+                        assert type(got) is float and math.isfinite(got)
+                        assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (
+                            f.__name__, snr_db, k, got, want)
 
 
 def test_an_invalid_snr_raises_after_the_gain_and_y_checks():
