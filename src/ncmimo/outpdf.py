@@ -16,11 +16,12 @@ mu = 1/(1 + rho~ d^2) and T - M unit nodes; the leading block of the
 high-SNR limit takes mu = 1/d^2 at T = M.  The core's node side, _nodes,
 is all that depends on the gain, SNR and dimensions only, cached on the
 checked gain's floats: each density checks all its inputs, in the order its
-docstring states, before the lookup.  Its Y side, _y_log, broadcasts the
-record's two coefficient columns over s2 into one row-scaled determinant.
-Every spectrum density is a matrix density times one SVD change of
-variables, _sv_log, which shares ln Delta(s2); such per-spectrum sums run
-with math on Python floats.
+docstring states, before the lookup.  Its Y side, _y_log, takes the
+checked singular values, squares them, guards the largest exponent against
+overflow and broadcasts the record's two coefficient columns over s2 into
+one row-scaled determinant.  Every spectrum density is a matrix density
+times one SVD change of variables, _sv_log, which shares the Y side's
+ln Delta(s2); such per-spectrum sums run with math on Python floats.
 
 Raw singular values are called sv; svn denotes the normalized vector
 whose first M entries are scaled by sqrt(M/rho).  The scaling is always
@@ -76,16 +77,16 @@ _NODE_CACHE = 16384
 def _nodes(d: tuple, T: int, M: int, N: int, rt: float | None) -> tuple:
     """The node side of the kernel for the checked gain d = _gain(D, M):
     read-only T x 1 columns a, b with ln K_ij = a_i s2_j + b_i ln s2_j (a is
-    -mu, then -1 on the T - M unit-node rows i = M+1..T; b is 0, then T - i)
-    and const = head - ln Delta(-mu) - tail, head = -NT ln pi +
-    ln prod Gamma + N sum ln mu.  At an SNR, mu = 1/(1 + rt d^2) at
-    rt = rho/M and tail = (T - M) sum ln(1 - mu); mu and 1 - mu = rt d^2 mu
-    are both formed directly: mu as 1 - lambda would lose its digits at
-    high SNR, 1 - mu by subtraction at low SNR.  At rt None (the high-SNR
-    limit's leading block, T = M), mu = 1/d^2 and tail = 0.  The callers
-    check d and rt before the lookup, so no invalid input is a key; nodes
-    that round to 0 or 1 (rho d^2 overflows or underflows) or together
-    raise ConfluenceError."""
+    -mu, then -1 on the T - M unit-node rows i = M+1..T; b is 0, then T - i),
+    const = head - ln Delta(-mu) - tail, head = -NT ln pi + ln prod Gamma +
+    N sum ln mu, and the largest node mu_M.  At an SNR, mu = 1/(1 + rt d^2)
+    at rt = rho/M and tail = (T - M) sum ln(1 - mu); mu and 1 - mu =
+    rt d^2 mu are both formed directly: mu as 1 - lambda would lose its
+    digits at high SNR, 1 - mu by subtraction at low SNR.  At rt None (the
+    high-SNR limit's leading block, T = M), mu = 1/d^2 and tail = 0; only
+    there can mu_M exceed 1.  The callers check d and rt before the lookup,
+    so no invalid input is a key; nodes that round to 0 or 1 (rho d^2
+    overflows or underflows) or together raise ConfluenceError."""
     try:  # math.log(0) raises ValueError
         if rt is None:
             mu, tail = [1.0 / (x * x) for x in d], 0.0
@@ -102,7 +103,7 @@ def _nodes(d: tuple, T: int, M: int, N: int, rt: float | None) -> tuple:
     a = np.array([-x for x in mu] + [-1.0] * (T - M))[:, None].copy()
     b = np.array([0.0] * M + [float(T - i) for i in range(M + 1, T + 1)])[:, None].copy()
     a.flags.writeable = b.flags.writeable = False
-    return a, b, head - lvmu - tail
+    return a, b, head - lvmu - tail, mu[-1]
 
 
 # ln 0 in the kernel's powers: finite, so that 0 ln 0 = 0, and small enough
@@ -110,11 +111,11 @@ def _nodes(d: tuple, T: int, M: int, N: int, rt: float | None) -> tuple:
 _LN_ZERO = -1e300
 
 
-def _y_log(s2: np.ndarray, lv: float, nodes: tuple) -> float:
-    """The Y side: ln of the Haar-averaged complex Wishart kernel at the
-    decreasing squared singular values s2 of a T x N matrix, lv =
-    ln Delta(s2), over the increasing nodes mu of the node record
-    (M <= T) and T - M unit nodes, times prod (1 - mu_i)^{M-T}:
+def _y_log(sv: np.ndarray, nodes: tuple) -> tuple:
+    """The Y side: (ln of the Haar-averaged complex Wishart kernel, lv =
+    ln Delta(s2)) at the squares s2 of the checked decreasing singular
+    values sv of a T x N matrix, over the increasing nodes mu of the node
+    record (M <= T) and T - M unit nodes, times prod (1 - mu_i)^{M-T}:
 
         pi^{-NT} prod_{i=T-M+1}^{T} Gamma(i) prod mu_i^N
         det(K) / [prod_{i<j}(s2_i - s2_j) prod_{i<j}(mu_j - mu_i)]
@@ -122,13 +123,22 @@ def _y_log(s2: np.ndarray, lv: float, nodes: tuple) -> float:
     with K_{ij} = exp(-mu_i s2_j) on the first M rows and, the confluent
     limit of the unit nodes, s2_j^{T-i} exp(-s2_j) below.  At T = M this is
     the density of U diag(mu)^{-1/2} G with U Haar and G an M x N standard
-    Gaussian.  Only the last s2 can have underflowed to 0 (s2 decreases);
-    its ln reads _LN_ZERO.  An entry that underflows relative to its row
-    maximum is an exact zero, its correct limit; a determinant that is not
-    positive, or a log that is not finite, raises ConfluenceError.
+    Gaussian.  A largest exponent mu_M s2_1 that overflows raises
+    ConfluenceError, decided on Python floats before any product that
+    could overflow.  Only the last s2 can have underflowed to 0 (s2
+    decreases); its ln reads _LN_ZERO.  An entry that underflows relative
+    to its row maximum is an exact zero, its correct limit; a determinant
+    that is not positive, or a log that is not finite, raises
+    ConfluenceError.
     """
-    a, b, const = nodes
-    ls = np.log(s2) if s2[-1] else np.append(np.log(s2[:-1]), _LN_ZERO)
+    a, b, const, top = nodes
+    s2 = sv * sv
+    v = s2.tolist()
+    if top * v[0] == math.inf:
+        raise ConfluenceError(f"kernel exponent mu s^2 overflows at mu = {top:.3g}, "
+                              f"s^2 = {v[0]:.3g}")
+    lv = log_vandermonde(v)
+    ls = np.log(s2) if v[-1] else np.append(np.log(s2[:-1]), _LN_ZERO)
     logmag = a * s2 + b * ls
     c = np.maximum.reduce(logmag, axis=1)
     sign, ld = np.linalg.slogdet(np.exp(logmag - c[:, None]))
@@ -137,7 +147,7 @@ def _y_log(s2: np.ndarray, lv: float, nodes: tuple) -> float:
         raise ConfluenceError(
             "determinant lost its sign; inputs are too close to confluent "
             "for a stable evaluation")
-    return value
+    return value, lv
 
 
 def _jacobian_log(sv, n: int, lv: float) -> float:
@@ -171,14 +181,11 @@ def cond_pdf_y_given_d_log(Y: np.ndarray, D, dp: DerivedParams,
     if Y.shape != (T, N):
         raise DomainError(f"Y must be T x N = {T} x {N}, got {Y.shape}")
     d = _gain(D, M)
-    try:
-        sv = np.linalg.svd(Y, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # a NaN in Y; an inf fails the check below
-        raise DomainError(f"singular values of Y: {exc}") from None
-    sv = check_decreasing(sv, T, "singular values of Y")
-    nodes = _nodes(d, T, M, N, rho_from_db(snr_db) / M)
-    s2 = sv * sv
-    return _y_log(s2, log_vandermonde(s2.tolist()), nodes)
+    # LAPACK prints to stdout on a non-finite entry; only a float dtype holds one
+    if Y.dtype.kind in "fc" and not np.isfinite(Y).all():
+        raise DomainError("singular values of Y: Y has a non-finite entry")
+    sv = check_decreasing(np.linalg.svd(Y, compute_uv=False), T, "singular values of Y")
+    return _y_log(sv, _nodes(d, T, M, N, rho_from_db(snr_db) / M))[0]
 
 
 def _gaussian_sv_log(sv, n: int, var: float) -> float:
@@ -232,10 +239,8 @@ def cond_sv_pdf_finite_log(svn, D, dp: DerivedParams,
     raw = np.array(_real(svn, "svn"), ndmin=1)
     raw[:M] *= math.sqrt(rt)
     raw = check_decreasing(raw, T, "raw spectrum (leading block times sqrt(rho/M))")
-    nodes = _nodes(d, T, M, N, rt)
-    s2 = raw * raw
-    lv = log_vandermonde(s2.tolist())
-    return _sv_log(_y_log(s2, lv, nodes) + 0.5 * M * math.log(rt), raw.tolist(), N, lv)
+    value, lv = _y_log(raw, _nodes(d, T, M, N, rt))
+    return _sv_log(value + 0.5 * M * math.log(rt), raw.tolist(), N, lv)
 
 
 def cond_sv_pdf_limit_log(svn, D, dp: DerivedParams) -> float:
@@ -256,13 +261,5 @@ def cond_sv_pdf_limit_log(svn, D, dp: DerivedParams) -> float:
     if svn.size != dp.rmin:
         raise DomainError(f"normalized spectrum must have {dp.rmin} entries, got {svn.size}")
     head = check_decreasing(svn[:M], M, "svn leading block")
-    d = _gain(D, M)
-    v = head.tolist()
-    # the largest entry of the broadcast a * s2, in the same IEEE operations
-    if 1.0 / (d[-1] * d[-1]) * (v[0] * v[0]) == math.inf:
-        raise ConfluenceError(f"svn leading block: mu s^2 = (s/d)^2 overflows at "
-                              f"s = {v[0]:.3g}, d = {d[-1]:.3g}")
-    nodes = _nodes(d, M, M, N, None)
-    s2 = head * head
-    lv = log_vandermonde(s2.tolist())
-    return _sv_log(_y_log(s2, lv, nodes), v, N, lv) + tail_sv_pdf_log(svn[M:], dp)
+    value, lv = _y_log(head, _nodes(_gain(D, M), M, M, N, None))
+    return _sv_log(value, head.tolist(), N, lv) + tail_sv_pdf_log(svn[M:], dp)

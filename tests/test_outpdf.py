@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -200,11 +203,39 @@ def _mp_cond_pdf_log(s2, d, snr_db, N):
         return float(v)
 
 
+def _mp_sv_change_log(sv, snr_db, M, N):
+    """The finite-SNR spectrum density's terms beyond the matrix value at 60
+    digits: the SVD Jacobian at the raw spectrum sv, the singular-vector
+    volumes and the leading block's scaling (rho/M)^{M/2}."""
+    with mp.workdps(60):
+        T = len(sv)
+        s = [mp.mpf(float(x)) for x in sv]
+
+        def stiefel(n, m):  # |S(n, m)| = 2^m pi^{mn - m(m-1)/2} / prod Gamma(n - k + 1)
+            return (m * mp.log(2) + (m * n - m * (m - 1) // 2) * mp.log(mp.pi)
+                    - sum(mp.loggamma(n - k + 1) for k in range(1, m + 1)))
+
+        v = ((2 * (N - T) + 1) * sum(mp.log(x) for x in s)
+             + 2 * sum(mp.log(s[i] ** 2 - s[j] ** 2) for i in range(T) for j in range(i + 1, T))
+             + stiefel(T, T) - T * mp.log(2 * mp.pi) + stiefel(N, T)
+             + mp.mpf(M) / 2 * mp.log(mp.mpf(10) ** (mp.mpf(snr_db) / 10) / M))
+        return float(v)
+
+
+# the error bound in nats per geometry, 1e-10 unless listed: the paper's
+# (10, 5, 100) has five crowded unit-node rows (3e-11 measured)
+_MPMATH_BOUND = {(10, 5, 100): 1e-9}
+
+
 @pytest.mark.parametrize("dims,d", [((2, 1, 2), (1.3,)), ((4, 1, 4), (1.6,)),
-                                    ((4, 2, 6), (2.1, 1.3)), ((6, 3, 7), (2.2, 1.6, 0.9))])
+                                    ((4, 2, 6), (2.1, 1.3)), ((6, 3, 7), (2.2, 1.6, 0.9)),
+                                    ((10, 5, 100), (4.4, 3.3, 2.1, 1.3, 0.8))])
 def test_cond_pdf_matches_mpmath_to_160db(dims, d):
     # lambda_i - 1 taken in double precision loses its digits as lambda -> 1;
-    # the density must stay accurate, not merely finite, at high SNR
+    # the density must stay accurate, not merely finite, at high SNR.  The
+    # finite-SNR spectrum density at the same raw spectrum adds the Jacobian
+    # and volumes
+    bound = _MPMATH_BOUND.get(dims, 1e-10)
     T, M, N = dims
     dp = _dp(T, M, N)
     dgain = GainDiagonal(np.array(d))
@@ -212,9 +243,19 @@ def test_cond_pdf_matches_mpmath_to_160db(dims, d):
         rng = RngHandle(7)
         phi = sample_isotropic_unitary(T, M, rng, count=1)
         y = simulate_channel(phi * np.array(d), N, float(snr_db), rng)[0]
-        s2 = np.linalg.svd(y, compute_uv=False) ** 2
+        sv = np.linalg.svd(y, compute_uv=False)
+        want = _mp_cond_pdf_log(sv ** 2, d, snr_db, N)
         got = cond_pdf_y_given_d_log(y, dgain, dp, float(snr_db))
-        assert got == pytest.approx(_mp_cond_pdf_log(s2, d, snr_db, N), abs=1e-10), snr_db
+        assert got == pytest.approx(want, abs=bound), snr_db
+        # the raw spectrum the density recovers from svn, in its own operations
+        scale = math.sqrt(rho_from_db(snr_db) / M)
+        svn = sv.copy()
+        svn[:M] /= scale
+        raw = svn.copy()
+        raw[:M] *= scale
+        got = cond_sv_pdf_finite_log(svn, dgain, dp, float(snr_db))
+        want = _mp_cond_pdf_log(raw ** 2, d, snr_db, N) + _mp_sv_change_log(raw, snr_db, M, N)
+        assert got == pytest.approx(want, abs=bound), snr_db
 
 
 def test_equal_gains_rejected_for_m_above_one():
@@ -248,10 +289,38 @@ def test_cond_pdf_errors():
 @pytest.mark.parametrize("y", [np.full((2, 2), np.nan), np.array([[np.nan, 1.0], [1.0, 2.0]]),
                                np.full((2, 2), np.inf)])
 def test_cond_pdf_rejects_non_finite_output(y):
-    # a NaN fails inside the SVD, an inf at the singular-value check: both
-    # are DomainError, not numpy's LinAlgError
+    # a NaN or an inf is rejected before the SVD: DomainError, not numpy's
+    # LinAlgError
     with pytest.raises(DomainError, match="singular values of Y"):
         cond_pdf_y_given_d_log(y, np.array([1.3]), _dp(2, 1, 2), 10.0)
+
+
+def test_non_finite_output_leaves_stdout_empty():
+    # LAPACK's DLASCL reports a non-finite input on file descriptor 1, and C
+    # stdio may flush that only at exit, so the calls run in a child process
+    code = """if True:
+        import numpy as np
+        from ncmimo.outpdf import cond_pdf_y_given_d_log
+        from ncmimo.params import ChannelDims, DomainError, derive
+        cases = [(np.full((4, 4), np.inf) + 0j, np.array([2.0, 1.0]), (4, 2, 4)),
+                 (np.full((2, 2), np.nan), np.array([1.3]), (2, 1, 2)),
+                 (np.array([[np.nan, 1.0], [1.0, 2.0]]), np.array([1.3]), (2, 1, 2)),
+                 (np.full((2, 2), np.inf), np.array([1.3]), (2, 1, 2))]
+        for y, d, (T, M, N) in cases:
+            try:
+                cond_pdf_y_given_d_log(y, d, derive(ChannelDims(T=T, M=M, N=N)), 10.0)
+            except DomainError as exc:
+                assert str(exc).startswith("singular values of Y"), exc
+            else:
+                raise AssertionError("no DomainError")
+    """
+    root = os.path.dirname(os.path.dirname(outpdf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == ""
 
 
 @pytest.mark.filterwarnings("error")
