@@ -171,7 +171,8 @@ def cond_pdf_y_given_d_log(Y: np.ndarray, D, dp: DerivedParams,
     Uses the determinant closed form of _y_log with the Gaussian factor
     exp(-tr(Y^H Y)) absorbed column-wise into the determinant, so the
     evaluation stays finite at any SNR.  Checked in order: Y's shape, the
-    gain, Y's singular values, the SNR.
+    gain, Y's singular values, the SNR; a finite Y whose SVD overflows
+    (NaN singular values) is a DomainError that says so.
     """
     T, M, N = dp.T, dp.M, dp.N
     if T > N:
@@ -184,7 +185,12 @@ def cond_pdf_y_given_d_log(Y: np.ndarray, D, dp: DerivedParams,
     # LAPACK prints to stdout on a non-finite entry; only a float dtype holds one
     if Y.dtype.kind in "fc" and not np.isfinite(Y).all():
         raise DomainError("singular values of Y: Y has a non-finite entry")
-    sv = check_decreasing(np.linalg.svd(Y, compute_uv=False), T, "singular values of Y")
+    sv = np.linalg.svd(Y, compute_uv=False)
+    try:
+        sv = check_decreasing(sv, T, "singular values of Y")
+    except DomainError as exc:  # LAPACK returns NaNs, unwarned, when its scaling overflows
+        raise DomainError("singular values of Y: the SVD of a finite Y overflowed"
+                          if np.isnan(sv).any() else str(exc)) from None
     return _y_log(sv, _nodes(d, T, M, N, rho_from_db(snr_db) / M))[0]
 
 

@@ -241,7 +241,10 @@ def _integrate(fun, a, b, lo=None, hi=None) -> tuple[float, float]:
     """(value, error estimate) of the integral of fun(x) over (a, b) or, given
     callables lo and hi, of fun(y, x) over a < x < b, lo(x) < y < hi(x): the
     Gauss-Legendre rule at 2 QUAD_NODES nodes per axis, and its change from the
-    rule at QUAD_NODES.  An exception the integrand raises fails the suite."""
+    rule at QUAD_NODES.  The estimate cannot see a feature narrower than both
+    rules' node spacing: a Gaussian bump of width 1e-3 at 0.5 on (0, 1)
+    reads value 5.4e-14 and estimate 5.4e-14.  An exception the integrand
+    raises fails the suite."""
     from numpy.polynomial.legendre import leggauss  # local: only quadrature suites load it
 
     def rule(nodes):

@@ -1,10 +1,12 @@
 import dataclasses
 import math
 import re
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from ncmimo import statcheck
 from ncmimo.bstm import (
     GainDiagonal,
     noiseless_sv_sample,
@@ -157,8 +159,81 @@ def test_gain_random_in_short_blocks():
     assert np.std(d[:, 1]) > 1e-3
 
 
+# The gain draw against the matrix Beta it replaces, stated before the run:
+# JACOBI_DRAWS draws per geometry, gain and reference from independent children
+# of RngHandle(JACOBI_SEED).  The geometries cover M = 1 (2, 1, 2), a = T - 2M = 0
+# (4, 2, 3), (6, 3, 7), (10, 5, 100), and the singular Beta, N < T, (4, 2, 3),
+# (7, 3, 6), (8, 2, 7).
+JACOBI_DIMS = ((2, 1, 2), (4, 2, 3), (6, 3, 7), (7, 3, 6), (8, 2, 7), (10, 5, 100))
+JACOBI_DRAWS, JACOBI_SEED = 200_000, 0
+
+
+def _jacobi_streams():
+    return RngHandle(JACOBI_SEED).spawn(2 * len(JACOBI_DIMS))
+
+
+@lru_cache(maxsize=None)
+def _matrix_beta_eigs(i: int) -> np.ndarray:
+    # descending eigenvalues of Beta_M(T - M, M + N - T), drawn in chunks
+    T, M, N = JACOBI_DIMS[i]
+    rng = _jacobi_streams()[2 * i + 1]
+    return np.concatenate([
+        np.linalg.eigvalsh(sample_matrix_beta(M, T - M, M + N - T, rng, 10_000))[:, ::-1]
+        for _ in range(JACOBI_DRAWS // 10_000)])
+
+
+def _gain_vs_matrix_beta(wrap=lambda rng: rng) -> list:
+    """The normalized squared gains d^2 Q / (T N) against the matrix Beta's
+    eigenvalues, one KS row per free index, gated as one Holm family."""
+    reports = []
+    for i, ((T, M, N), rng) in enumerate(zip(JACOBI_DIMS, _jacobi_streams()[::2])):
+        dp = _dp(T, M, N)
+        k = min(M, M + N - T)  # the singular Beta's leading M - k eigenvalues are 1
+        d = sample_gain(dp, wrap(rng), JACOBI_DRAWS)
+        assert np.all(d[:, :M - k] == math.sqrt(T * N / dp.Q))
+        reports += statcheck.ks_columns(
+            d[:, M - k:] ** 2 * dp.Q / (T * N), _matrix_beta_eigs(i)[:, M - k:],
+            [f"gain T={T} M={M} N={N} eig{j + 1}" for j in range(M - k, M)])
+    return statcheck.holm(reports)
+
+
+def test_gain_matches_the_matrix_beta_eigenvalues():
+    reports = _gain_vs_matrix_beta()
+    assert len(reports) == 13
+    assert all(r.passed for r in reports)
+
+
+def test_gain_comparison_rejects_swapped_c_and_s(swapped_jacobi):
+    # every geometry with k >= 2 fails; at k = 1 there is no c' to swap
+    reports = _gain_vs_matrix_beta(swapped_jacobi)
+    failed = {r.name.split(" eig")[0] for r in reports if not r.passed}
+    assert failed == {"gain T=6 M=3 N=7", "gain T=7 M=3 N=6", "gain T=10 M=5 N=100"}
+
+
+# stated before the run: no unclipped eigenvalue lies more than ROUNDOFF_EPS
+# machine epsilons outside [0, 1], over 2 x 10^5 draws at each geometry
+ROUNDOFF_EPS = 4
+
+
+def test_gain_clip_removes_round_off_only(monkeypatch):
+    eigs, eigvalsh = [], np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        eigs.append(eigvalsh(a, *args, **kwargs))
+        return eigs[-1]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    bound = ROUNDOFF_EPS * np.finfo(float).eps
+    for dims in JACOBI_DIMS + ((4, 2, 5), (20, 10, 15)):
+        eigs.clear()
+        sample_gain(_dp(*dims), RngHandle(3), 200_000)
+        lam = np.concatenate([e.ravel() for e in eigs])
+        assert lam.size == 200_000 * min(dims[1], dims[1] + dims[2] - dims[0])
+        assert -bound <= lam.min() and lam.max() <= 1.0 + bound, dims
+
+
 def test_count_zero_gives_empty_stacks():
-    dp = _dp(4, 2, 3)  # large-MIMO: the gain comes from matrix-Beta draws
+    dp = _dp(4, 2, 3)  # large-MIMO: the gain comes from Beta draws
     assert sample_gain(dp, RngHandle(0), count=0).shape == (0, 2)
     assert sample_input(dp, RngHandle(0), count=0).shape == (0, 4, 2)
     assert noiseless_sv_sample(dp, RngHandle(0), count=0).shape == (0, 2)

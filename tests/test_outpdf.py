@@ -295,6 +295,18 @@ def test_cond_pdf_rejects_non_finite_output(y):
         cond_pdf_y_given_d_log(y, np.array([1.3]), _dp(2, 1, 2), 10.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("y,message", [
+    # finite, but LAPACK's SVD overflows and returns NaNs without a warning
+    (np.full((4, 4), 1.7e308) + 1.7e308j, "the SVD of a finite Y overflowed"),
+    # the SVD holds, 4e200, but its square does not
+    (np.full((4, 4), 1e200), "squared entries must be finite"),
+])
+def test_cond_pdf_names_an_overflowing_finite_output(y, message):
+    with pytest.raises(DomainError, match=f"^singular values of Y: {message}$"):
+        cond_pdf_y_given_d_log(y, np.array([2.0, 1.0]), _dp(4, 2, 4), 10.0)
+
+
 def test_non_finite_output_leaves_stdout_empty():
     # LAPACK's DLASCL reports a non-finite input on file descriptor 1, and C
     # stdio may flush that only at exit, so the calls run in a child process

@@ -326,13 +326,18 @@ def test_integrate_matches_scipy_on_the_stiefel_integrand(monkeypatch):
 def test_integrate_estimate_flags_an_unresolved_bump():
     # a Gaussian of width 1e-2 on (0, 1) falls between the coarse rule's
     # nodes: the fine rule reads a mass near 1, and the doubling estimate
-    # alone fails the row.  (A bump far narrower than the fine rule's node
-    # spacing can be missed by both rules; |mass - 1| catches that one.)
-    width = 1e-2
-    mass, estimate = statcheck._integrate(
-        lambda x: math.exp(-0.5 * ((x - 0.5) / width) ** 2) / (width * math.sqrt(2 * math.pi)),
-        0.0, 1.0)
+    # alone fails the row
+    def bump(width):
+        return statcheck._integrate(lambda x: math.exp(-0.5 * ((x - 0.5) / width) ** 2)
+                                    / (width * math.sqrt(2 * math.pi)), 0.0, 1.0)
+
+    mass, estimate = bump(1e-2)
     assert abs(mass - 1.0) < 1e-2
     assert estimate > NORMALIZATION_TOL
+    assert not report("bump", abs(mass - 1.0) + estimate, NORMALIZATION_TOL, 1).passed
+    # the blind spot: both rules step over a bump of width 1e-3, so the
+    # estimate equals the near-zero value; only |mass - 1| fails that row
+    mass, estimate = bump(1e-3)
+    assert mass < 1e-13 and estimate == mass
     assert not report("bump", abs(mass - 1.0) + estimate, NORMALIZATION_TOL, 1).passed
 

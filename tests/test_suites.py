@@ -67,6 +67,18 @@ def test_lemma5_rejects_ustm_gain(monkeypatch):
     assert not any(r.passed for r in reports)
 
 
+def test_lemma5_rejects_swapped_jacobi_gain(monkeypatch, swapped_jacobi):
+    # the gain's bidiagonal with c' and s' swapped: every (10, 5, 100) index
+    # fails; the (4, 2, 3) gain has k = 1 free eigenvalue and so no c', its
+    # rows draw the right law and pass, as do the USTM (8, 2, 4) rows
+    sample_gain = bstm.sample_gain
+    monkeypatch.setattr(bstm, "sample_gain",
+                        lambda dp, rng, count: sample_gain(dp, swapped_jacobi(rng), count))
+    reports = SUITES["lemma5"]()
+    assert [r.passed for r in reports] == [True] * 2 + [False] * 5 + [True] * 2
+    assert all(r.p_value == 0.0 for r in reports if "N=100" in r.name)
+
+
 def test_unitary_rejects_qr_without_the_phase_fix(monkeypatch):
     # plain QR leaves Re Phi_11 < 0, so every phase row fails; the modulus
     # is the same with or without the fix, so those rows cannot tell
