@@ -7,7 +7,7 @@ DomainError otherwise (ROADMAP item 10 plans the confluent limits T > N
 needs); the high-SNR limit holds at any T.  Determinants of matrices with
 exponentially large or small entries are computed by factoring the
 largest exponent out of every row before a pivoted factorization, which
-keeps every intermediate bounded at any SNR.
+keeps every intermediate bounded at any SNR; one or two nodes need none.
 
 Every matrix density here is a Gaussian or one determinant core, the
 Haar-averaged complex Wishart kernel det[exp(-mu_i s2_j)] / (Delta(s2)
@@ -18,10 +18,13 @@ is all that depends on the gain, SNR and dimensions only, cached on the
 checked gain's floats: each density checks all its inputs, in the order its
 docstring states, before the lookup.  Its Y side, _y_log, takes the
 checked singular values, squares them, guards the largest exponent against
-overflow and broadcasts the record's two coefficient columns over s2 into
-one row-scaled determinant.  Every spectrum density is a matrix density
-times one SVD change of variables, _sv_log, which shares the Y side's
-ln Delta(s2); such per-spectrum sums run with math on Python floats.
+overflow and, at T >= 3, broadcasts the record's two coefficient columns
+over s2 into one row-scaled determinant; at T <= 2 (the (2, 1, N) channel,
+the limit at M <= 2) the kernel is one entry or a first divided difference
+of exp over the record's node gap, in closed form.  Every spectrum
+density is a matrix density times one SVD change of variables, _sv_log,
+which shares the Y side's ln Delta(s2); such per-spectrum sums run with
+math on Python floats.
 
 Raw singular values are called sv; svn denotes the normalized vector
 whose first M entries are scaled by sqrt(M/rho).  The scaling is always
@@ -79,14 +82,20 @@ def _nodes(d: tuple, T: int, M: int, N: int, rt: float | None) -> tuple:
     read-only T x 1 columns a, b with ln K_ij = a_i s2_j + b_i ln s2_j (a is
     -mu, then -1 on the T - M unit-node rows i = M+1..T; b is 0, then T - i),
     const = head - ln Delta(-mu) - tail, head = -NT ln pi + ln prod Gamma +
-    N sum ln mu, and the largest node mu_M.  At an SNR, mu = 1/(1 + rt d^2)
-    at rt = rho/M and tail = (T - M) sum ln(1 - mu); mu and 1 - mu =
-    rt d^2 mu are both formed directly: mu as 1 - lambda would lose its
-    digits at high SNR, 1 - mu by subtraction at low SNR.  At rt None (the
-    high-SNR limit's leading block, T = M), mu = 1/d^2 and tail = 0; only
-    there can mu_M exceed 1.  The callers check d and rt before the lookup,
-    so no invalid input is a key; nodes that round to 0 or 1 (rho d^2
-    overflows or underflows) or together raise ConfluenceError."""
+    N sum ln mu, the largest node mu_M, and gap.  At an SNR, mu =
+    1/(1 + rt d^2) at rt = rho/M and tail = (T - M) sum ln(1 - mu); mu and
+    1 - mu = rt d^2 mu are both formed directly: mu as 1 - lambda would lose
+    its digits at high SNR, 1 - mu by subtraction at low SNR.  At rt None
+    (the high-SNR limit's leading block, T = M), mu = 1/d^2 and tail = 0;
+    only there can mu_M exceed 1.  At T = 2 the nodes nu_0 < nu_1 are
+    (mu_0, 1) at an SNR or (mu_0, mu_1) in the limit, and gap = nu_1 - nu_0
+    is formed without subtraction too, as rt d_0^2 mu_0 or (d_0 - d_1) mu_0
+    (d_0 + d_1) mu_1; the Y side's divided difference cancels ln Delta(-mu)
+    + tail = ln(gap), so const = head there, and gap is None at other T.
+    The callers check d and rt before the lookup, so no invalid input is a
+    key; nodes that round to 0 or together, or an rt d^2 that underflows to
+    0, raise ConfluenceError.  A node that rounds to 1 keeps its gap: at
+    T >= 3 the Y side raises, its row being a unit-node row's."""
     try:  # math.log(0) raises ValueError
         if rt is None:
             mu, tail = [1.0 / (x * x) for x in d], 0.0
@@ -96,14 +105,18 @@ def _nodes(d: tuple, T: int, M: int, N: int, rt: float | None) -> tuple:
             tail = (T - M) * math.fsum([math.log(x * m) for x, m in zip(g, mu)])
         head = (-N * T * LOG_PI + log_gamma_range(T - M + 1, T)
                 + N * math.fsum(map(math.log, mu)))
-        lvmu = log_vandermonde([-x for x in mu])
+        if T == 2:
+            gap = (d[0] - d[1]) * mu[0] * (d[0] + d[1]) * mu[1] if rt is None else g[0] * mu[0]
+            const = head
+        else:
+            gap, const = None, head - log_vandermonde([-x for x in mu]) - tail
     except ValueError:
         raise ConfluenceError("kernel nodes mu round to 0, to 1 or together") from None
     # T x 1 columns, copied so that the record keeps no 1-D base array
     a = np.array([-x for x in mu] + [-1.0] * (T - M))[:, None].copy()
     b = np.array([0.0] * M + [float(T - i) for i in range(M + 1, T + 1)])[:, None].copy()
     a.flags.writeable = b.flags.writeable = False
-    return a, b, head - lvmu - tail, mu[-1]
+    return a, b, const, mu[-1], gap
 
 
 # ln 0 in the kernel's powers: finite, so that 0 ln 0 = 0, and small enough
@@ -125,25 +138,38 @@ def _y_log(sv: np.ndarray, nodes: tuple) -> tuple:
     the density of U diag(mu)^{-1/2} G with U Haar and G an M x N standard
     Gaussian.  A largest exponent mu_M s2_1 that overflows raises
     ConfluenceError, decided on Python floats before any product that
-    could overflow.  Only the last s2 can have underflowed to 0 (s2
-    decreases); its ln reads _LN_ZERO.  An entry that underflows relative
-    to its row maximum is an exact zero, its correct limit; a determinant
-    that is not positive, or a log that is not finite, raises
+    could overflow.  At T <= 2 the kernel is closed-form on Python floats:
+    const + a_0 s2_0 for one node; for two, the first divided difference of
+    exp (McCurdy, Ng & Parlett 1984), const + a_0 s2_0 + a_1 s2_1 + ln h(x)
+    with h(x) = -expm1(-x)/x at x = gap (s2_0 - s2_1) and h(0) = 1, so an x
+    that underflows to 0 gives the confluent value.  At T >= 3 it is one
+    row-scaled determinant: only the last s2 can have underflowed to 0 (s2
+    decreases), and its ln reads _LN_ZERO; an entry that underflows
+    relative to its row maximum is an exact zero, its correct limit.  A
+    determinant that is not positive, or a value that is not finite, raises
     ConfluenceError.
     """
-    a, b, const, top = nodes
+    a, b, const, top, gap = nodes
     s2 = sv * sv
     v = s2.tolist()
     if top * v[0] == math.inf:
         raise ConfluenceError(f"kernel exponent mu s^2 overflows at mu = {top:.3g}, "
                               f"s^2 = {v[0]:.3g}")
     lv = log_vandermonde(v)
-    ls = np.log(s2) if v[-1] else np.append(np.log(s2[:-1]), _LN_ZERO)
-    logmag = a * s2 + b * ls
-    c = np.maximum.reduce(logmag, axis=1)
-    sign, ld = np.linalg.slogdet(np.exp(logmag - c[:, None]))
-    value = const + float(ld) + sum(c.tolist()) - lv
-    if not (sign > 0 and math.isfinite(value)):
+    if len(v) == 1:
+        return const + a.item(0) * v[0], lv
+    if len(v) == 2:
+        x = gap * (v[0] - v[1])
+        # ln h(x) as -ln(1/h(x)): an x that overflows gives -inf, not ln 0
+        value = (const + a.item(0) * v[0] + a.item(1) * v[1]
+                 - (math.log(x / -math.expm1(-x)) if x else 0.0))
+    else:
+        ls = np.log(s2) if v[-1] else np.append(np.log(s2[:-1]), _LN_ZERO)
+        logmag = a * s2 + b * ls
+        c = np.maximum.reduce(logmag, axis=1)
+        sign, ld = np.linalg.slogdet(np.exp(logmag - c[:, None]))
+        value = const + float(ld) + sum(c.tolist()) - lv if sign > 0 else math.nan
+    if not math.isfinite(value):
         raise ConfluenceError(
             "determinant lost its sign; inputs are too close to confluent "
             "for a stable evaluation")

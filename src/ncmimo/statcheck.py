@@ -8,9 +8,11 @@ through `report`.  The KS suites draw from two constructions that
 should share a law and compare them index by index with a
 Kolmogorov-Smirnov test; a suite's indices form one family, tested by
 one `ks_columns` call and gated by `holm` at family-wise level
-P_THRESHOLD.  Every integral goes through _integrate, one fixed
-Gauss-Legendre rule on numpy at QUAD_NODES; Monte Carlo checks are
-chunked so memory stays flat at large dimensions.
+P_THRESHOLD.  A KS test needs two observations per sample, so a KS
+suite, like `power`, rejects n < 2 before it draws anything.  Every
+integral goes through _integrate, one fixed Gauss-Legendre rule on numpy
+at QUAD_NODES; Monte Carlo checks are chunked so memory stays flat at
+large dimensions.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def lemma5_suite(n: int | None = None, seed: int = 0) -> list[TestReport]:
     the input pipeline) are compared against the singular values of an
     M x Q Gaussian matrix with per-entry variance T N / Q.
     """
-    n = suite_size(n, KS_DEFAULT_N)
+    n = check_int(suite_size(n, KS_DEFAULT_N), "n", 2)
     rng = RngHandle(seed)
     sv_a, sv_b, names = [], [], []
     for (T, M, N) in LEMMA5_DEFAULT_DIMS:
@@ -163,7 +165,7 @@ def lemma4_suite(n: int | None = None, seed: int = 0) -> list[TestReport]:
     eigenvalues of U^H C U (C a matrix-Beta variate) with those of a
     W_m(p) draw, index by index.
     """
-    draws = suite_size(n, KS_DEFAULT_N)
+    draws = check_int(suite_size(n, KS_DEFAULT_N), "n", 2)
     rng = RngHandle(seed)
     eig_a, eig_b, names = [], [], []
     for (m, p, n) in LEMMA4_DEFAULT_CASES:
@@ -186,7 +188,7 @@ def run_unitary(n: int | None = None, seed: int = 0) -> list[TestReport]:
     phase row is the one that sees QR without the phase fix; the modulus
     is the same with or without it.
     """
-    n = suite_size(n, KS_DEFAULT_N)
+    n = check_int(suite_size(n, KS_DEFAULT_N), "n", 2)
     rng = RngHandle(seed)
     drawn, reference, names = [], [], []
     for (T, M) in UNITARY_DEFAULT_DIMS:

@@ -213,6 +213,18 @@ def test_heavy_scipy_loads_only_where_used(script, loaded):
     assert seen >= loaded if loaded else not seen
 
 
+@pytest.mark.parametrize("suite", ["lemma4", "lemma5", "unitary"])
+def test_ks_suites_reject_one_draw_before_drawing(suite):
+    # a KS test needs two observations per sample: n = 1 raises power's
+    # message before any draw, so scipy.stats never loads
+    script = ("import sys\nfrom ncmimo.params import DomainError\n"
+              "from ncmimo.statcheck import SUITES\n"
+              f"try:\n    SUITES[{suite!r}](n=1)\nexcept DomainError as exc:\n    print(exc)\n"
+              "print('scipy.stats' in sys.modules)")
+    assert run_fresh_python(script).splitlines() == ["n must be an integer >= 2, got n=1",
+                                                     "False"]
+
+
 def test_parser_loads_no_quadrature_rule():
     # the Gauss-Legendre nodes load with the first integral, not with the CLI
     script = ("import sys; from ncmimo import cli; cli.build_parser(); "

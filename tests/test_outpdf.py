@@ -95,12 +95,15 @@ def test_cond_pdf_matches_stiefel_rank_one_closed_form():
         assert _stiefel_integral_log([s1, s2], [lam], 2) == pytest.approx(exact, abs=1e-12)
 
 
-def test_cond_pdf_raises_where_the_determinant_loses_its_sign():
-    # Y = diag(sqrt(3000), 1) at 0 dB, d = 1: both kernel rows scale to (0, 1),
-    # so the row-scaled determinant cancels to zero; the closed form is -1514.278
+def test_cond_pdf_low_snr_tail_matches_the_rank_one_closed_form():
+    # Y = diag(sqrt(3000), 1) at 0 dB, d = 1: both rows of the row-scaled
+    # 2 x 2 kernel read (0, 1) to double precision, so its LU cancels to zero;
+    # the two-node closed form keeps the value
     y = np.diag([math.sqrt(3000.0), 1.0]).astype(complex)
-    with pytest.raises(ConfluenceError, match="lost its sign"):
-        cond_pdf_y_given_d_log(y, np.array([1.0]), _dp(2, 1, 2), 0.0)
+    got = cond_pdf_y_given_d_log(y, np.array([1.0]), _dp(2, 1, 2), 0.0)
+    assert got == pytest.approx(-1514.2781009, abs=1e-7)
+    sv = np.linalg.svd(y, compute_uv=False)
+    assert got == pytest.approx(_mp_rank_one_log(sv ** 2, 1.0, 0.0, 2), abs=1e-12)
 
 
 def test_cond_pdf_matches_stiefel_quadrature_t2m1():
@@ -206,7 +209,8 @@ def _mp_cond_pdf_log(s2, d, snr_db, N):
 def _mp_sv_change_log(sv, snr_db, M, N):
     """The finite-SNR spectrum density's terms beyond the matrix value at 60
     digits: the SVD Jacobian at the raw spectrum sv, the singular-vector
-    volumes and the leading block's scaling (rho/M)^{M/2}."""
+    volumes and the leading block's scaling (rho/M)^{M/2}, which snr_db None
+    (the high-SNR limit) leaves out."""
     with mp.workdps(60):
         T = len(sv)
         s = [mp.mpf(float(x)) for x in sv]
@@ -218,7 +222,8 @@ def _mp_sv_change_log(sv, snr_db, M, N):
         v = ((2 * (N - T) + 1) * sum(mp.log(x) for x in s)
              + 2 * sum(mp.log(s[i] ** 2 - s[j] ** 2) for i in range(T) for j in range(i + 1, T))
              + stiefel(T, T) - T * mp.log(2 * mp.pi) + stiefel(N, T)
-             + mp.mpf(M) / 2 * mp.log(mp.mpf(10) ** (mp.mpf(snr_db) / 10) / M))
+             + (0 if snr_db is None
+                else mp.mpf(M) / 2 * mp.log(mp.mpf(10) ** (mp.mpf(snr_db) / 10) / M)))
         return float(v)
 
 
@@ -256,6 +261,105 @@ def test_cond_pdf_matches_mpmath_to_160db(dims, d):
         got = cond_sv_pdf_finite_log(svn, dgain, dp, float(snr_db))
         want = _mp_cond_pdf_log(raw ** 2, d, snr_db, N) + _mp_sv_change_log(raw, snr_db, M, N)
         assert got == pytest.approx(want, abs=bound), snr_db
+
+
+def _mp_rank_one_log(s2, d, snr_db, N):
+    """ln f(Y | D) at T = 2, M = 1 from the rank-one closed form at 60 digits:
+    pi^{-2N} (1 + g)^{-N} e^{-s2_0 - s2_1} (e^{lam s2_0} - e^{lam s2_1}) /
+    (lam (s2_0 - s2_1)), with g = rho d^2 and lam = g / (1 + g)."""
+    with mp.workdps(60):
+        g = mp.mpf(10) ** (mp.mpf(snr_db) / 10) * mp.mpf(float(d)) ** 2
+        lam = g / (1 + g)
+        s0, s1 = (mp.mpf(float(x)) for x in s2)
+        x = lam * (s0 - s1)
+        return float(-2 * N * mp.log(mp.pi) - N * mp.log1p(g) - s0 - s1 + lam * s1
+                     + mp.log(mp.expm1(x) / x))
+
+
+def _subtracted_gap_log(s2, d, snr_db, N):
+    """The negative control: the T = 2, M = 1 closed form in double precision
+    with nu_1 - nu_0 = 1 - mu formed by subtraction, against the node constant
+    whose unit-node factor forms 1 - mu as rho d^2 mu."""
+    a, head, lvmu, tail = _ref_nodes(np.array([d]), 2, 1, N, rho_from_db(snr_db))
+    mu = -a[0, 0]
+    x = (1.0 - mu) * (s2[0] - s2[1])
+    return float(head - lvmu - tail - mu * s2[0] - s2[1] + math.log(-math.expm1(-x))
+                 - math.log(s2[0] - s2[1]))
+
+
+# The two-node closed form's bound in nats, stated before the run, from -60 to 160 dB
+_TWO_NODE_BOUND = 1e-12
+
+
+def test_two_node_kernel_matches_mpmath_from_minus_60_to_160db():
+    # f(Y | D) and the finite-SNR spectrum density at T = 2 on matched pairs
+    # (Y made with D) and cross pairs (Y made with the next gain draw).  The
+    # closed form with the subtracted gap misses the bound at -60 dB
+    control = []
+    for T, M, N in ((2, 1, 2), (2, 1, 3), (2, 1, 8)):
+        dp = _dp(T, M, N)
+        rng = RngHandle(1000 + N)
+        K = 8
+        gains = sample_gain(dp, rng, K)
+        phi = sample_isotropic_unitary(T, M, rng, count=K) * gains[:, None, :]
+        for snr_db in range(-60, 161, 20):
+            y = simulate_channel(phi, N, float(snr_db), rng)
+            scale = math.sqrt(rho_from_db(snr_db) / M)
+            for k in range(K):
+                sv = np.linalg.svd(y[k], compute_uv=False)
+                svn = sv.copy()
+                svn[:M] /= scale
+                raw = svn.copy()
+                raw[:M] *= scale
+                for D in (gains[k], gains[(k + 1) % K]):
+                    d = float(D[0])
+                    want = _mp_rank_one_log(sv ** 2, d, snr_db, N)
+                    got = cond_pdf_y_given_d_log(y[k], D, dp, float(snr_db))
+                    assert got == pytest.approx(want, abs=_TWO_NODE_BOUND), (N, snr_db, k)
+                    if snr_db == -60:
+                        control.append(abs(_subtracted_gap_log(sv ** 2, d, snr_db, N) - want))
+                    want = (_mp_rank_one_log(raw ** 2, d, snr_db, N)
+                            + _mp_sv_change_log(raw, snr_db, M, N))
+                    got = cond_sv_pdf_finite_log(svn, D, dp, float(snr_db))
+                    assert got == pytest.approx(want, abs=_TWO_NODE_BOUND), (N, snr_db, k)
+    assert max(control) > _TWO_NODE_BOUND
+
+
+def _mp_limit_two_gains_log(sv, d, N):
+    """ln of the high-SNR limit's leading-block spectrum density at M = 2 from
+    an 80-digit 2 x 2 determinant over the nodes mu = 1/d^2, plus the 60-digit
+    Jacobian and volumes."""
+    with mp.workdps(80):
+        s0, s1 = (mp.mpf(float(x)) ** 2 for x in sv)
+        mu0, mu1 = (1 / mp.mpf(float(x)) ** 2 for x in d)
+        det = mp.exp(-mu0 * s0 - mu1 * s1) - mp.exp(-mu0 * s1 - mu1 * s0)
+        v = (-2 * N * mp.log(mp.pi) + N * (mp.log(mu0) + mp.log(mu1)) + mp.log(det)
+             - mp.log(s0 - s1) - mp.log(mu1 - mu0))
+        return float(v) + _mp_sv_change_log(sv, None, 2, N)
+
+
+def test_limit_leading_block_matches_mpmath_for_near_equal_gains():
+    # M = 2, relative gain gaps 1e-1 to 1e-8: mu_1 - mu_0 is formed as
+    # (d_0 - d_1)(d_0 + d_1) mu_0 mu_1, not by subtraction.  rmin = M at
+    # (4, 2, 2), so the density is the leading block alone
+    dp = _dp(4, 2, 2)
+    for rel in 10.0 ** -np.arange(1, 9):
+        d = np.array([1.3, 1.3 * (1.0 - rel)])
+        for svn in ((1.1, 0.6), (2.4, 1.2), (3.5, 0.2), (0.9, 0.85)):
+            want = _mp_limit_two_gains_log(svn, d, 2)
+            got = cond_sv_pdf_limit_log(np.array(svn), d, dp)
+            assert got == pytest.approx(want, abs=_TWO_NODE_BOUND), (rel, svn)
+
+
+def test_two_node_kernel_whose_exponent_gap_underflows_is_the_confluent_value():
+    # at -3233 dB rho d^2 is the smallest subnormal, 5e-324: the node record
+    # keeps gap = rho d^2 mu > 0, but x = gap (s2_0 - s2_1) underflows to 0,
+    # where h(0) = 1 and not ln 0
+    y = np.diag([1.0, 0.8])
+    got = cond_pdf_y_given_d_log(y, np.array([1.0]), _dp(2, 1, 2), -3233.0)
+    assert got == pytest.approx(_mp_rank_one_log([1.0, 0.64], 1.0, -3233.0, 2),
+                                abs=_TWO_NODE_BOUND)
+    assert got == pytest.approx(-4 * LOG_PI - 1.64, abs=1e-14)
 
 
 def test_equal_gains_rejected_for_m_above_one():
