@@ -2,12 +2,13 @@
 
 Subcommands: constants, gain-table, sample, validate.  Output goes to
 stdout or --out as CSV (default, '#'-prefixed metadata lines) or JSON,
-written to its sink as it is formatted, with bytes fixed by the
-invocation; timing goes to stderr only.  Every `sample` kind is one
-`_KINDS` entry: its required options, the column prefix of a real vector
-draw and its stacked draw.  An SNR whose linear value is not a positive
-finite float is a domain error.  The parser is built once per process:
-every in-process `main` call after the first reuses it.
+written to its sink as it is formatted, with bytes fixed by the command's
+arguments whatever the sink (--out is not echoed); timing goes to stderr
+only.  Every `sample` kind is one `_KINDS` entry: its required options,
+the column prefix of a real vector draw and its stacked draw.  An SNR
+whose linear value is not a positive finite float is a domain error.
+The parser is built once per process: every in-process `main` call
+after the first reuses it.
 
 Exit codes: 0 success, 1 usage error or an --out or stdout that cannot
 be written, 2 rejected input (DomainError or ConfluenceError), 3
@@ -83,17 +84,16 @@ _JSON_ROW = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
 def _config_echo(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if not k.startswith("_") and k != "func"}
-    cfg["out"] = cfg.get("out") or "-"
-    return cfg
+    return {k: v for k, v in vars(args).items()
+            if not k.startswith("_") and k not in ("func", "out")}
 
 
 def _emit(args, columns, rows, warnings_list=()) -> None:
-    if args.out in (None, "-") and sys.stdout is None:  # started with descriptor 1 closed
+    if args.out == "-" and sys.stdout is None:  # started with descriptor 1 closed
         raise OSError("stdout is closed")
     config = _config_echo(args)
     tool = f"ncmimo {__version__}"
-    with (contextlib.nullcontext(sys.stdout) if args.out in (None, "-")
+    with (contextlib.nullcontext(sys.stdout) if args.out == "-"
           else open(args.out, "w", encoding="utf-8", newline="")) as fh:
         if args.format == "json":
             # the bytes of json.dump(..., indent=2, sort_keys=True), each row
@@ -230,8 +230,7 @@ def _add_common(sub) -> None:
     sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="output format (default csv)")
-    sub.add_argument("--out", default=None,
-                     help="output path; '-' or omitted writes to stdout")
+    sub.add_argument("--out", default="-", help="output path (default '-', stdout)")
 
 
 @functools.cache

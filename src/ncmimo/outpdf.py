@@ -93,22 +93,24 @@ def _nodes(d: tuple, T: int, M: int, N: int, rt: float | None) -> tuple:
     (d_0 + d_1) mu_1; the Y side's divided difference cancels ln Delta(-mu)
     + tail = ln(gap), so const = head there, and gap is None at other T.
     The callers check d and rt before the lookup, so no invalid input is a
-    key; nodes that round to 0 or together, or an rt d^2 that underflows to
-    0, raise ConfluenceError.  A node that rounds to 1 keeps its gap: at
-    T >= 3 the Y side raises, its row being a unit-node row's."""
+    key; nodes that round to 0 or together, or at T >= 3 an rt d^2 that
+    underflows to 0 (the tail's ln 0), raise ConfluenceError; at T = 2 that
+    d^2 gives gap 0, the zero-SNR kernel.  A node that rounds to 1 keeps its
+    gap: at T >= 3 the Y side raises, its row being a unit-node row's."""
     try:  # math.log(0) raises ValueError
         if rt is None:
-            mu, tail = [1.0 / (x * x) for x in d], 0.0
+            mu, c = [1.0 / (x * x) for x in d], []
         else:
             g = [rt * (x * x) for x in d]
             mu = [1.0 / (1.0 + x) for x in g]
-            tail = (T - M) * math.fsum([math.log(x * m) for x, m in zip(g, mu)])
+            c = [x * m for x, m in zip(g, mu)]  # 1 - mu
         head = (-N * T * LOG_PI + log_gamma_range(T - M + 1, T)
                 + N * math.fsum(map(math.log, mu)))
         if T == 2:
-            gap = (d[0] - d[1]) * mu[0] * (d[0] + d[1]) * mu[1] if rt is None else g[0] * mu[0]
+            gap = (d[0] - d[1]) * mu[0] * (d[0] + d[1]) * mu[1] if rt is None else c[0]
             const = head
         else:
+            tail = (T - M) * math.fsum(map(math.log, c))
             gap, const = None, head - log_vandermonde([-x for x in mu]) - tail
     except ValueError:
         raise ConfluenceError("kernel nodes mu round to 0, to 1 or together") from None

@@ -83,18 +83,13 @@ def check_decreasing(x, size: int, label: str) -> np.ndarray:
         return x
     if not all(a > 0 for a in v):
         raise DomainError(f"{label}: entries must be strictly positive")
-    pairs = list(zip(v, v[1:]))
-    if not all(a > b for a, b in pairs):
+    if not all(a > b for a, b in zip(v, v[1:])):
         raise DomainError(f"{label}: entries must be strictly decreasing")
     if v[0] > _MAX_ROOT:
         raise DomainError(f"{label}: squared entries must be finite")
-    for a, b in pairs:
-        p = a * a
-        if p == 0.0 or (p - b * b) / p < REL_GAP_TOL:
-            raise ConfluenceError(
-                f"{label}: relative gap below {REL_GAP_TOL:g}, "
-                "inputs are numerically confluent")
-    return x
+    # what the one pass rejected is left: a zero square or a gap below the tolerance
+    raise ConfluenceError(f"{label}: relative gap below {REL_GAP_TOL:g}, "
+                          "inputs are numerically confluent")
 
 
 @dataclass(frozen=True)

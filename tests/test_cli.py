@@ -481,11 +481,30 @@ def test_out_file_matches_stdout(tmp_path, capsys):
             data = path.read_bytes()
             assert b"\r" not in data  # LF endings
             assert data.endswith(b"\n")
-            # both sinks get the same bytes; only the config echo records the output path
-            assert data.decode().replace(json.dumps(str(path)), json.dumps("-")) == out
+            assert data == out.encode()  # both sinks get the same bytes
             # re-running to the same path is byte-identical
             run_cli(capsys, argv_fmt + ["--out", str(path)])
             assert path.read_bytes() == data
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--T", "10", "--M", "5", "--N", "100", "--bits"],
+    ["constants", "--T", "10", "--M", "5", "--N", "100", "--format", "json"],
+    ["gain-table", "--T-list", "4,10", "--N-list", "2,100"],
+    ["sample", "--kind", "input", "--T", "4", "--M", "2", "--N", "4", "--count", "3"],
+    ["sample", "--kind", "input", "--T", "4", "--M", "2", "--N", "4", "--count", "3",
+     "--format", "json"],
+    ["validate", "--suite", "convergence"],
+], ids=["constants-csv", "constants-json", "gain-table", "input-csv", "input-json",
+        "validate"])
+def test_payload_bytes_do_not_depend_on_the_sink(tmp_path, capsys, argv):
+    # --out picks the sink and is not echoed: stdout and two paths, of
+    # different lengths in different directories, get the same bytes
+    _, out, _ = run_cli(capsys, argv)
+    (tmp_path / "x" / "y").mkdir(parents=True)
+    for path in (tmp_path / "a.out", tmp_path / "x" / "y" / "b.csv"):
+        assert run_cli(capsys, argv + ["--out", str(path)])[:2] == (0, "")
+        assert path.read_bytes() == out.encode()
 
 
 def _whole_list_payload(args, columns, rows, warnings_list=()):
@@ -585,7 +604,7 @@ def test_list_rows_bytes_match_whole_list_encoding(capsys, monkeypatch, argv, ma
     [],
 ], ids=["special-values", "no-rows"])
 def test_emit_matches_whole_list_encoding(capsys, rows, fmt):
-    args = argparse.Namespace(format=fmt, out=None, seed=0)
+    args = argparse.Namespace(format=fmt, out="-", seed=0)
     cli._emit(args, ["draw", "a"], rows, ["a \"warning\""])
     assert_same_text(capsys.readouterr().out,
                      _whole_list_payload(args, ["draw", "a"], rows, ["a \"warning\""]))

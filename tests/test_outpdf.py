@@ -362,6 +362,15 @@ def test_two_node_kernel_whose_exponent_gap_underflows_is_the_confluent_value():
     assert got == pytest.approx(-4 * LOG_PI - 1.64, abs=1e-14)
 
 
+def test_two_node_kernel_whose_snr_term_underflows_is_the_zero_snr_gaussian():
+    # at -3233 dB and d = 0.5, rho d^2 underflows to 0: mu_0 = 1 and gap 0, so
+    # f(Y | D) is the zero-SNR Gaussian -2N ln pi - s2_0 - s2_1; a unit-node
+    # tail ln(rho d^2 mu) would read ln 0 here, and T = 2 has no such tail
+    y = np.diag([1.0, 0.8])
+    got = cond_pdf_y_given_d_log(y, np.array([0.5]), _dp(2, 1, 2), -3233.0)
+    assert got == pytest.approx(-4 * LOG_PI - 1.64, abs=1e-14)
+
+
 def test_equal_gains_rejected_for_m_above_one():
     # the equal-gain USTM diagonal is a confluent limit the closed forms exclude
     dp = _dp(4, 2, 4)
