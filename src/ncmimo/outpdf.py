@@ -69,11 +69,13 @@ def _gain(D, M: int) -> tuple:
     return tuple(d)
 
 
-# Node records kept, least recently used out first, about 0.6 kB each.  A
-# log-mean-exp over K gain draws held across Ys hits on every draw after the
-# first Y while K fits; cycled past the bound it never hits.  This bound
-# holds K = 10^4, the largest mixture the roadmap plans.
-_NODE_CACHE = 16384
+# Node records kept, least recently used out first, about 0.9 kB each.  The
+# traffic that exists is small: a density-mi round holds 18 live records
+# (252 hits, 18 misses) and its full pass 19; pdf-oracle makes one record
+# per case (20 at its default n) and hits none; sampling and export make
+# none.  A gain drawn per output never hits, so a larger bound only holds
+# dead records (16,384 of them took 15 MB).
+_NODE_CACHE = 256
 
 
 @lru_cache(maxsize=_NODE_CACHE)
@@ -262,7 +264,7 @@ def cond_sv_pdf_finite_log(svn, D, dp: DerivedParams,
     which is wider than svn decreasing and is what the normalization
     integral runs over.  The density is the spectrum density of ln f(Y | D)
     times (rho/M)^{M/2} for the scaling of the leading block.  Checked in
-    order: the gain, the SNR, the spectrum.
+    order: the gain, the SNR (rho/M must not underflow to 0), the spectrum.
     """
     T, M, N = dp.T, dp.M, dp.N
     if T > N:
@@ -270,6 +272,8 @@ def cond_sv_pdf_finite_log(svn, D, dp: DerivedParams,
             f"closed-form conditional sv pdf requires T <= N, got T={T}, N={N}")
     d = _gain(D, M)
     rt = rho_from_db(snr_db) / M
+    if not rt:  # at M >= 2 only, where a subnormal rho divides to 0
+        raise DomainError(f"snr_db must give a positive rho/M, got {snr_db} dB at M={M}")
     raw = np.array(_real(svn, "svn"), ndmin=1)
     raw[:M] *= math.sqrt(rt)
     raw = check_decreasing(raw, T, "raw spectrum (leading block times sqrt(rho/M))")

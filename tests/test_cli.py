@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,13 @@ def parse_csv(out):
     return header, rows
 
 
+def strict_json(text):
+    """The JSON document `text`, failing on a NaN or Infinity token."""
+    def reject(token):
+        pytest.fail(f"non-finite JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_constants_csv(capsys):
     code, out, err = run_cli(capsys, ["constants", "--T", "10", "--M", "5", "--N", "100"])
     assert code == 0
@@ -89,18 +97,22 @@ def test_constants_gap_is_exactly_zero_when_block_is_long(capsys):
 
 
 def test_constants_bits_scaling(capsys):
-    _, out_nats, _ = run_cli(capsys, ["constants", "--T", "4", "--M", "2", "--N", "3"])
-    _, out_bits, _ = run_cli(capsys, ["constants", "--T", "4", "--M", "2", "--N", "3", "--bits"])
-    hn, rn = parse_csv(out_nats)
-    hb, rb = parse_csv(out_bits)
-    nats = dict(zip(hn, rn[0]))
-    bits = dict(zip(hb, rb[0]))
-    ln2 = math.log(2.0)
-    assert float(bits["c_bstm"]) == pytest.approx(float(nats["c_bstm"]) / ln2, rel=1e-15)
-    assert float(bits["c_gain_limit"]) == pytest.approx(
-        float(nats["c_gain_limit"]) / ln2, rel=1e-15)
-    # the prelog multiplies log(rho) and is unit-free
-    assert bits["prelog"] == nats["prelog"]
+    # a small channel and the headline (10, 5, 100)
+    for dims in (["--T", "4", "--M", "2", "--N", "3"], ["--T", "10", "--M", "5", "--N", "100"]):
+        code, out_nats, _ = run_cli(capsys, ["constants", *dims])
+        assert code == 0
+        code, out_bits, _ = run_cli(capsys, ["constants", *dims, "--bits"])
+        assert code == 0
+        hn, rn = parse_csv(out_nats)
+        hb, rb = parse_csv(out_bits)
+        nats = dict(zip(hn, rn[0]))
+        bits = dict(zip(hb, rb[0]))
+        ln2 = math.log(2.0)
+        assert float(bits["c_bstm"]) == pytest.approx(float(nats["c_bstm"]) / ln2, rel=1e-15)
+        assert float(bits["c_gain_limit"]) == pytest.approx(
+            float(nats["c_gain_limit"]) / ln2, rel=1e-15)
+        # the prelog multiplies log(rho) and is unit-free
+        assert bits["prelog"] == nats["prelog"]
 
 
 def test_constants_dimension_error_exit_code(capsys):
@@ -110,11 +122,16 @@ def test_constants_dimension_error_exit_code(capsys):
     assert "floor(T/2)" in err
 
 
-def test_sample_unitary_domain_error_exit_code(capsys):
-    code, out, err = run_cli(capsys, ["sample", "--kind", "unitary", "--T", "2", "--M", "3"])
+@pytest.mark.parametrize("options, message", [
+    (["--kind", "unitary", "--T", "2", "--M", "3"], "T must be an integer >= 3, got T=2"),
+    (["--kind", "beta", "--m", "2", "--p", "1", "--n", "2"], "p must be an integer >= 2, got p=1"),
+    (["--kind", "wishart", "--m", "0", "--n", "2"], "m must be a positive integer, got m=0"),
+], ids=["unitary", "beta", "wishart"])
+def test_sample_domain_error_exit_code(capsys, options, message):
+    code, out, err = run_cli(capsys, ["sample", *options])
     assert code == 2
     assert out == ""
-    assert "T must be an integer >= 3, got T=2" in err
+    assert message in err
 
 
 def test_sample_wishart_domain_error_exit_code(capsys, tmp_path):
@@ -380,7 +397,7 @@ def test_sample_round_trips_bit_for_bit(capsys, kind, fmt):
         header, rows = parse_csv(out)
         rows = [[float(v) for v in row] for row in rows]
     else:
-        doc = json.loads(out)
+        doc = strict_json(out)
         header, rows = doc["meta"]["columns"], doc["rows"]
     got = np.array(rows)
     x = draw(RngHandle(4))
@@ -448,22 +465,45 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_negative_count_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["sample", "--kind", "unitary", "--T", "2", "--M", "1",
-                  "--count", "0"])
-    assert exc.value.code == 1
+    for options in (["--kind", "unitary", "--T", "2", "--M", "1"],
+                    ["--kind", "gain", "--T", "4", "--M", "2", "--N", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sample", *options, "--count", "0"])
+        assert exc.value.code == 1
+
+
+# every sample kind, the constants and the gain table, each within 5 s: a
+# digamma sum whose cost grows with M N takes seconds at N = 10^6
+_STRICT_JSON = [
+    ["sample", "--kind", "gain", *_DIMS, "--count", "3"],
+    ["sample", "--kind", "input", *_DIMS, "--count", "3"],
+    ["sample", "--kind", "unitary", "--T", "4", "--M", "2", "--count", "3"],
+    ["sample", "--kind", "wishart", "--m", "3", "--n", "2", "--count", "3"],
+    ["sample", "--kind", "beta", "--m", "2", "--p", "3", "--n", "2", "--count", "3"],
+    ["sample", "--kind", "beta", "--m", "3", "--p", "4", "--n", "1", "--count", "3"],
+    ["sample", "--kind", "noiseless-sv", *_DIMS, "--count", "3"],
+    ["constants", *_DIMS],
+    ["constants", "--T", "100", "--M", "50", "--N", "1000000"],
+    ["gain-table", "--T-list", "4,10", "--N-list", "2,100"],
+]
 
 
 def test_json_output_structure(capsys):
     code, out, _ = run_cli(capsys, [
         "constants", "--T", "4", "--M", "2", "--N", "3", "--format", "json"])
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["meta"]["tool"].startswith("ncmimo")
     assert doc["meta"]["rng"] == "pcg64"
     assert doc["meta"]["config"]["T"] == 4
     assert len(doc["rows"]) == 1
     assert len(doc["rows"][0]) == len(doc["meta"]["columns"])
+    for argv in _STRICT_JSON:
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+        assert code == 0 and time.perf_counter() - t0 < 5.0, argv
+        doc = strict_json(out)
+        assert doc["rows"] and all(len(r) == len(doc["meta"]["columns"]) for r in doc["rows"])
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
@@ -622,6 +662,7 @@ def test_validate_suite_passes(capsys):
     ("pdf-oracle", "0"),             # zero cases
     ("power", "0"),
     ("power", "-3"),
+    ("lemma4", "1"),                 # a KS test needs two draws
     ("convergence", "5"),            # fixed-size suites take no n
     ("density-normalization", "5"),
 ])
@@ -645,7 +686,7 @@ def test_validate_rows_carry_the_seed(capsys, suite, n):
     assert header == ["suite"] + fields + ["seed"]
     assert rows and all(r[-1] == "7" for r in rows)
     _, out, _ = run_cli(capsys, argv + ["--format", "json"])
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["meta"]["columns"] == header
     assert [r[-1] for r in doc["rows"]] == [7] * len(rows)
 
@@ -736,7 +777,14 @@ _TABLE = ["gain-table", "--T-list", "4,6,10", "--N-list", "3,5"]
     (_GAIN[:-1] + ["0"], cli.EXIT_USAGE, _GAIN),
     (["validate", "--suite", "pdf-oracle", "--n", "2"], cli.EXIT_OK,
      ["validate", "--suite", "pdf-oracle"]),
-], ids=["format", "ustm", "gain-table-M", "usage-error", "validate-n"])
+    (["validate", "--suite", "lemma4", "--n", "200"], cli.EXIT_OK,
+     ["gain-table", "--T-list", "4,10", "--N-list", "2,100"]),
+    # pdf-oracle above and these two evaluate densities through the node
+    # record cache, so a wrongly keyed record shows as different bytes
+    (["validate", "--suite", "density-normalization"], cli.EXIT_OK,
+     ["validate", "--suite", "convergence"]),
+], ids=["format", "ustm", "gain-table-M", "usage-error", "validate-n", "lemma4-gain-table",
+        "quadrature-suites"])
 def test_reused_parser_leaks_no_state(capsys, monkeypatch, first, code, then):
     # every call of one process shares the parser; each must print what the
     # same command prints from a fresh interpreter: exit code, payload and

