@@ -46,7 +46,7 @@ from .params import (
     check_decreasing,
     rho_from_db,
 )
-from .specfun import LOG_2, LOG_PI, log_gamma_range, log_stiefel_volume, log_vandermonde
+from .specfun import LOG_2, LOG_PI, log_stiefel_volume, log_vandermonde
 
 
 @lru_cache(maxsize=None)
@@ -69,12 +69,13 @@ def _gain(D, M: int) -> tuple:
     return tuple(d)
 
 
-# Node records kept, least recently used out first, about 0.9 kB each.  The
-# traffic that exists is small: a density-mi round holds 18 live records
-# (252 hits, 18 misses) and its full pass 19; pdf-oracle makes one record
-# per case (20 at its default n) and hits none; sampling and export make
-# none.  A gain drawn per output never hits, so a larger bound only holds
-# dead records (16,384 of them took 15 MB).
+# Node records kept, least recently used out first, about 0.9 kB each.  A
+# density-mi round holds 18 live records (252 hits, 18 misses), its full
+# pass 19; pdf-oracle makes one per case and hits none; sampling and export
+# make none.  A gain drawn per output never hits, so a larger bound only
+# holds dead records.  The cache stays while scalar calls repeat a gain: a
+# record takes 5.5-15 us to build and 0.2 us to hit, and density-mi's
+# round_s rose 27-37% without it (ROADMAP item 14).
 _NODE_CACHE = 256
 
 
@@ -83,8 +84,8 @@ def _nodes(d: tuple, T: int, M: int, N: int, rt: float | None) -> tuple:
     """The node side of the kernel for the checked gain d = _gain(D, M):
     read-only T x 1 columns a, b with ln K_ij = a_i s2_j + b_i ln s2_j (a is
     -mu, then -1 on the T - M unit-node rows i = M+1..T; b is 0, then T - i),
-    const = head - ln Delta(-mu) - tail, head = -NT ln pi + ln prod Gamma +
-    N sum ln mu, the largest node mu_M, and gap.  At an SNR, mu =
+    const = head - ln Delta(-mu) - tail, head = -NT ln pi + sum_{i=T-M+1}^{T}
+    ln Gamma(i) + N sum ln mu, the largest node mu_M, and gap.  At an SNR, mu =
     1/(1 + rt d^2) at rt = rho/M and tail = (T - M) sum ln(1 - mu); mu and
     1 - mu = rt d^2 mu are both formed directly: mu as 1 - lambda would lose
     its digits at high SNR, 1 - mu by subtraction at low SNR.  At rt None
@@ -106,7 +107,7 @@ def _nodes(d: tuple, T: int, M: int, N: int, rt: float | None) -> tuple:
             g = [rt * (x * x) for x in d]
             mu = [1.0 / (1.0 + x) for x in g]
             c = [x * m for x, m in zip(g, mu)]  # 1 - mu
-        head = (-N * T * LOG_PI + log_gamma_range(T - M + 1, T)
+        head = (-N * T * LOG_PI + math.fsum(map(math.lgamma, range(T - M + 1, T + 1)))
                 + N * math.fsum(map(math.log, mu)))
         if T == 2:
             gap = (d[0] - d[1]) * mu[0] * (d[0] + d[1]) * mu[1] if rt is None else c[0]
@@ -224,23 +225,28 @@ def cond_pdf_y_given_d_log(Y: np.ndarray, D, dp: DerivedParams,
     return _y_log(sv, _nodes(d, T, M, N, rho_from_db(snr_db) / M))[0]
 
 
-def _gaussian_sv_log(sv, n: int, var: float) -> float:
+def _gaussian_sv_log(sv, n: int, var: float, rho: float = 1.0) -> float:
     """ln of the joint density of the singular values sv (Python floats) of
-    an m x n complex Gaussian matrix with iid CN(0, var) entries,
-    m = len(sv) <= n."""
+    an m x n complex Gaussian matrix with iid CN(0, rho var) entries,
+    m = len(sv) <= n; rho is passed apart only where rho var overflows."""
     s2 = [x * x for x in sv]
-    return _sv_log(-len(sv) * n * (LOG_PI + math.log(var)) - math.fsum(s2) / var, sv, n,
-                   log_vandermonde(s2))
+    return _sv_log(-len(sv) * n * (LOG_PI + math.log(var) + math.log(rho))
+                   - math.fsum([x / rho for x in s2]) / var, sv, n, log_vandermonde(s2))
 
 
 def first_sv_pdf_log(sv, dp: DerivedParams, snr_db: float) -> float:
     """ln of the joint density of the M leading output singular values.
 
     This is the singular-value law of an M x Q complex Gaussian matrix
-    with per-entry variance lambda_bar = N T rho / (M Q).
+    with per-entry variance lambda_bar = N T rho / (M Q), split as rho times
+    N T / (M Q) where N T rho overflows (from about 3053 dB at (10, 5, 100)).
     """
     sv = check_decreasing(sv, dp.M, "first_sv_pdf_log sv").tolist()
-    return _gaussian_sv_log(sv, dp.Q, dp.N * dp.T * rho_from_db(snr_db) / (dp.M * dp.Q))
+    rho = rho_from_db(snr_db)
+    var = dp.N * dp.T * rho / (dp.M * dp.Q)
+    if var < math.inf:
+        return _gaussian_sv_log(sv, dp.Q, var)
+    return _gaussian_sv_log(sv, dp.Q, dp.N * dp.T / (dp.M * dp.Q), rho)
 
 
 def tail_sv_pdf_log(sv, dp: DerivedParams) -> float:
@@ -291,13 +297,13 @@ def cond_sv_pdf_limit_log(svn, D, dp: DerivedParams) -> float:
     pure-noise law of tail_sv_pdf_log.  No cross-block ordering constraint
     remains in the limit, and neither block needs T <= N.  Checked in order:
     the spectrum's size, its leading block, the gain, its trailing block.
-    A leading block whose largest exponent mu s^2 = (s/d)^2 overflows (a
-    gain near 0) raises ConfluenceError before the trailing block's check.
     """
     M, N = dp.M, dp.N
     svn = np.atleast_1d(_real(svn, "svn"))
     if svn.size != dp.rmin:
         raise DomainError(f"normalized spectrum must have {dp.rmin} entries, got {svn.size}")
     head = check_decreasing(svn[:M], M, "svn leading block")
-    value, lv = _y_log(head, _nodes(_gain(D, M), M, M, N, None))
-    return _sv_log(value, head.tolist(), N, lv) + tail_sv_pdf_log(svn[M:], dp)
+    d = _gain(D, M)
+    tail = tail_sv_pdf_log(svn[M:], dp)
+    value, lv = _y_log(head, _nodes(d, M, M, N, None))
+    return _sv_log(value, head.tolist(), N, lv) + tail

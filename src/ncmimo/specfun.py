@@ -28,13 +28,6 @@ def log_vandermonde(x) -> float:
 
 # the integer-taking caches are typed: a hit on 2 must not answer for 2.0 or True
 @lru_cache(maxsize=None, typed=True)
-def log_gamma_range(a: int, b: int) -> float:
-    """sum_{i=a}^{b} ln Gamma(i) over integers, 0 for an empty range; a >= 1."""
-    a, b = check_int(a, "a", 1), check_int(b, "b")
-    return math.fsum(map(math.lgamma, range(a, b + 1)))
-
-
-@lru_cache(maxsize=None, typed=True)
 def log_multivariate_gamma(m: int, a: float) -> float:
     """ln Gamma_m(a), complex multivariate gamma of dimension m.
 

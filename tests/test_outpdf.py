@@ -28,7 +28,7 @@ from ncmimo.params import (
     rho_from_db,
 )
 from ncmimo.randmat import RngHandle, sample_isotropic_unitary
-from ncmimo.specfun import LOG_PI, log_gamma_range, log_stiefel_volume, log_vandermonde
+from ncmimo.specfun import LOG_PI, log_stiefel_volume, log_vandermonde
 from ncmimo.statcheck import stiefel_pdf_oracle
 
 # Reference values computed independently at 50-digit precision.
@@ -37,6 +37,10 @@ JAC_PAIR = 2.8903717578961647        # sv=[2,1], rmax=2, rmin=2: ln 18
 FIRST_SV_4_1_2_10DB = -4.0919895320454621   # ln f(2.5)
 TAIL_2_1_2 = -0.15352776337878707           # ln f(0.7)
 LIMIT_2_1_2 = -0.96403411246403644          # d=1.3, svn=(1.1, 0.6)
+# ln f(sv) where N T rho overflows: (dims, sv, snr_db, value)
+FIRST_SV_HIGH_SNR = (((10, 5, 100), (5.0, 4.0, 3.0, 2.0, 1.0), 3066.0, -17698.371920846148817),
+                     ((10, 5, 100), (5.0, 4.0, 3.0, 2.0, 1.0), 3079.0, -17773.205936368455302),
+                     ((2, 1, 2), (2.5,), 3079.0, -708.74280658155245635))
 
 
 def _dp(T, M, N):
@@ -576,6 +580,11 @@ def test_first_sv_value_and_gamma_identity():
     for a in (0.8, 2.5, 6.0):
         want = math.log(stats.gamma.pdf(a * a, dp.Q, scale=lam_bar) * 2 * a)
         assert first_sv_pdf_log(np.array([a]), dp, 10.0) == pytest.approx(want, rel=1e-10)
+    # N T rho overflows from about 3053 dB at (10, 5, 100) and 3077 dB at
+    # (2, 1, 2); the law stays finite up to the largest rho
+    for dims, sv, snr_db, want in FIRST_SV_HIGH_SNR:
+        assert first_sv_pdf_log(np.array(sv), _dp(*dims), snr_db) == pytest.approx(
+            want, rel=1e-15)
 
 
 def test_first_sv_two_values_normalizes():
@@ -808,17 +817,28 @@ def test_node_cache_keys_on_values_not_containers():
             assert len(got) == 1
 
 
-def test_node_cache_never_keeps_an_invalid_gain():
+def test_node_cache_never_keeps_an_invalid_input():
     dp = _dp(4, 2, 4)
     y = np.diag([2.0, 1.5, 0.8, 0.3]).astype(complex)
     svn = np.array([2.0, 1.5, 0.8, 0.3])
-    # checked before the lookup: an invalid gain is neither a hit nor a miss
+    # checked before the lookup: an invalid input is neither a hit nor a miss
     info = outpdf._nodes.cache_info()
     for D in (np.full(2, 2.0), np.array([1.0, np.nan]), np.array([1.0, 1e-170])):
         for density in _conditional_densities(y, svn, dp, 20.0):
             for _ in range(3):
                 with pytest.raises(DomainError, match="gain diagonal"):
                     density(D)
+    # a valid gain with an invalid SNR or spectrum; the limit's trailing block
+    # is checked first even where its leading block's exponent overflows
+    bad_tail = np.array([2.0, 1.0, 0.5, -0.25])
+    for D in (np.array([1.5, 0.5]), np.array([1e-153, 1e-154])):
+        for call, message in ((lambda: cond_pdf_y_given_d_log(y, D, dp, math.nan), "snr_db"),
+                              (lambda: cond_sv_pdf_finite_log(bad_tail, D, dp, 20.0),
+                               "raw spectrum"),
+                              (lambda: cond_sv_pdf_limit_log(bad_tail, D, dp), "tail_sv_pdf_log")):
+            for _ in range(3):
+                with pytest.raises(DomainError, match=message):
+                    call()
     assert outpdf._nodes.cache_info() == info
 
 
@@ -852,6 +872,8 @@ def test_node_cache_hits_held_gains_and_stays_bounded():
 # side in numpy with an explicit power-rows branch, the log-Vandermonde by
 # fancy indexing and the node side as (-mu, head, ln Delta(-mu), tail).  The
 # densities must give the same outcome as these on the seeded corpus below.
+# Where both share a defect the corpus passes on a wrong value; the oracle
+# test after it registers the (10, 5, 100), 0 dB pair it misses (item 26).
 
 def _ref_log_vandermonde(x):
     i, j = np.triu_indices(x.size, k=1)
@@ -865,7 +887,8 @@ def _ref_nodes(d, T, M, N, rt):
     else:
         mu = 1.0 / (1.0 + rt * d2)
         tail = (T - M) * float(np.log(rt * d2 * mu).sum())
-    head = -N * T * LOG_PI + log_gamma_range(T - M + 1, T) + N * np.log(mu).sum()
+    head = (-N * T * LOG_PI + math.fsum(map(math.lgamma, range(T - M + 1, T + 1)))
+            + N * np.log(mu).sum())
     return -mu[:, None], head, _ref_log_vandermonde(-mu), tail
 
 
@@ -972,6 +995,52 @@ def test_densities_match_the_reference_y_side(dims):
                         assert type(got) is float and math.isfinite(got)
                         assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (
                             f.__name__, snr_db, k, got, want)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="item 26")
+def test_reference_corpus_matched_pairs_match_the_oracle_at_0db():
+    # the 0 dB matched pairs of the (10, 5, 100) corpus above, drawn the same
+    # way, against the 60-digit oracle within 1e-8 nats: pair k = 6 has
+    # d_5 = 0.028, whose mu row nearly equals a combination of the unit-node
+    # rows, and both the densities and the reference lose 1.43 nats on it
+    T, M, N = 10, 5, 100
+    dp = _dp(T, M, N)
+    rng = RngHandle(2024 + T + M)
+    K = 12
+    gains = sample_gain(dp, rng, K)
+    phi = sample_isotropic_unitary(T, M, rng, count=K) * gains[:, None, :]
+    y = simulate_channel(phi, N, 0.0, rng)
+    rt = rho_from_db(0.0) / M
+    misses = []
+    for k in range(K):
+        sv = np.linalg.svd(y[k], compute_uv=False)
+        svn = sv * np.where(np.arange(T) < M, 1.0 / math.sqrt(rt), 1.0)
+        raw = svn.copy()
+        raw[:M] *= math.sqrt(rt)  # the raw spectrum the density recovers
+        for got, want in (
+                (cond_pdf_y_given_d_log(y[k], gains[k], dp, 0.0),
+                 _mp_cond_pdf_log(sv ** 2, gains[k], 0.0, N)),
+                (cond_sv_pdf_finite_log(svn, gains[k], dp, 0.0),
+                 _mp_cond_pdf_log(raw ** 2, gains[k], 0.0, N)
+                 + _mp_sv_change_log(raw, 0.0, M, N))):
+            if not abs(got - want) <= 1e-8:
+                misses.append((k, got, want))
+    assert not misses
+
+
+@pytest.mark.xfail(strict=True, raises=ConfluenceError, reason="items 24 and 27")
+@pytest.mark.parametrize("dims", [(4, 2, 1000), (10, 5, 1000)])
+def test_matched_pairs_evaluate_at_n_far_above_t(dims):
+    # row scaling underflows the mu rows on the signal columns once N >> T:
+    # every matched pair here raises today
+    T, M, N = dims
+    dp = _dp(T, M, N)
+    rng = RngHandle(1)
+    gains = sample_gain(dp, rng, 5)
+    y = simulate_channel(sample_isotropic_unitary(T, M, rng, count=5) * gains[:, None, :],
+                         N, 30.0, rng)
+    for k in range(5):
+        assert math.isfinite(cond_pdf_y_given_d_log(y[k], gains[k], dp, 30.0))
 
 
 def test_an_invalid_snr_raises_after_the_gain_and_y_checks():

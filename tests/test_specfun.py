@@ -9,7 +9,6 @@ from scipy.special import digamma, gammaln
 from ncmimo.params import DomainError
 from ncmimo.specfun import (
     expected_logdet_wishart,
-    log_gamma_range,
     log_multivariate_gamma,
     log_stiefel_volume,
 )
@@ -86,7 +85,7 @@ def test_stiefel_volume_domain():
 
 
 @pytest.mark.parametrize("f, good, bad", [
-    (log_gamma_range, (2, 4), (2.0, 4)),
+    (log_multivariate_gamma, (2, 3), (2.0, 3)),
     (log_multivariate_gamma, (1, 3), (True, 3)),
     (expected_logdet_wishart, (2, 3), (np.float64(2.0), 3)),
 ])
@@ -109,7 +108,7 @@ def _mp(expr):
 
 def test_memoized_values_match_mpmath():
     # accurate on a cache miss, and the hit after it returns the same bits
-    for f in (log_multivariate_gamma, expected_logdet_wishart, log_gamma_range):
+    for f in (log_multivariate_gamma, expected_logdet_wishart):
         f.cache_clear()
     for m in range(1, 7):
         for a in (m, m + 0.5, m + 3, 40):
@@ -122,10 +121,6 @@ def test_memoized_values_match_mpmath():
             want = _mp(lambda: mpmath.fsum(mpmath.digamma(N - i) for i in range(m)))
             got = expected_logdet_wishart(m, N)
             assert _close(got, want) and expected_logdet_wishart(m, N) == got
-        for b in (m - 1, m, m + 7):
-            want = _mp(lambda: mpmath.fsum(mpmath.loggamma(i) for i in range(m, b + 1)))
-            got = log_gamma_range(m, b)
-            assert _close(got, want) and log_gamma_range(m, b) == got
 
 
 def test_expected_logdet_at_large_n_is_accurate_and_fast():
@@ -139,13 +134,3 @@ def test_expected_logdet_at_large_n_is_accurate_and_fast():
     assert abs(got - want) <= 1e-15 * abs(want)
     assert elapsed < 0.02
 
-
-def test_log_gamma_range():
-    assert log_gamma_range(1, 0) == 0.0
-    assert log_gamma_range(3, 5) == pytest.approx(math.log(2 * 6 * 24), abs=1e-14)
-    # sum_{i=a-m+1}^{a} ln Gamma(i) is the multivariate gamma without its pi factor
-    for m, a in ((1, 4), (2, 6), (3, 7)):
-        want = log_multivariate_gamma(m, a) - m * (m - 1) / 2 * math.log(math.pi)
-        assert log_gamma_range(a - m + 1, a) == pytest.approx(want, abs=1e-13)
-    with pytest.raises(DomainError):
-        log_gamma_range(0, 3)
