@@ -17,10 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .params import DerivedParams, DomainError, _real, check_int, rho_from_db
-from .randmat import sample_bartlett_factor, sample_gaussian, sample_isotropic_unitary
-
-# Draws per chunk of a large stacked draw, so peak memory stays flat in count.
-DRAW_CHUNK = 10_000
+from .randmat import chunks, sample_bartlett_factor, sample_gaussian, sample_isotropic_unitary
 
 
 def GainDiagonal(d) -> np.ndarray:
@@ -57,9 +54,11 @@ def sample_gain(dp: DerivedParams, rng: np.random.Generator, count: int,
     (-s_k c'_{k-1}, .., -s_2 c'_1) has the k free eigenvalues as its squared
     singular values, the eigenvalues of the real tridiagonal B^T B.  When
     n < m the other m - k are exactly 1 (the singular Beta) and lead.
-    Draws run in chunks of DRAW_CHUNK.  The eigenvalues are clipped to
-    [0, 1], which can remove round-off only: tests/test_bstm.py finds none
-    outside [-4 eps, 1 + 4 eps] in 2 x 10^5 draws at each of 8 geometries.
+    Draws run in chunks of randmat.CHUNK_ENTRIES // k^2; only rng.beta
+    draws inside the loop, so the chunk size does not move the stream.
+    The eigenvalues are clipped to [0, 1], which can remove round-off
+    only: tests/test_bstm.py finds none outside [-4 eps, 1 + 4 eps] in
+    2 x 10^5 draws at each of 8 geometries.
     """
     count = check_int(count, "count")
     T, M, N = dp.T, dp.M, dp.N
@@ -69,8 +68,8 @@ def sample_gain(dp: DerivedParams, rng: np.random.Generator, count: int,
     j = np.arange(k, 0, -1.0)  # float shapes spare rng.beta a conversion
     shapes = np.concatenate([a + j, j[1:]]), np.concatenate([b + j, a + b + 1 + j[1:]])
     lam = np.ones((count, M))
-    for done in range(0, count, DRAW_CHUNK):
-        x = rng.beta(*shapes, (min(DRAW_CHUNK, count - done), 2 * k - 1))
+    for start, stop in chunks(count, k * k):
+        x = rng.beta(*shapes, (stop - start, 2 * k - 1))
         # B's squared diagonal d2 and superdiagonal e2; the signs do not move
         # the spectrum, and eigvalsh reads only the lower triangle of B^T B
         d2 = x[:, :k].copy()
@@ -80,15 +79,17 @@ def sample_gain(dp: DerivedParams, rng: np.random.Generator, count: int,
         flat[:, ::k + 1] = d2
         flat[:, k + 1::k + 1] += e2
         flat[:, k::k + 1] = np.sqrt(d2[:, :-1] * e2)
-        lam[done:done + len(x), M - k:] = np.linalg.eigvalsh(
-            flat.reshape(-1, k, k))[:, ::-1]
-    return np.sqrt(T * N / dp.Q) * np.sqrt(np.clip(lam, 0.0, 1.0))
+        lam[start:stop, M - k:] = np.linalg.eigvalsh(flat.reshape(-1, k, k))[:, ::-1]
+    np.sqrt(np.clip(lam, 0.0, 1.0, out=lam), out=lam)
+    lam *= np.sqrt(T * N / dp.Q)
+    return lam
 
 
 def sample_input(dp: DerivedParams, rng: np.random.Generator, count: int,
                  ustm: bool = False) -> np.ndarray:
     """Draw a (count, T, M) stack of input blocks X = Phi D: the unitaries
-    first, then the gains through sample_gain."""
+    first, then the gains through sample_gain.  The unitaries are drawn
+    whole: chunking them raises the peak of a JSON export (ROADMAP 13)."""
     phi = sample_isotropic_unitary(dp.T, dp.M, rng, count)
     return phi * sample_gain(dp, rng, count, ustm)[:, None, :]
 

@@ -41,6 +41,7 @@ from .capacity import (asymptotic_gain_constant, bstm_constant, constant_gap, ga
 from .randmat import (
     RNG_ALGORITHM,
     RngHandle,
+    chunks,
     sample_isotropic_unitary,
     sample_matrix_beta,
     sample_wishart,
@@ -169,13 +170,11 @@ _KINDS = {
 }
 
 
-_CHUNK_VALUES = 1 << 17  # about 4 MB of Python floats
-
-
 class _Rows:
     """The rows of a 2-D array, one per draw: its index, then its entries as
-    Python numbers, converted a chunk of about _CHUNK_VALUES values at a
-    time, so the stack is never held whole a second time as Python floats."""
+    Python numbers, converted randmat.CHUNK_ENTRIES // width rows at a time
+    (one row at least), so the stack is never held whole a second time as
+    Python floats."""
 
     def __init__(self, flat: np.ndarray):
         self._flat = flat
@@ -184,9 +183,8 @@ class _Rows:
         return len(self._flat)
 
     def __iter__(self):
-        step = max(1, _CHUNK_VALUES // self._flat.shape[1])
-        for start in range(0, len(self._flat), step):
-            for i, row in enumerate(self._flat[start:start + step].tolist(), start):
+        for start, stop in chunks(len(self._flat), self._flat.shape[1]):
+            for i, row in enumerate(self._flat[start:stop].tolist(), start):
                 yield [i, *row]
 
 

@@ -26,6 +26,18 @@ from .specfun import LOG_PI, log_multivariate_gamma, log_vandermonde
 # collision-resistant stream-split rule via SeedSequence.spawn.
 RNG_ALGORITHM = "pcg64"
 
+# Array entries per chunk of every stacked loop (the gain draw, the power
+# suite, the CLI's rows), so peak memory stays flat in the count.
+CHUNK_ENTRIES = 1 << 14
+
+
+def chunks(count: int, width: int):
+    """(start, stop) bounds splitting count items of `width` array entries
+    each into chunks of CHUNK_ENTRIES // width items, one at least."""
+    step = max(1, CHUNK_ENTRIES // width)
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
+
 
 def RngHandle(seed: int) -> np.random.Generator:
     """numpy's PCG64 Generator seeded through SeedSequence, the stream of

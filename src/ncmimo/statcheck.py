@@ -27,13 +27,14 @@ from .capacity import asymptotic_gain_constant, gain_limit_sequence
 from .randmat import (
     RngHandle,
     beta_eig_pdf_log,
+    chunks,
     sample_bartlett_factor,
     sample_gaussian,
     sample_isotropic_unitary,
     sample_matrix_beta,
     sample_wishart,
 )
-from .bstm import DRAW_CHUNK, noiseless_sv_sample, sample_input
+from .bstm import noiseless_sv_sample, sample_input
 from .outpdf import (
     cond_pdf_y_given_d_log,
     cond_sv_pdf_finite_log,
@@ -213,7 +214,9 @@ def run_power(n: int | None = None, seed: int = 0) -> list[TestReport]:
     POWER_Z times its standard error (the sample SD of the per-draw power
     over T M, divided by sqrt n) plus POWER_ROUNDOFF, which lets a
     deterministic power (the USTM row) pass on round-off.  One draw has
-    no sample SD, so n must be at least 2.
+    no sample SD, so n must be at least 2.  The inputs are drawn in chunks
+    of randmat.CHUNK_ENTRIES // (T M) draws, each its unitaries then its
+    gains, so the statistics at n above one chunk depend on that budget.
     """
     n = check_int(suite_size(n, 100_000), "n", 2)
     rng = RngHandle(seed)
@@ -222,8 +225,8 @@ def run_power(n: int | None = None, seed: int = 0) -> list[TestReport]:
         dp = derive(ChannelDims(T=T, M=M, N=N))
         total = 0.0
         per_draw = []
-        for done in range(0, n, DRAW_CHUNK):
-            sq = np.abs(sample_input(dp, child, count=min(DRAW_CHUNK, n - done))) ** 2
+        for start, stop in chunks(n, T * M):
+            sq = np.abs(sample_input(dp, child, count=stop - start)) ** 2
             total += float(np.sum(sq))
             per_draw.append(sq.sum(axis=(1, 2)))
             del sq  # before the next draw, so one chunk is held at a time

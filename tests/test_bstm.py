@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from ncmimo import statcheck
+from ncmimo import randmat, statcheck
 from ncmimo.bstm import (
     GainDiagonal,
     noiseless_sv_sample,
@@ -230,6 +230,24 @@ def test_gain_clip_removes_round_off_only(monkeypatch):
         lam = np.concatenate([e.ravel() for e in eigs])
         assert lam.size == 200_000 * min(dims[1], dims[1] + dims[2] - dims[0])
         assert -bound <= lam.min() and lam.max() <= 1.0 + bound, dims
+
+
+@pytest.mark.parametrize("dims", [(10, 5, 100), (4, 2, 3)])
+def test_gain_bits_do_not_depend_on_the_chunk_budget(monkeypatch, dims):
+    # only rng.beta draws inside the gain loop, so chunks leave the stream as it is
+    dp, count = _dp(*dims), 400
+    whole = sample_gain(dp, RngHandle(5), count)
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(randmat, "CHUNK_ENTRIES", 50)
+    chunked = sample_gain(dp, RngHandle(5), count)
+    assert len(calls) >= 3 and sum(calls) == count
+    assert whole.tobytes() == chunked.tobytes()
 
 
 def test_count_zero_gives_empty_stacks():

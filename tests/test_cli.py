@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ncmimo
-from ncmimo import cli
+from ncmimo import cli, randmat
 from ncmimo.capacity import bstm_constant, gain_ratio, ustm_constant
 from ncmimo.bstm import noiseless_sv_sample, sample_gain, sample_input
 from ncmimo.params import ChannelDims, derive
@@ -159,9 +159,13 @@ def test_negative_seed_is_domain_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, limit_mb", [
-    # one unchunked stack of full 5 x n Gaussians peaks at about 1,700 MB
+    # 10^5 gains, drawn in chunks of 655 at about 42 MB; chunks of 10^4
+    # draws peaked at about 58 MB
     (["sample", "--kind", "gain", "--T", "10", "--M", "5", "--N", "100",
-      "--count", "100000"], 400),
+      "--count", "100000"], 50),
+    # 10^5 inputs per geometry, drawn in chunks of 327 to 2,048 at about
+    # 41 MB; chunks of 10^4 draws peaked at about 75 MB
+    (["validate", "--suite", "power"], 55),
     # a 44 MB JSON export; converting the whole stack to Python floats
     # before writing peaks at about 138 MB, a chunk at a time at about 94 MB
     (["sample", "--kind", "input", "--T", "8", "--M", "2", "--N", "4",
@@ -170,7 +174,7 @@ def test_negative_seed_is_domain_error(capsys, argv):
     # Python floats, 111 MB a chunk at a time (the unchunked draw is most of it)
     (["sample", "--kind", "input", "--T", "10", "--M", "5", "--N", "100",
       "--count", "20000"], 125),
-], ids=["gain", "input-json", "input-csv-wide"])
+], ids=["gain", "validate-power", "input-json", "input-csv-wide"])
 def test_sample_peak_memory_is_bounded(tmp_path, argv, limit_mb):
     # a fresh interpreter reports its own peak RSS, VmHWM in KiB; a bare
     # import peaks at about 30 MB.  ru_maxrss would not do: Linux carries
@@ -610,7 +614,7 @@ _BYTE_CASES = [(kind, _ROUND_TRIP[kind][0], 7, None) for kind in cli._KINDS] + [
                          ids=[f"{k}-{c}" for k, _, c, _ in _BYTE_CASES])
 def test_sample_bytes_match_whole_stack_encoding(capsys, monkeypatch, kind, options, count,
                                                  width, fmt):
-    assert width is None or count * width > cli._CHUNK_VALUES
+    assert width is None or count * width > randmat.CHUNK_ENTRIES
     code, out, want = run_cli_with_oracle(
         capsys, monkeypatch, ["sample", "--kind", kind, *options, "--count", str(count),
                               "--seed", "3", "--format", fmt], rows_of=_whole_stack_rows)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ncmimo import statcheck
+from ncmimo import randmat, statcheck
 from ncmimo.params import DomainError
 from ncmimo.randmat import (
     RNG_ALGORITHM,
     RngHandle,
     beta_eig_pdf_log,
+    chunks,
     sample_bartlett_factor,
     sample_gaussian,
     sample_isotropic_unitary,
@@ -68,6 +69,16 @@ def test_non_integral_seed_is_domain_error(seed):
 def test_integer_seeds_draw_the_default_rng_stream(seed):
     want = np.random.default_rng(int(seed)).standard_normal(4)
     assert RngHandle(seed).standard_normal(4).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("count, width, step", [
+    (10, 7, 7), (14, 7, 7), (3, 7, 7), (0, 7, 7), (5, 60, 1), (4, 1, 50)])
+def test_chunks_tile_the_count_within_the_budget(monkeypatch, count, width, step):
+    # step: CHUNK_ENTRIES // width items a chunk, one at least
+    monkeypatch.setattr(randmat, "CHUNK_ENTRIES", 50)
+    bounds = list(chunks(count, width))
+    assert [start for start, _ in bounds] == list(range(0, count, step))
+    assert [stop for _, stop in bounds] == [min(start + step, count) for start, _ in bounds]
 
 
 def test_gaussian_shapes_and_moments():
