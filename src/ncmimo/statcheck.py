@@ -91,14 +91,14 @@ def ks_columns(a, b, names) -> list[TestReport]:
 
     A column's statistic d is the largest gap between its two empirical
     CDFs, taken over the pooled points.  Its p-value is the finite-n
-    Kolmogorov tail `kstwo.sf(d, n)` at the rounded effective size
-    n = round(n1 n2 / (n1 + n2)) (Simard & L'Ecuyer 2011); one vectorized
-    call evaluates every column's.  Both equal, bit for bit, what
+    Kolmogorov tail `kolmogorov_sf(d, n)` at the rounded effective size
+    n = round(n1 n2 / (n1 + n2)) (Simard & L'Ecuyer 2011); one call
+    evaluates every column's.  Both equal, bit for bit, what
     `scipy.stats.ks_2samp(a[:, i], b[:, i], method="asymp")` returns.  A
     column that contains NaN gives d = p = NaN, and its row fails.  Each
     report's n_samples is min(n1, n2), the size of the smaller sample.
     """
-    from scipy import stats  # local: only validate's KS suites pay for scipy.stats
+    from .kolmogorov import kolmogorov_sf  # local: only the KS suites load it
     a = np.sort(np.asarray(a, dtype=float).T)  # one sorted row per column
     b = np.sort(np.asarray(b, dtype=float).T)
     n1, n2 = a.shape[1], b.shape[1]
@@ -112,7 +112,7 @@ def ks_columns(a, b, names) -> list[TestReport]:
         gap = (np.searchsorted(x, pooled, side="right") / n1
                - np.searchsorted(y, pooled, side="right") / n2)
         d[i] = max(gap.max(), np.clip(-gap.min(), 0, 1))  # a tie keeps +0.0, not clip's -0.0
-    p = np.clip(stats.kstwo.sf(d, np.round(float(n1) * n2 / (n1 + n2))), 0, 1)
+    p = kolmogorov_sf(d, round(n1 * n2 / (n1 + n2)))
     return [report(name, di, P_THRESHOLD, min(n1, n2), p_value=float(pi))
             for name, di, pi in zip(names, d, p, strict=True)]
 

@@ -166,6 +166,10 @@ def test_negative_seed_is_domain_error(capsys, argv):
     # 10^5 inputs per geometry, drawn in chunks of 327 to 2,048 at about
     # 41 MB; chunks of 10^4 draws peaked at about 75 MB
     (["validate", "--suite", "power"], 55),
+    # 10^4 draws per KS family, with the Kolmogorov tail on numpy alone at
+    # about 54 and 70 MB; importing scipy.stats for it peaked at about 116 MB
+    (["validate", "--suite", "lemma4"], 75),
+    (["validate", "--suite", "unitary"], 90),
     # a 44 MB JSON export; converting the whole stack to Python floats
     # before writing peaks at about 138 MB, a chunk at a time at about 94 MB
     (["sample", "--kind", "input", "--T", "8", "--M", "2", "--N", "4",
@@ -174,7 +178,8 @@ def test_negative_seed_is_domain_error(capsys, argv):
     # Python floats, 111 MB a chunk at a time (the unchunked draw is most of it)
     (["sample", "--kind", "input", "--T", "10", "--M", "5", "--N", "100",
       "--count", "20000"], 125),
-], ids=["gain", "validate-power", "input-json", "input-csv-wide"])
+], ids=["gain", "validate-power", "validate-lemma4", "validate-unitary", "input-json",
+        "input-csv-wide"])
 def test_sample_peak_memory_is_bounded(tmp_path, argv, limit_mb):
     # a fresh interpreter reports its own peak RSS, VmHWM in KiB; a bare
     # import peaks at about 30 MB.  ru_maxrss would not do: Linux carries
@@ -220,37 +225,51 @@ def _sample_script(kind):
      set()),
     ("from ncmimo import cli; cli.main(['validate', '--suite', 'density-normalization'])",
      set()),
-    # the control: a suite that needs a package loads it, so the check can see a load
+    # a KS suite whose p-values stay off Miller's branch of the tail
     ("from ncmimo import cli; cli.main(['validate', '--suite', 'lemma4', '--n', '200'])",
-     {"scipy.stats"}),
+     set()),
+    # the control: d = 0.6 takes the tail's 2 * smirnov branch, which needs
+    # scipy.special, so the check can see a load
+    ("import numpy as np; from ncmimo.statcheck import ks_two_sample; "
+     "ks_two_sample(np.arange(50.), np.arange(50.) + 30)", {"scipy.special"}),
 ], ids=["package", "parser", *[f"sample-{kind}" for kind in cli._KINDS],
         "constants", "gain-table", "cond-pdf", "spectrum-pdfs", "pdf-oracle",
-        "density-normalization", "lemma4"])
+        "density-normalization", "lemma4", "ks-smirnov"])
 def test_heavy_scipy_loads_only_where_used(script, loaded):
     script += ("; import json, sys; "
                "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
     seen = set(json.loads(run_fresh_python(script).splitlines()[-1]))
-    # a control may load more: scipy.stats imports scipy.integrate
+    # a control may load more (scipy.special brings scipy._lib), never scipy.stats
+    assert "scipy.stats" not in seen
     assert seen >= loaded if loaded else not seen
+
+
+def test_ks_suites_run_without_scipy_stats():
+    # a None entry in sys.modules makes any import of scipy.stats raise
+    script = ("import os, sys; sys.modules['scipy.stats'] = None; from ncmimo import cli; "
+              "print([cli.main(['validate', '--suite', suite, '--n', '300', '--out', os.devnull]) "
+              "for suite in ('lemma4', 'lemma5', 'unitary')])")
+    assert run_fresh_python(script).split() == ["[0,", "0,", "0]"]
 
 
 @pytest.mark.parametrize("suite", ["lemma4", "lemma5", "unitary"])
 def test_ks_suites_reject_one_draw_before_drawing(suite):
     # a KS test needs two observations per sample: n = 1 raises power's
-    # message before any draw, so scipy.stats never loads
+    # message before any draw, so no scipy module loads
     script = ("import sys\nfrom ncmimo.params import DomainError\n"
               "from ncmimo.statcheck import SUITES\n"
               f"try:\n    SUITES[{suite!r}](n=1)\nexcept DomainError as exc:\n    print(exc)\n"
-              "print('scipy.stats' in sys.modules)")
+              "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     assert run_fresh_python(script).splitlines() == ["n must be an integer >= 2, got n=1",
                                                      "False"]
 
 
 def test_parser_loads_no_quadrature_rule():
-    # the Gauss-Legendre nodes load with the first integral, not with the CLI
+    # the Gauss-Legendre nodes load with the first integral and the KS tail
+    # with the first KS test, not with the CLI
     script = ("import sys; from ncmimo import cli; cli.build_parser(); "
-              "print('numpy.polynomial' in sys.modules)")
-    assert run_fresh_python(script).split() == ["False"]
+              "print('numpy.polynomial' in sys.modules, 'ncmimo.kolmogorov' in sys.modules)")
+    assert run_fresh_python(script).split() == ["False", "False"]
 
 
 def test_benchmark_binds_to_the_library():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from ncmimo import statcheck
+from ncmimo import kolmogorov, statcheck
 from ncmimo.params import DomainError
 from ncmimo.statcheck import (
     NORMALIZATION_TOL,
@@ -169,7 +169,7 @@ def test_ks_ravels_2d_inputs():
 ])
 def test_ks_matches_scipy_on_each_kolmogn_branch(size, shift, low, high):
     # the effective size n = round(n1 n2 / (n1 + n2)) and n d^2 select how
-    # kstwo.sf evaluates the tail; every branch must give scipy's bits
+    # the tail is evaluated; every branch must give ks_2samp's bits
     a = np.arange(size) / size
     rep = _assert_matches_oracle(a, a + shift)
     n = round(size / 2)
@@ -179,26 +179,27 @@ def test_ks_matches_scipy_on_each_kolmogn_branch(size, shift, low, high):
 
 @pytest.mark.parametrize("suite", ["lemma4", "lemma5", "unitary"])
 def test_ks_family_takes_one_tail_call_with_per_row_bits(monkeypatch, suite):
-    # at 100 draws the effective size is 50, where kstwo.sf runs both the
+    # at 100 draws the effective size is 50, where the tail runs both the
     # Durbin (n d^2 <= 0.754693) and the Pomeranz (<= 4) branch; the one
-    # vectorized call must give every row the bits of a per-row call
+    # call for the family must give every row the bits of a per-row kstwo.sf
     columns, tail_calls = [], []
 
     def recorded(a, b, names, _ks=statcheck.ks_columns):
         columns.append((a, b))
         return _ks(a, b, names)
 
-    def counted(*args, _sf=stats.kstwo.sf):
+    def counted(*args, _sf=kolmogorov.kolmogorov_sf):
         tail_calls.append(args)
         return _sf(*args)
 
     monkeypatch.setattr(statcheck, "ks_columns", recorded)
-    monkeypatch.setattr(stats.kstwo, "sf", counted)
+    monkeypatch.setattr(kolmogorov, "kolmogorov_sf", counted)
     reports = statcheck.SUITES[suite](n=100, seed=0)
     assert len(columns) == len(tail_calls) == 1
     monkeypatch.undo()
     (a, b), = columns
-    assert a.shape == b.shape == (100, len(reports))
+    (d, n), = tail_calls
+    assert a.shape == b.shape == (100, len(reports)) and d.shape == (len(reports),) and n == 50
     for i, rep in enumerate(reports):
         assert _same_bits(rep.p_value, np.clip(stats.kstwo.sf(rep.statistic, 50), 0, 1))
         d, p = _ks_2samp_oracle(a[:, i], b[:, i])
