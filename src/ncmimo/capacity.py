@@ -38,6 +38,12 @@ def _prelog(T: int, M: int) -> float:
     return M * (T - M) / T
 
 
+def _breakdown(T: int, M: int, terms: tuple[tuple[str, float], ...]) -> CapacityBreakdown:
+    # the one place where the constant is formed as the sum of the labeled terms
+    return CapacityBreakdown(prelog=_prelog(T, M), constant=sum(v for _, v in terms),
+                             terms=terms)
+
+
 def bstm_constant(dp: DerivedParams) -> CapacityBreakdown:
     """Additive constant for the optimal (BSTM) input.
 
@@ -46,28 +52,14 @@ def bstm_constant(dp: DerivedParams) -> CapacityBreakdown:
     M(1-M/T) ln(T/M) piece, the (MQ/T) ln(N/Q) piece, and the
     (P/T)(E[ln det HH^H] - M) piece.
     """
-    T, M, N = dp.T, dp.M, dp.N
-    P, Q = dp.P, dp.Q
-    gamma_ratio = (
-        log_multivariate_gamma(M, M)
-        + log_multivariate_gamma(M, Q)
-        - log_multivariate_gamma(M, N)
-        - log_multivariate_gamma(M, T)
-    ) / T
-    log_t_over_m = _prelog(T, M) * math.log(T / M)
-    log_n_over_q = M * Q / T * math.log(N / Q)
-    logdet_piece = P / T * (expected_logdet_wishart(M, N) - M)
-    terms = (
-        ("gamma_ratio", gamma_ratio),
-        ("log_t_over_m", log_t_over_m),
-        ("log_n_over_q", log_n_over_q),
-        ("logdet", logdet_piece),
-    )
-    return CapacityBreakdown(
-        prelog=_prelog(T, M),
-        constant=sum(v for _, v in terms),
-        terms=terms,
-    )
+    T, M, N, Q = dp.T, dp.M, dp.N, dp.Q
+    return _breakdown(T, M, (
+        ("gamma_ratio", (log_multivariate_gamma(M, M) + log_multivariate_gamma(M, Q)
+                         - log_multivariate_gamma(M, N) - log_multivariate_gamma(M, T)) / T),
+        ("log_t_over_m", _prelog(T, M) * math.log(T / M)),
+        ("log_n_over_q", M * Q / T * math.log(N / Q)),
+        ("logdet", dp.P / T * (expected_logdet_wishart(M, N) - M)),
+    ))
 
 
 def ustm_constant(dp: DerivedParams) -> CapacityBreakdown:
@@ -78,21 +70,11 @@ def ustm_constant(dp: DerivedParams) -> CapacityBreakdown:
     round-off when T >= M+N; constant_gap is exactly 0 there.
     """
     T, M, N = dp.T, dp.M, dp.N
-    gamma_ratio = (
-        log_multivariate_gamma(M, M) - log_multivariate_gamma(M, T)
-    ) / T
-    log_t_over_em = _prelog(T, M) * (math.log(T / M) - 1.0)
-    logdet_piece = (1 - M / T) * expected_logdet_wishart(M, N)
-    terms = (
-        ("gamma_ratio", gamma_ratio),
-        ("log_t_over_em", log_t_over_em),
-        ("logdet", logdet_piece),
-    )
-    return CapacityBreakdown(
-        prelog=_prelog(T, M),
-        constant=sum(v for _, v in terms),
-        terms=terms,
-    )
+    return _breakdown(T, M, (
+        ("gamma_ratio", (log_multivariate_gamma(M, M) - log_multivariate_gamma(M, T)) / T),
+        ("log_t_over_em", _prelog(T, M) * (math.log(T / M) - 1.0)),
+        ("logdet", (1 - M / T) * expected_logdet_wishart(M, N)),
+    ))
 
 
 def capacity_approx(dp: DerivedParams, snr_db: float, scheme: str = BSTM) -> float:

@@ -118,21 +118,22 @@ def _emit(args, columns, rows, warnings_list=()) -> None:
                 fh.write(f"# warning: {w}\n")
 
 
+def _dims(args):
+    return derive(ChannelDims(T=args.T, M=args.M, N=args.N))
+
+
 def cmd_constants(args) -> int:
-    dp = derive(ChannelDims(T=args.T, M=args.M, N=args.N))
+    dp = _dims(args)
     b = bstm_constant(dp)
     u = ustm_constant(dp)
-    climit = asymptotic_gain_constant(args.T, args.M)
     scale = 1.0 / math.log(2.0) if args.bits else 1.0
     columns = ["T", "M", "N", "prelog", "c_bstm", "c_ustm", "c_gap", "c_gain_limit"]
     row = [args.T, args.M, args.N, b.prelog, b.constant * scale, u.constant * scale,
-           constant_gap(dp) * scale, climit * scale]
-    for name, val in b.terms:
-        columns.append(f"bstm_{name}")
-        row.append(val * scale)
-    for name, val in u.terms:
-        columns.append(f"ustm_{name}")
-        row.append(val * scale)
+           constant_gap(dp) * scale, asymptotic_gain_constant(args.T, args.M) * scale]
+    for scheme, br in (("bstm", b), ("ustm", u)):
+        for name, val in br.terms:
+            columns.append(f"{scheme}_{name}")
+            row.append(val * scale)
     _emit(args, columns, [row])
     return EXIT_OK
 
@@ -153,10 +154,6 @@ def cmd_gain_table(args) -> int:
                 warnings_list.append(f"T={T} N={N} M={M}: {exc}")
     _emit(args, ["T", "N", "M", "gain"], rows, warnings_list)
     return EXIT_OK
-
-
-def _dims(args):
-    return derive(ChannelDims(T=args.T, M=args.M, N=args.N))
 
 
 # kind -> (required options, column prefix of a real vector draw, stacked draw)

@@ -228,7 +228,7 @@ def cond_pdf_y_given_d_log(Y: np.ndarray, D, dp: DerivedParams,
 def _gaussian_sv_log(sv, n: int, var: float, rho: float = 1.0) -> float:
     """ln of the joint density of the singular values sv (Python floats) of
     an m x n complex Gaussian matrix with iid CN(0, rho var) entries,
-    m = len(sv) <= n; rho is passed apart only where rho var overflows."""
+    m = len(sv) <= n; rho is passed apart so that rho var may overflow."""
     s2 = [x * x for x in sv]
     return _sv_log(-len(sv) * n * (LOG_PI + math.log(var) + math.log(rho))
                    - math.fsum([x / rho for x in s2]) / var, sv, n, log_vandermonde(s2))
@@ -238,15 +238,11 @@ def first_sv_pdf_log(sv, dp: DerivedParams, snr_db: float) -> float:
     """ln of the joint density of the M leading output singular values.
 
     This is the singular-value law of an M x Q complex Gaussian matrix
-    with per-entry variance lambda_bar = N T rho / (M Q), split as rho times
-    N T / (M Q) where N T rho overflows (from about 3053 dB at (10, 5, 100)).
+    with per-entry variance lambda_bar = N T rho / (M Q), taken as rho times
+    N T / (M Q) so that it stays finite where N T rho overflows.
     """
     sv = check_decreasing(sv, dp.M, "first_sv_pdf_log sv").tolist()
-    rho = rho_from_db(snr_db)
-    var = dp.N * dp.T * rho / (dp.M * dp.Q)
-    if var < math.inf:
-        return _gaussian_sv_log(sv, dp.Q, var)
-    return _gaussian_sv_log(sv, dp.Q, dp.N * dp.T / (dp.M * dp.Q), rho)
+    return _gaussian_sv_log(sv, dp.Q, dp.N * dp.T / (dp.M * dp.Q), rho_from_db(snr_db))
 
 
 def tail_sv_pdf_log(sv, dp: DerivedParams) -> float:

@@ -79,18 +79,30 @@ def test_constants_strictly_separated_in_large_mimo():
         assert b.constant > u.constant
 
 
+# Every geometry with T <= 40, 1 <= M <= floor(T/2), M <= N <= 60
+_GRID = [(T, M, N) for T in range(2, 41) for M in range(1, T // 2 + 1) for N in range(M, 61)]
+
+
 def test_constant_gap_is_zero_exactly_when_block_is_long():
     # BSTM beats USTM iff T < M+N; for T >= M+N subtracting the two
-    # constants leaves round-off of either sign, and the gap must be +0.0.
-    # Every geometry with T <= 40, 1 <= M <= floor(T/2), M <= N <= 60:
-    for (T, M, N) in ((T, M, N) for T in range(2, 41) for M in range(1, T // 2 + 1)
-                      for N in range(M, 61)):
+    # constants leaves round-off of either sign, and the gap must be +0.0
+    for (T, M, N) in _GRID:
         dp = _dp(T, M, N)
         gap = constant_gap(dp)
         if dp.large_mimo:
             assert gap > 0, (T, M, N)
         else:
             assert gap == 0.0 and math.copysign(1.0, gap) == 1.0, (T, M, N)
+
+
+def test_constant_is_the_sum_of_its_terms_bit_for_bit():
+    # both schemes: the constant is the sum of the labeled terms in display
+    # order and the prelog is M(T - M)/T, to the last bit
+    for (T, M, N) in _GRID:
+        dp = _dp(T, M, N)
+        for br in (bstm_constant(dp), ustm_constant(dp)):
+            assert br.constant == sum(v for _, v in br.terms), (T, M, N)
+            assert br.prelog == M * (T - M) / T, (T, M, N)
 
 
 def test_gain_ratio_and_limit_sequence_use_the_constant_gap():

@@ -370,29 +370,6 @@ def test_sample_gain_constant_rows(capsys):
         assert row == [str(i), want, want]
 
 
-def test_sample_unitary_deterministic(capsys):
-    argv = ["sample", "--kind", "unitary", "--T", "2", "--M", "1",
-            "--count", "1", "--seed", "9"]
-    _, out1, _ = run_cli(capsys, argv)
-    _, out2, _ = run_cli(capsys, argv)
-    assert out1 == out2
-    header, rows = parse_csv(out1)
-    assert header == ["draw", "re_0_0", "im_0_0", "re_1_0", "im_1_0"]
-    vec = np.array([float(rows[0][1]) + 1j * float(rows[0][2]),
-                    float(rows[0][3]) + 1j * float(rows[0][4])])
-    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_sample_beta_columns(capsys):
-    code, out, _ = run_cli(capsys, [
-        "sample", "--kind", "beta", "--m", "2", "--p", "3", "--n", "2",
-        "--count", "2"])
-    assert code == 0
-    header, rows = parse_csv(out)
-    assert len(header) == 1 + 2 * 4  # draw + re/im for each of the 4 entries
-    assert len(rows) == 2
-
-
 _DP = derive(ChannelDims(T=10, M=5, N=100))
 _DIMS = ["--T", "10", "--M", "5", "--N", "100"]
 # kind -> (options, the library's draw of 7 at the same seed)
@@ -671,14 +648,6 @@ def test_emit_matches_whole_list_encoding(capsys, rows, fmt):
     cli._emit(args, ["draw", "a"], rows, ["a \"warning\""])
     assert_same_text(capsys.readouterr().out,
                      _whole_list_payload(args, ["draw", "a"], rows, ["a \"warning\""]))
-
-
-def test_validate_suite_passes(capsys):
-    code, out, _ = run_cli(capsys, ["validate", "--suite", "pdf-oracle", "--n", "5"])
-    assert code == 0
-    header, rows = parse_csv(out)
-    assert header[0] == "suite"
-    assert all(r[5] == "true" for r in rows)
 
 
 @pytest.mark.parametrize("suite, n", [

@@ -161,22 +161,6 @@ def test_ks_ravels_2d_inputs():
     assert rep.n_samples == 12  # the smaller sample's size
 
 
-@pytest.mark.parametrize("size, shift, low, high", [
-    (200, 0.05, 0.0, 0.754693),   # n = 100: DMTW
-    (200, 0.12, 0.754693, 4.0),   # Pomeranz
-    (200, 0.30, 4.0, np.inf),     # Miller's 2 * smirnov
-    (400, 0.10, 0.0, np.inf),     # n = 200 > 140: the large-n branch
-])
-def test_ks_matches_scipy_on_each_kolmogn_branch(size, shift, low, high):
-    # the effective size n = round(n1 n2 / (n1 + n2)) and n d^2 select how
-    # the tail is evaluated; every branch must give ks_2samp's bits
-    a = np.arange(size) / size
-    rep = _assert_matches_oracle(a, a + shift)
-    n = round(size / 2)
-    assert low < n * rep.statistic ** 2 <= high
-    assert 1 < n * rep.statistic < n - 1 and rep.statistic < 0.5
-
-
 @pytest.mark.parametrize("suite", ["lemma4", "lemma5", "unitary"])
 def test_ks_family_takes_one_tail_call_with_per_row_bits(monkeypatch, suite):
     # at 100 draws the effective size is 50, where the tail runs both the
