@@ -5,11 +5,12 @@ is registered by name in SUITES; the CLI `validate` subcommand renders
 the rows as a table, with the seed in a last column, and fails the run
 when any row fails.  Every check, statistical or numerical, reports
 through `report`.  The KS suites draw from two constructions that
-should share a law and compare them index by index with a
-Kolmogorov-Smirnov test; a suite's indices form one family, tested by
-one `ks_columns` call and gated by `holm` at family-wise level
-P_THRESHOLD.  A KS test needs two observations per sample, so a KS
-suite, like `power`, rejects n < 2 before it draws anything.  Every
+should share a law, n draws each, and compare them index by index with a
+two-sample Kolmogorov-Smirnov test, whose p-value is the exact null tail
+for two samples of n; a suite's indices form one family, tested by one
+`ks_columns` call and gated by `holm` at family-wise level P_THRESHOLD.
+A KS test needs two observations per sample, so a KS suite, like
+`power`, rejects n < 2 before it draws anything.  Every
 integral goes through _integrate, one fixed Gauss-Legendre rule on numpy
 at QUAD_NODES; Monte Carlo checks are chunked so memory stays flat at
 large dimensions.
@@ -85,40 +86,61 @@ def suite_size(n: int | None, default: int | None) -> int | None:
     return check_int(n, "n", 1)
 
 
+def _ks_tail(d: np.ndarray, n: int) -> np.ndarray:
+    """The exact null tail P(D >= d) of the two-sample KS statistic of two
+    samples of n each, for every entry of d (NaN gives NaN).
+
+    With k = round(d n), P(D >= k/n) = 2 sum_{j>=1} (-1)^(j+1) C(2n, n - jk)
+    / C(2n, n) (Gnedenko & Korolyuk 1951), the law that
+    `scipy.stats.ks_2samp(method="exact")` evaluates for equal sizes.  The
+    ratios C(2n, n - m) / C(2n, n) are built once for every d, as a
+    cumulative sum of logs; those below the double range underflow to 0.
+    """
+    m = np.arange(n)
+    ratio = np.exp(np.concatenate([[0.0], np.cumsum(np.log1p(-(2 * m + 1) / (n + 1 + m)))]))
+    p = np.where(np.isnan(d), np.nan, 1.0)  # k <= 0 leaves p = 1
+    for i, k in enumerate(np.rint(np.nan_to_num(d) * n).astype(int)):
+        if k > 0:
+            terms = ratio[k::k]  # decreasing, summed with alternating signs
+            p[i] = min(1.0, 2 * (terms[::2].sum() - terms[1::2].sum()))
+    return p
+
+
 def ks_columns(a, b, names) -> list[TestReport]:
-    """Two-sided two-sample KS test of each column of the (draws, k) samples
-    a and b, one report per name in `names`; a row passes when p > 0.01.
+    """Two-sided two-sample KS test of each column of the (n, k) samples a
+    and b, one report per name in `names`; a row passes when p > 0.01.
 
     A column's statistic d is the largest gap between its two empirical
-    CDFs, taken over the pooled points.  Its p-value is the finite-n
-    Kolmogorov tail `kolmogorov_sf(d, n)` at the rounded effective size
-    n = round(n1 n2 / (n1 + n2)) (Simard & L'Ecuyer 2011); one call
-    evaluates every column's.  Both equal, bit for bit, what
-    `scipy.stats.ks_2samp(a[:, i], b[:, i], method="asymp")` returns.  A
-    column that contains NaN gives d = p = NaN, and its row fails.  Each
-    report's n_samples is min(n1, n2), the size of the smaller sample.
+    CDFs, taken over the pooled points, with the bits of
+    `scipy.stats.ks_2samp`'s.  Its p-value is the exact null tail
+    P(D >= d) for two samples of n each (`_ks_tail`), one call for every
+    column.  A column that contains NaN gives d = p = NaN, and its row
+    fails.  Each report's n_samples is n.  DomainError unless both samples
+    have the same n >= 2.
     """
-    from .kolmogorov import kolmogorov_sf  # local: only the KS suites load it
     a = np.sort(np.asarray(a, dtype=float).T)  # one sorted row per column
     b = np.sort(np.asarray(b, dtype=float).T)
-    n1, n2 = a.shape[1], b.shape[1]
-    if n1 < 2 or n2 < 2:
+    n = a.shape[1]
+    if b.shape[1] != n:
+        raise DomainError(f"a KS test takes two samples of equal size, got {n} and {b.shape[1]}")
+    if n < 2:
         raise DomainError("a KS test needs at least two observations per sample")
     d = np.full(len(a), np.nan)
     for i, (x, y) in enumerate(zip(a, b, strict=True)):
         if np.isnan(x[-1]) or np.isnan(y[-1]):  # np.sort puts NaN last; d and p stay NaN
             continue
         pooled = np.concatenate([x, y])
-        gap = (np.searchsorted(x, pooled, side="right") / n1
-               - np.searchsorted(y, pooled, side="right") / n2)
+        gap = (np.searchsorted(x, pooled, side="right") / n
+               - np.searchsorted(y, pooled, side="right") / n)
         d[i] = max(gap.max(), np.clip(-gap.min(), 0, 1))  # a tie keeps +0.0, not clip's -0.0
-    p = kolmogorov_sf(d, round(n1 * n2 / (n1 + n2)))
-    return [report(name, di, P_THRESHOLD, min(n1, n2), p_value=float(pi))
+    p = _ks_tail(d, n)
+    return [report(name, di, P_THRESHOLD, n, p_value=float(pi))
             for name, di, pi in zip(names, d, p, strict=True)]
 
 
 def ks_two_sample(a, b, name: str = "ks_two_sample") -> TestReport:
-    """The KS report of the raveled samples a and b: `ks_columns` on one column."""
+    """The KS report of the raveled samples a and b, of equal size:
+    `ks_columns` on one column."""
     return ks_columns(np.ravel(a)[:, None], np.ravel(b)[:, None], [name])[0]
 
 

@@ -166,8 +166,8 @@ def test_negative_seed_is_domain_error(capsys, argv):
     # 10^5 inputs per geometry, drawn in chunks of 327 to 2,048 at about
     # 41 MB; chunks of 10^4 draws peaked at about 75 MB
     (["validate", "--suite", "power"], 55),
-    # 10^4 draws per KS family, with the Kolmogorov tail on numpy alone at
-    # about 54 and 70 MB; importing scipy.stats for it peaked at about 116 MB
+    # 10^4 draws per KS family, with the exact tail on numpy, at about 54 and
+    # 70 MB; an older tail that imported scipy.stats peaked at about 116 MB
     (["validate", "--suite", "lemma4"], 75),
     (["validate", "--suite", "unitary"], 90),
     # a 44 MB JSON export; converting the whole stack to Python floats
@@ -205,51 +205,38 @@ _SPECTRUM_PDFS = ("cond_sv_pdf_finite_log([2.0, 1.5, 1.0, 0.5], [2.0, 1.0], dp, 
                   "beta_eig_pdf_log(2, 3, 2, [0.7, 0.2])")
 
 
-def _sample_script(kind):
+def _cli_script(argv):
+    # the interpreter exits with the command's code
+    return f"import sys; from ncmimo import cli; sys.exit(cli.main({argv!r}))"
+
+
+def _sample_argv(kind):
     options = [arg for opt in cli._KINDS[kind][0] for arg in (f"--{opt}", _VALUES[opt])]
-    return f"from ncmimo import cli; cli.main({['sample', '--kind', kind, *options]!r})"
+    return ["sample", "--kind", kind, *options]
 
 
-@pytest.mark.parametrize("script, loaded", [
-    ("import ncmimo", set()),
-    ("from ncmimo import cli; cli.build_parser()", set()),
-    *[(_sample_script(kind), set()) for kind in cli._KINDS],
-    # the constants and densities are evaluated on math and numpy alone
-    ("from ncmimo import cli; cli.main(['constants', '--T', '4', '--M', '2', '--N', '4'])", set()),
-    ("from ncmimo import cli; cli.main(['gain-table', '--T-list', '4,10', '--N-list', '2,100'])",
-     set()),
-    (f"{_DENSITY_SETUP}; {_COND_PDF}", set()),
-    (f"{_DENSITY_SETUP}; {_SPECTRUM_PDFS}", set()),
-    # the quadrature suites integrate on numpy alone
-    ("from ncmimo import cli; cli.main(['validate', '--suite', 'pdf-oracle', '--n', '1'])",
-     set()),
-    ("from ncmimo import cli; cli.main(['validate', '--suite', 'density-normalization'])",
-     set()),
-    # a KS suite whose p-values stay off Miller's branch of the tail
-    ("from ncmimo import cli; cli.main(['validate', '--suite', 'lemma4', '--n', '200'])",
-     set()),
-    # the control: d = 0.6 takes the tail's 2 * smirnov branch, which needs
-    # scipy.special, so the check can see a load
-    ("import numpy as np; from ncmimo.statcheck import ks_two_sample; "
-     "ks_two_sample(np.arange(50.), np.arange(50.) + 30)", {"scipy.special"}),
+# every suite at a small n; a fixed-size suite takes none
+_SUITE_N = {"convergence": None, "density-normalization": None, "lemma4": 300, "lemma5": 300,
+            "pdf-oracle": 1, "power": 100, "unitary": 300}
+
+
+@pytest.mark.parametrize("script", [
+    "import ncmimo",
+    "from ncmimo import cli; cli.build_parser()",
+    *[_cli_script(_sample_argv(kind)) for kind in cli._KINDS],
+    _cli_script(["constants", "--T", "4", "--M", "2", "--N", "4"]),
+    _cli_script(["gain-table", "--T-list", "4,10", "--N-list", "2,100"]),
+    f"{_DENSITY_SETUP}; {_COND_PDF}",
+    f"{_DENSITY_SETUP}; {_SPECTRUM_PDFS}",
+    *[_cli_script(["validate", "--suite", suite, *([] if n is None else ["--n", str(n)])])
+      for suite, n in _SUITE_N.items()],
 ], ids=["package", "parser", *[f"sample-{kind}" for kind in cli._KINDS],
-        "constants", "gain-table", "cond-pdf", "spectrum-pdfs", "pdf-oracle",
-        "density-normalization", "lemma4", "ks-smirnov"])
-def test_heavy_scipy_loads_only_where_used(script, loaded):
-    script += ("; import json, sys; "
-               "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
-    seen = set(json.loads(run_fresh_python(script).splitlines()[-1]))
-    # a control may load more (scipy.special brings scipy._lib), never scipy.stats
-    assert "scipy.stats" not in seen
-    assert seen >= loaded if loaded else not seen
-
-
-def test_ks_suites_run_without_scipy_stats():
-    # a None entry in sys.modules makes any import of scipy.stats raise
-    script = ("import os, sys; sys.modules['scipy.stats'] = None; from ncmimo import cli; "
-              "print([cli.main(['validate', '--suite', suite, '--n', '300', '--out', os.devnull]) "
-              "for suite in ('lemma4', 'lemma5', 'unitary')])")
-    assert run_fresh_python(script).split() == ["[0,", "0,", "0]"]
+        "constants", "gain-table", "cond-pdf", "spectrum-pdfs", *_SUITE_N])
+def test_heavy_scipy_loads_only_where_used(script):
+    # scipy is a test-only dependency, used nowhere in the library: with it
+    # blocked (a None entry in sys.modules makes every import of scipy or a
+    # subpackage raise), every command, density and suite exits normally
+    run_fresh_python("import sys; sys.modules['scipy'] = None\n" + script)
 
 
 @pytest.mark.parametrize("suite", ["lemma4", "lemma5", "unitary"])
@@ -265,11 +252,10 @@ def test_ks_suites_reject_one_draw_before_drawing(suite):
 
 
 def test_parser_loads_no_quadrature_rule():
-    # the Gauss-Legendre nodes load with the first integral and the KS tail
-    # with the first KS test, not with the CLI
+    # the Gauss-Legendre nodes load with the first integral, not with the CLI
     script = ("import sys; from ncmimo import cli; cli.build_parser(); "
-              "print('numpy.polynomial' in sys.modules, 'ncmimo.kolmogorov' in sys.modules)")
-    assert run_fresh_python(script).split() == ["False", "False"]
+              "print('numpy.polynomial' in sys.modules)")
+    assert run_fresh_python(script).split() == ["False"]
 
 
 def test_benchmark_binds_to_the_library():

@@ -1,10 +1,13 @@
 import math
+import warnings
+from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from ncmimo import kolmogorov, statcheck
+from ncmimo import statcheck
 from ncmimo.params import DomainError
 from ncmimo.statcheck import (
     NORMALIZATION_TOL,
@@ -90,10 +93,64 @@ def test_holm_family_false_alarm_rate():
     assert alarms <= 6
 
 
-def _ks_2samp_oracle(a, b):
-    # the statistic and p-value of the scipy routine ks_two_sample replaces
-    res = stats.ks_2samp(np.ravel(a), np.ravel(b), method="asymp")
-    return float(res.statistic), float(res.pvalue)
+@cache
+def _central_binomials(n):
+    # C(2n, n - m) for m = 0..n, as exact integers
+    row = [math.comb(2 * n, n)]
+    for m in range(n):
+        row.append(row[-1] * (n - m) // (n + m + 1))
+    return row
+
+
+def _exact_tail(k, n):
+    # P(D >= k/n) for two samples of n each, summed exactly and rounded once
+    if k <= 0:
+        return 1.0
+    row = _central_binomials(n)
+    total = sum((-1) ** (j + 1) * row[j * k] for j in range(1, n // k + 1))
+    return float(Fraction(2 * total, row[0]))
+
+
+def _assert_tail_matches_oracle(p, k, n):
+    exact = _exact_tail(k, n)
+    assert 0.0 <= p <= 1.0, (k, n, p)
+    if exact > 1e-300:
+        assert abs(p - exact) <= 1e-9 * exact, (k, n, p, exact)
+
+
+# every k at the small sizes; at 10^4, p runs from 1 through the gate
+# (k = 233) to below 1e-300 (k = 2,650) and on to d = 1
+KS_TAIL_GRID = [*[(n, k) for n in (2, 3, 50, 300) for k in range(n + 1)],
+                *[(10_000, k) for k in [*range(0, 2_700, 25), 233, 5_000, 10_000]]]
+
+
+def test_ks_tail_matches_the_exact_rational_oracle():
+    for n in (2, 3, 50, 300, 10_000):
+        ks = [k for m, k in KS_TAIL_GRID if m == n]
+        for k, p in zip(ks, statcheck._ks_tail(np.array(ks) / n, n)):
+            _assert_tail_matches_oracle(p, k, n)
+    # k <= 0, including d below 1/(2n), is p = 1 exactly
+    assert statcheck._ks_tail(np.array([0.0, 0.4 / 50, -0.1]), 50).tolist() == [1.0] * 3
+
+
+def test_ks_tail_agrees_with_scipy_exact_where_it_succeeds():
+    # the second check: samples 0..n-1 and k..n-1+k have D = k/n exactly.
+    # scipy falls back to its asymptotic tail, with a RuntimeWarning, for
+    # some large k at n = 300 and 10^4; those k are left to the oracle
+    checked = 0
+    for n, k in KS_TAIL_GRID:
+        a = np.arange(float(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                res = stats.ks_2samp(a, a + k, method="exact")
+            except RuntimeWarning:
+                continue
+        p = statcheck._ks_tail(np.array([res.statistic]), n)[0]
+        if res.pvalue > 1e-300:
+            assert abs(p - res.pvalue) <= 1e-9 * res.pvalue, (n, k, p, res.pvalue)
+        checked += 1
+    assert checked >= len(KS_TAIL_GRID) - 10
 
 
 def _same_bits(x, y):
@@ -101,21 +158,24 @@ def _same_bits(x, y):
 
 
 def _assert_matches_oracle(a, b):
+    # the statistic has the bits of scipy's ks_2samp, the p-value is the exact tail
     rep = ks_two_sample(a, b)
-    d, p = _ks_2samp_oracle(a, b)
+    d = float(stats.ks_2samp(np.ravel(a), np.ravel(b), method="asymp").statistic)
     assert _same_bits(rep.statistic, d), (rep.statistic, d)
-    assert _same_bits(rep.p_value, p), (rep.p_value, p)
+    if not np.isnan(d):
+        n = np.size(a)
+        _assert_tail_matches_oracle(rep.p_value, round(d * n), n)
     return rep
 
 
 def test_ks_matches_scipy_on_random_pairs():
-    # unequal sizes in both orders, shifted alternatives, and one pair in
-    # five rounded so that the pooled sample has ties
+    # sizes from 2 to 300, shifted alternatives, and one pair in five
+    # rounded so that the pooled sample has ties
     gen = np.random.Generator(np.random.PCG64(77))
     for i in range(200):
-        n1, n2 = gen.choice(np.arange(2, 301), size=2, replace=False)
-        a = gen.standard_normal(n1)
-        b = gen.standard_normal(n2) + gen.choice([0.0, 0.1, 0.5, 3.0])
+        n = gen.integers(2, 301)
+        a = gen.standard_normal(n)
+        b = gen.standard_normal(n) + gen.choice([0.0, 0.1, 0.5, 3.0])
         if i % 5 == 0:
             a, b = np.round(a, 1), np.round(b, 1)
         _assert_matches_oracle(a, b)
@@ -123,12 +183,12 @@ def test_ks_matches_scipy_on_random_pairs():
 
 
 @pytest.mark.parametrize("a, b, d", [
-    (np.ones(5), np.ones(7), 0.0),                                # constant, equal
-    (np.round(np.linspace(0, 1, 9), 1), np.round(np.linspace(0, 1, 6), 1), None),  # ties
-    (np.arange(5.0), np.arange(10.0) + 100, 1.0),                 # disjoint
-    (np.arange(10.0) + 100, np.arange(5.0), 1.0),
-    (np.array([-np.inf, 0.0, 1.0, np.inf]), np.array([-1.0, 0.5, 2.0]), None),
-    (np.array([np.inf, np.inf]), np.array([-np.inf, -np.inf, 0.0]), 1.0),
+    (np.ones(5), np.ones(5), 0.0),                                # constant, equal
+    (np.round(np.linspace(0, 1, 9), 1), np.round(np.linspace(0.05, 1, 9), 1), None),  # ties
+    (np.arange(5.0), np.arange(5.0) + 100, 1.0),                  # disjoint
+    (np.arange(5.0) + 100, np.arange(5.0), 1.0),
+    (np.array([-np.inf, 0.0, 1.0, np.inf]), np.array([-1.0, 0.5, 2.0, 3.0]), None),
+    (np.array([np.inf, np.inf]), np.array([-np.inf, -np.inf]), 1.0),
     (np.array([0.3, 1.7]), np.array([0.5, 2.0]), None),           # n = 2
     (np.array([0.3, 1.7]), np.array([2.5, 3.0]), 1.0),
 ], ids=["constant", "ties", "disjoint", "disjoint-swapped", "inf", "all-inf", "n2", "n2-disjoint"])
@@ -136,6 +196,8 @@ def test_ks_matches_scipy_on_edge_cases(a, b, d):
     rep = _assert_matches_oracle(a, b)
     if d is not None:
         assert rep.statistic == d
+    if d == 0.0:
+        assert rep.p_value == 1.0
 
 
 @pytest.mark.parametrize("where", ["a", "b", "both"])
@@ -143,7 +205,7 @@ def test_ks_nan_sample_fails_like_scipy(where):
     # a NaN anywhere gives statistic and p-value NaN and a failed row;
     # without the NaN branch, np.sort puts the NaN last and the row passes
     a = np.linspace(0.0, 1.0, 40)
-    b = np.linspace(0.01, 1.01, 30)
+    b = np.linspace(0.01, 1.01, 40)
     if where in ("a", "both"):
         a[7] = np.nan
     if where in ("b", "both"):
@@ -156,46 +218,41 @@ def test_ks_nan_sample_fails_like_scipy(where):
 def test_ks_ravels_2d_inputs():
     gen = np.random.Generator(np.random.PCG64(78))
     a = gen.standard_normal((6, 5))
-    b = gen.standard_normal((4, 3)) + 0.3
+    b = gen.standard_normal((5, 6)) + 0.3
     rep = _assert_matches_oracle(a, b)
-    assert rep.n_samples == 12  # the smaller sample's size
+    assert rep.n_samples == 30
 
 
 @pytest.mark.parametrize("suite", ["lemma4", "lemma5", "unitary"])
 def test_ks_family_takes_one_tail_call_with_per_row_bits(monkeypatch, suite):
-    # at 100 draws the effective size is 50, where the tail runs both the
-    # Durbin (n d^2 <= 0.754693) and the Pomeranz (<= 4) branch; the one
-    # call for the family must give every row the bits of a per-row kstwo.sf
+    # the one tail call for the family must give every row the bits of a
+    # per-row call, and each row's p-value must meet the exact oracle
     columns, tail_calls = [], []
 
     def recorded(a, b, names, _ks=statcheck.ks_columns):
         columns.append((a, b))
         return _ks(a, b, names)
 
-    def counted(*args, _sf=kolmogorov.kolmogorov_sf):
+    def counted(*args, _tail=statcheck._ks_tail):
         tail_calls.append(args)
-        return _sf(*args)
+        return _tail(*args)
 
     monkeypatch.setattr(statcheck, "ks_columns", recorded)
-    monkeypatch.setattr(kolmogorov, "kolmogorov_sf", counted)
+    monkeypatch.setattr(statcheck, "_ks_tail", counted)
     reports = statcheck.SUITES[suite](n=100, seed=0)
     assert len(columns) == len(tail_calls) == 1
     monkeypatch.undo()
     (a, b), = columns
     (d, n), = tail_calls
-    assert a.shape == b.shape == (100, len(reports)) and d.shape == (len(reports),) and n == 50
+    assert a.shape == b.shape == (100, len(reports)) and d.shape == (len(reports),) and n == 100
     for i, rep in enumerate(reports):
-        assert _same_bits(rep.p_value, np.clip(stats.kstwo.sf(rep.statistic, 50), 0, 1))
-        d, p = _ks_2samp_oracle(a[:, i], b[:, i])
-        assert _same_bits(rep.statistic, d) and _same_bits(rep.p_value, p), rep.name
-    nd2 = np.array([50 * rep.statistic ** 2 for rep in reports])
-    assert (nd2 <= 0.754693).any() and ((0.754693 < nd2) & (nd2 <= 4)).any()
+        assert _same_bits(rep.p_value, _assert_matches_oracle(a[:, i], b[:, i]).p_value), rep.name
 
 
 @pytest.mark.parametrize("where", ["a", "b"])
 def test_ks_nan_column_fails_only_its_row(where):
     gen = np.random.Generator(np.random.PCG64(79))
-    a, b = gen.standard_normal((300, 4)), gen.standard_normal((200, 4))
+    a, b = gen.standard_normal((300, 4)), gen.standard_normal((300, 4))
     names = [f"index{i}" for i in range(4)]
     clean = ks_columns(a, b, names)
     (a if where == "a" else b)[17, 2] = np.nan
@@ -206,9 +263,14 @@ def test_ks_nan_column_fails_only_its_row(where):
     assert [r.passed for r in holm(rows)] == [True, True, False, True]
 
 
+def test_ks_rejects_unequal_sizes():
+    with pytest.raises(DomainError, match="equal size, got 5 and 6"):
+        ks_columns(np.zeros((5, 2)), np.zeros((6, 2)), ["x", "y"])
+
+
 def test_ks_rejects_tiny_samples():
-    with pytest.raises(DomainError):
-        ks_two_sample(np.array([1.0]), np.array([1.0, 2.0]))
+    with pytest.raises(DomainError, match="at least two observations"):
+        ks_two_sample(np.array([1.0]), np.array([2.0]))
 
 
 def test_report_is_frozen_dataclass():
